@@ -64,6 +64,13 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
+    def exponent_row(self, ngens: int) -> list[int]:
+        """Exponent sum of each generator: the word's image in Z^ngens."""
+        row = [0] * ngens
+        for x in self.letters:
+            row[abs(x) - 1] += 1 if x > 0 else -1
+        return row
+
     def cyclically_reduced(self) -> "Word":
         ls = list(self.letters)
         while len(ls) >= 2 and ls[0] == -ls[-1]:
@@ -127,13 +134,7 @@ class Presentation:
         self.extends_all_heights = bool(extends_all_heights)
 
     def exponent_matrix(self) -> list[list[int]]:
-        out = []
-        for w in self.relators:
-            row = [0] * len(self.generators)
-            for x in w.letters:
-                row[abs(x) - 1] += 1 if x > 0 else -1
-            out.append(row)
-        return out
+        return [w.exponent_row(len(self.generators)) for w in self.relators]
 
     def word_str(self, w: Word) -> str:
         parts = []
@@ -211,12 +212,8 @@ class Presentation:
 # Loops over the edge alphabet of a complex
 
 
-def sorted_edges(L: SimplicialComplex) -> list[tuple[int, int]]:
-    return L.simplices_of_dim(1)
-
-
 def edge_generator_names(L: SimplicialComplex) -> list[str]:
-    return [f"e{u}_{v}" for u, v in sorted_edges(L)]
+    return [f"e{u}_{v}" for u, v in L.edges()]
 
 
 class LoopWord:
@@ -250,7 +247,7 @@ class LoopWord:
         path = list(path)
         if len(path) < 2 or path[0] != path[-1]:
             raise ValueError("vertex path must be closed (first = last)")
-        index = {e: i for i, e in enumerate(sorted_edges(L))}
+        index = {e: i for i, e in enumerate(L.edges())}
         letters = []
         for u, w in zip(path, path[1:]):
             key = (min(u, w), max(u, w))
@@ -260,7 +257,7 @@ class LoopWord:
         return cls(letters, path[:-1])
 
     def validate_in(self, L: SimplicialComplex) -> None:
-        n = len(sorted_edges(L))
+        n = len(L.edges())
         for x in self.letters:
             if abs(x) > n:
                 raise ValueError(f"edge letter {x} out of range for the complex")
@@ -308,7 +305,7 @@ def raag_presentation(L: SimplicialComplex) -> Presentation:
     pos = {v: i + 1 for i, v in enumerate(verts)}
     gens = [f"a{v}" for v in verts]
     relators = []
-    for u, w in sorted_edges(L):
+    for u, w in L.edges():
         a, b = pos[u], pos[w]
         relators.append(Word([a, b, -a, -b]))
     return Presentation(gens, relators, [RelatorTag("other")] * len(relators))
@@ -332,7 +329,7 @@ def deck_group_presentation(
     construction keeps the base complex itself at height zero.
     """
     _require_valid(L)
-    edges = sorted_edges(L)
+    edges = L.edges()
     index = {e: i + 1 for i, e in enumerate(edges)}
     gens = edge_generator_names(L)
     relators: list[Word] = []

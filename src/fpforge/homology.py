@@ -1,40 +1,58 @@
 """Exact simplicial chain complexes and reduced homology.
 
-Integral homology is computed by Smith normal form over arbitrary-precision
-integers; no modular shortcuts are taken on the integer path, since
-intermediate entries can grow.  Field coefficients (the rationals and prime
-fields) go through exact rank computations instead.
+One sparse elimination kernel serves every coefficient ring.  Over Z it
+peels unit pivots (+-1 entries) first, sparsest row and column first, and
+hands any non-unit remainder to the dense Smith normal form; the split
+preserves invariant factors because a cleared unit pivot splits off as a
+diag(1, rest) block.  Over F_p the same kernel runs on entries reduced mod p,
+where every nonzero entry is a unit.  Over Q no separate path is needed: the
+rank of a boundary matrix is the number of its nonzero integral invariant
+factors.  Integer entries are never reduced on the Z and Q paths, since
+intermediate entries can grow.
 
-The public Smith normal form returns the diagonal together with unimodular
-transforms U, V satisfying U*A*V = D.  Internally, chain boundary matrices
-are reduced by a sparse elimination that peels unit pivots first (the
-smallest possible nonzero magnitude) and hands any non-unit remainder to the
-dense routine; the split preserves invariant factors because a cleared unit
-pivot splits off as a diag(1, rest) block.
+The dense Smith normal form stays public as the reference routine: it returns
+the diagonal together with unimodular transforms U, V satisfying U*A*V = D.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .complex_core import SimplicialComplex, _require_valid
 
 
+# The first 13 primes; as Miller-Rabin bases they decide primality exactly
+# below _MR_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at or above _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is not decided at or above {_MR_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -205,97 +223,72 @@ def invariant_factors(A: Sequence[Sequence[int]]) -> list[int]:
 # Sparse elimination (internal engine for chain complexes)
 
 
-def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int]) -> list[int]:
-    """Invariant factors of a sparse integer matrix given as {(row, col): value}."""
+def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | None = None) -> list[int]:
+    """Invariant factors of a sparse integer matrix given as {(row, col): value}.
+
+    With a prime p the matrix is reduced mod p first; every nonzero entry is
+    then a unit, so the result is rank-many 1s.  Rows holding a unit wait in
+    a heap keyed by (length, row) and are revalidated lazily when popped.
+    """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in entries.items():
+        if p is not None:
+            v %= p
         if v:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
 
+    def units_of(row: dict[int, int]) -> list[int]:
+        if p is not None:
+            return list(row)
+        return [c for c, v in row.items() if v == 1 or v == -1]
+
+    heap = [(len(row), r) for r, row in rows.items() if units_of(row)]
+    heapq.heapify(heap)
     units = 0
-    while True:
-        # Cheapest unit pivot: scan for the shortest row holding a +-1 entry,
-        # break ties toward the sparsest column.
-        best = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                if v == 1 or v == -1:
-                    key = (len(row), len(cols[c]), r, c)
-                    if best is None or key < best[0]:
-                        best = (key, r, c)
-        if best is None:
-            break
-        _, r, c = best
-        piv = rows[r][c]
-        prow = rows[r]
-        for r2 in list(cols[c]):
-            if r2 == r:
-                continue
-            mult = rows[r2][c] * piv  # piv inverse equals piv for +-1
+    while heap:
+        length, r = heapq.heappop(heap)
+        prow = rows.get(r)
+        if prow is None:
+            continue
+        candidates = units_of(prow)
+        if not candidates:
+            continue
+        if len(prow) != length:
+            heapq.heappush(heap, (len(prow), r))
+            continue
+        c = min(candidates, key=lambda j: (len(cols[j]), j))
+        inv = prow[c] if p is None else pow(prow[c], -1, p)  # +-1 is its own inverse
+        for r2 in cols[c] - {r}:
             row2 = rows[r2]
+            mult = row2[c] * inv
             for c2, v2 in prow.items():
                 cur = row2.get(c2, 0) - mult * v2
+                if p is not None:
+                    cur %= p
                 if cur:
                     row2[c2] = cur
-                    cols.setdefault(c2, set()).add(r2)
-                else:
-                    if c2 in row2:
-                        del row2[c2]
-                        cols[c2].discard(r2)
+                    cols[c2].add(r2)
+                elif c2 in row2:
+                    del row2[c2]
+                    cols[c2].discard(r2)
             if not row2:
                 del rows[r2]
+            elif units_of(row2):
+                heapq.heappush(heap, (len(row2), r2))
         for c2 in prow:
             cols[c2].discard(r)
         del rows[r]
         units += 1
 
     factors = [1] * units
-    remaining = sorted(r for r in rows)
+    remaining = sorted(rows)
     if remaining:
         col_ids = sorted({c for r in remaining for c in rows[r]})
         dense = [[rows[r].get(c, 0) for c in col_ids] for r in remaining]
         factors.extend(invariant_factors(dense))
     return factors
-
-
-def _field_rank(entries: Mapping[tuple[int, int], int], p: int | None) -> int:
-    """Rank over F_p (p prime) or over the rationals (p is None)."""
-    rowmap: dict[int, dict[int, object]] = {}
-    for (r, c), v in entries.items():
-        if p is not None:
-            v = v % p
-        if v:
-            rowmap.setdefault(r, {})[c] = v if p is not None else Fraction(v)
-    pivots: dict[int, dict] = {}
-    rank = 0
-    for r in sorted(rowmap):
-        row = dict(rowmap[r])
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                inv = pow(row[lead], -1, p) if p is not None else 1 / row[lead]
-                normalized = {}
-                for c, v in row.items():
-                    v = v * inv
-                    if p is not None:
-                        v %= p
-                    if v:
-                        normalized[c] = v
-                pivots[lead] = normalized
-                rank += 1
-                break
-            coeff = row[lead]
-            for c, v in pivots[lead].items():
-                cur = row.get(c, 0 if p is not None else Fraction(0)) - coeff * v
-                if p is not None:
-                    cur %= p
-                if cur:
-                    row[c] = cur
-                elif c in row:
-                    del row[c]
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +425,10 @@ def reduced_homology(K: SimplicialComplex, R: RingSpec) -> HomologySummary:
     if dim < 0:
         return HomologySummary(R, (), ())
     counts = [len(b) for b in cx.bases]
-
-    if R.is_field:
-        p = R.p  # None for the rationals
-        ranks_of_boundary = [0] * (dim + 2)
-        for k in range(1, dim + 1):
-            ranks_of_boundary[k] = _field_rank(cx.boundaries[k], p)
-        betti = []
-        for k in range(dim + 1):
-            b = counts[k] - ranks_of_boundary[k] - ranks_of_boundary[k + 1]
-            if k == 0:
-                b -= 1
-            betti.append(b)
-        return HomologySummary(R, tuple(betti), tuple(() for _ in betti))
-
+    # Over Q the boundary ranks are the counts of nonzero integral factors.
     factors = [[] for _ in range(dim + 2)]
     for k in range(1, dim + 1):
-        factors[k] = _sparse_invariant_factors(cx.boundaries[k])
+        factors[k] = _sparse_invariant_factors(cx.boundaries[k], R.p)
     ranks = []
     torsion = []
     for k in range(dim + 1):
@@ -456,8 +436,8 @@ def reduced_homology(K: SimplicialComplex, R: RingSpec) -> HomologySummary:
         if k == 0:
             free -= 1
         ranks.append(free)
-        torsion.append(tuple(d for d in factors[k + 1] if d > 1))
-    return HomologySummary(RingSpec.Z(), tuple(ranks), tuple(torsion))
+        torsion.append(tuple(d for d in factors[k + 1] if d > 1) if R.tag == "Z" else ())
+    return HomologySummary(R, tuple(ranks), tuple(torsion))
 
 
 def field_summary_from_integral(z_summary: HomologySummary, R: RingSpec) -> HomologySummary:

@@ -105,13 +105,6 @@ def _abelian_survival(relator_rows: list[list[int]], vector: list[int]) -> dict 
     return None
 
 
-def _exponent_vector(word: Word, ngens: int) -> list[int]:
-    row = [0] * ngens
-    for x in word.letters:
-        row[abs(x) - 1] += 1 if x > 0 else -1
-    return row
-
-
 def _derivation_search(word: Word, relators: Sequence[Word], max_nodes: int) -> int | None:
     """Breadth-first search for a null-homotopy derivation; returns step count."""
     if word.is_identity():
@@ -249,7 +242,7 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
                 )
                 break
             cert = _abelian_survival(
-                presentation.exponent_matrix(), _exponent_vector(word, ngens)
+                presentation.exponent_matrix(), word.exponent_row(ngens)
             )
             if cert is not None:
                 taut_hit = LengthStatus("taut", cert, walk)

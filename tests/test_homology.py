@@ -2,11 +2,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fpforge.complex_core import SimplicialComplex, barycentric_subdivision
 from fpforge.homology import (
     HomologySummary,
     RingSpec,
+    _is_prime,
+    _sparse_invariant_factors,
     chain_complex,
     dump_summary,
     field_summary_from_integral,
@@ -27,6 +31,46 @@ def random_complex(rng, max_vertices=8):
     n = rng.randint(1, max_vertices)
     facets = [rng.sample(range(n), rng.randint(1, min(4, n))) for _ in range(rng.randint(1, 7))]
     return SimplicialComplex.from_facets(facets)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Mostly-zero integer matrices up to 12x12 as (entries, dense)."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    cells = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-4, 4))
+    dense = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        dense[i] = [0] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in dense:
+            row[j] = 0
+    entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+    return entries, dense
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_ten_thousand(self):
+        assert [n for n in range(10_000) if _is_prime(n)] == [n for n in range(10_000) if trial_division_is_prime(n)]
+
+    def test_strong_pseudoprimes_rejected(self):
+        # 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7;
+        # 3825123056546413051 to every prime base up to 23.
+        assert not _is_prime(3215031751)
+        assert not _is_prime(3825123056546413051)
+
+    def test_large_primes_accepted(self):
+        assert _is_prime(10**18 + 9)
+        assert _is_prime(2**61 - 1)
+        assert not _is_prime((10**9 + 7) * (10**9 + 9))
+
+    def test_refuses_beyond_proven_bound(self):
+        with pytest.raises(ValueError):
+            _is_prime(3_317_044_064_679_887_385_961_981)
 
 
 class TestRingSpec:
@@ -89,6 +133,20 @@ class TestSmithNormalForm:
             assert abs(determinant(U)) == 1
             assert abs(determinant(V)) == 1
             assert [d for d in diag if d] == minor_gcd_invariants(A)
+
+
+class TestSparseKernel:
+    @given(sparse_matrices())
+    def test_matches_dense_smith_form(self, matrix):
+        entries, dense = matrix
+        assert _sparse_invariant_factors(entries) == invariant_factors(dense)
+
+    @given(sparse_matrices(), st.sampled_from([2, 3, 5]))
+    def test_mod_p_rank_obeys_universal_coefficients(self, matrix, p):
+        entries, dense = matrix
+        factors = _sparse_invariant_factors(entries, p)
+        assert set(factors) <= {1}
+        assert len(factors) == sum(1 for d in invariant_factors(dense) if d % p)
 
 
 class TestReducedHomology:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -400,6 +404,24 @@ class TestDisagreementHeight:
         a = SigmaSpec(registry, "L", positive_tail=Tail.constant("L"), negative_tail=Tail.constant("Lsl"))
         b = SigmaSpec(registry, "L", positive_tail=Tail.recurrent(["L"]), negative_tail=Tail.constant("Lsl"))
         assert min_disagreement_height(a, b) == math.inf
+
+    def test_prime_member_at_huge_height_terminates(self):
+        # Each primality test at 10**18 + 9 once took ~5e8 trial divisions;
+        # the child process must finish well inside the timeout.
+        script = textwrap.dedent(
+            """
+            from fpforge.sigma import PrimeCongruenceRule, SigmaSpec, example_registry, min_disagreement_height
+            reg = example_registry()
+            a = SigmaSpec(reg, "L", prime_rule=PrimeCongruenceRule({3: "Lp3"}, "Luniv"))
+            b = SigmaSpec(reg, "L", prime_rule=PrimeCongruenceRule({3: "Lp3", 10**18 + 9: "Lp5"}, "Luniv"))
+            print(min_disagreement_height(a, b))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(sys.modules["fpforge"].__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) == 10**18 + 9
 
     def test_different_registries_rejected(self, registry):
         other = example_registry()
