@@ -2,7 +2,7 @@
 
 All inputs are explicit flags (no environment configuration), reports are
 deterministic for fixed inputs, and files are written atomically.  Exit
-codes: 0 success, 1 domain error, 2 I/O or configuration error.
+codes: 0 success, 1 domain error, 2 I/O, configuration or input format error.
 """
 
 from __future__ import annotations
@@ -294,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"fpforge: i/o error: {exc}", file=sys.stderr)
+        code = 2
+    except complex_core.FormatError as exc:
+        print(f"fpforge: format error: {exc}", file=sys.stderr)
         code = 2
     except (ValueError, AssertionError) as exc:
         print(f"fpforge: {exc}", file=sys.stderr)

@@ -5,10 +5,20 @@ integer vertex ids.  Everything here is purely combinatorial: no geometric
 realization is ever built.  Values are immutable after construction and safe
 to share between threads.
 
+Because a complex never changes, derived tables are built lazily, once, into
+its ``_cache``: simplices by dimension, the 1-skeleton adjacency, the facet
+list, and the coface index (vertex -> stored simplices containing it).  The
+index is built in one pass over the simplices, so facets, closed stars, links
+and the flag and local-cut-point tests cost O(N·d) for N simplices of
+dimension d instead of a scan of every simplex per vertex.  A passing
+:func:`validate` is cached the same way, so the checks that guard the
+constructions below validate each complex once.
+
 The module provides the predicates and constructions the rest of the package
 leans on: flagness, links, barycentric subdivision, flag complexes realizing
 a given finite presentation, and a local-cut-point test for complexes of
-dimension at most two.
+dimension at most two.  JSON input that does not have the documented shape
+raises :class:`FormatError`, naming the JSON path that failed.
 """
 
 from __future__ import annotations
@@ -20,6 +30,68 @@ from typing import Iterable, Mapping, Sequence
 
 class ComplexError(ValueError):
     """Raised when an operation receives an invalid complex or simplex."""
+
+
+class FormatError(ValueError):
+    """Raised when input JSON does not have the documented shape.
+
+    The message starts with the JSON path that failed, such as
+    ``$.facets[2]``.
+    """
+
+
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _json_object(value, path: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise FormatError(f"{path}: expected an object, got {_json_type(value)}")
+    return value
+
+
+def _json_field(data: Mapping, key: str, path: str):
+    if key not in data:
+        raise FormatError(f"{path}.{key}: missing")
+    return data[key]
+
+
+def _json_list(value, path: str) -> Sequence:
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(f"{path}: expected an array, got {_json_type(value)}")
+    return value
+
+
+def _json_int(value, path: str) -> int:
+    if type(value) is not int:
+        raise FormatError(f"{path}: expected an integer, got {_json_type(value)}")
+    return value
+
+
+# The two array checks below test types in one pass and build element paths
+# only to report a failure, so valid input costs little more than reading it.
+
+
+def _json_ints(value, path: str) -> Sequence[int]:
+    values = _json_list(value, path)
+    if not all(type(x) is int for x in values):
+        for i, x in enumerate(values):
+            _json_int(x, f"{path}[{i}]")
+    return values
+
+
+def _json_int_arrays(value, path: str) -> Sequence[Sequence[int]]:
+    arrays = _json_list(value, path)
+    if not (all(type(a) is list for a in arrays) and {type(x) for a in arrays for x in a} <= {int}):
+        for i, a in enumerate(arrays):
+            _json_ints(a, f"{path}[{i}]")
+    return arrays
 
 
 def _normalize_simplex(simplex: Iterable[int]) -> tuple[int, ...]:
@@ -87,6 +159,16 @@ class SimplicialComplex:
     def edges(self) -> list[tuple[int, int]]:
         return self.simplices_of_dim(1)
 
+    def cofaces(self) -> dict[int, list[tuple[int, ...]]]:
+        """Vertex -> the stored simplices that contain it, built in one pass."""
+        if "cofaces" not in self._cache:
+            index: dict[int, list[tuple[int, ...]]] = {}
+            for s in self.simplices:
+                for v in s:
+                    index.setdefault(v, []).append(s)
+            self._cache["cofaces"] = index
+        return self._cache["cofaces"]
+
     def adjacency(self) -> dict[int, set[int]]:
         if "adj" not in self._cache:
             adj: dict[int, set[int]] = {v: set() for v in self.vertices}
@@ -120,15 +202,22 @@ class SimplicialComplex:
         return len(self.components()) <= 1
 
     def facets(self) -> list[tuple[int, ...]]:
-        """Maximal simplices, sorted."""
-        verts = sorted(self.vertices)
-        out = []
-        for s in self.simplices:
-            sset = set(s)
-            if any(tuple(sorted(sset | {v})) in self.simplices for v in verts if v not in sset):
-                continue
-            out.append(s)
-        return sorted(out)
+        """Maximal simplices, sorted.
+
+        A stored simplex is maximal unless it is a codimension-1 face of a
+        stored simplex.  Only strictly sorted stored tuples and faces left by
+        removing a vertex of the vertex set count, so an unvalidated complex
+        gets the same answer as asking, for every vertex v, whether adding v
+        gives a stored simplex.
+        """
+        if "facets" not in self._cache:
+            verts = self.vertices
+            covered = set()
+            for t in self.simplices:
+                if tuple(sorted(set(t))) == t:
+                    covered.update(t[:i] + t[i + 1:] for i, v in enumerate(t) if v in verts)
+            self._cache["facets"] = sorted(s for s in self.simplices if tuple(sorted(set(s))) not in covered)
+        return list(self._cache["facets"])  # a copy, so callers cannot alter the cache
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -148,8 +237,12 @@ class SimplicialComplex:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SimplicialComplex":
-        return cls.from_facets(data.get("facets", []), data.get("vertices", []))
+    def from_json_dict(cls, data: Mapping, path: str = "$") -> "SimplicialComplex":
+        data = _json_object(data, path)
+        return cls.from_facets(
+            _json_int_arrays(data.get("facets", []), f"{path}.facets"),
+            _json_ints(data.get("vertices", []), f"{path}.vertices"),
+        )
 
 
 def validate(complex: SimplicialComplex) -> list[str]:
@@ -176,65 +269,61 @@ def validate(complex: SimplicialComplex) -> list[str]:
 
 
 def _require_valid(complex: SimplicialComplex) -> None:
-    report = validate(complex)
-    if report:
-        raise ComplexError("invalid complex: " + "; ".join(report[:3]))
+    """Raise unless ``complex`` is valid; a pass is cached on the instance."""
+    if "valid" not in complex._cache:
+        report = validate(complex)
+        if report:
+            raise ComplexError("invalid complex: " + "; ".join(report[:3]))
+        complex._cache["valid"] = True
 
 
 def is_flag(complex: SimplicialComplex) -> bool:
     """True iff every clique of the 1-skeleton spans a stored simplex."""
     _require_valid(complex)
-    verts = sorted(complex.vertices)
-    pos = {v: i for i, v in enumerate(verts)}
-    adj = {v: 0 for v in verts}
-    for u, w in complex.simplices_of_dim(1):
-        adj[u] |= 1 << pos[w]
-        adj[w] |= 1 << pos[u]
-    masks = set()
-    for s in complex.simplices:
-        m = 0
-        for v in s:
-            m |= 1 << pos[v]
-        masks.add(m)
+    adj = complex.adjacency()
+    simplices = complex.simplices
     # Every clique spans iff every stored simplex extends across each vertex
     # adjacent to all of it (induction on clique size, base = edges).
-    for s in complex.simplices:
+    for s in simplices:
         if len(s) < 2:
             continue
-        m = 0
-        for v in s:
-            m |= 1 << pos[v]
-        for v in verts:
-            b = 1 << pos[v]
-            if m & b:
-                continue
-            if adj[v] & m == m and (m | b) not in masks:
-                return False
+        common = adj[s[0]] & adj[s[1]]
+        for v in s[2:]:
+            common &= adj[v]
+        if any(tuple(sorted(s + (w,))) not in simplices for w in common):
+            return False
     return True
 
 
 def link(complex: SimplicialComplex, simplex: Iterable[int]) -> SimplicialComplex:
     """The link of ``simplex``: all faces disjoint from it whose union with it is a face."""
     s = _normalize_simplex(simplex)
-    if s not in complex.simplices:
+    if not s or s not in complex.simplices:
         raise ComplexError(f"simplex {list(s)} not in complex")
     sset = set(s)
-    faces = []
-    for t in complex.simplices:
-        if sset.issubset(t) and len(t) > len(s):
-            faces.append(tuple(v for v in t if v not in sset))
+    faces = [
+        tuple(v for v in t if v not in sset)
+        for t in complex.cofaces()[s[0]]
+        if len(t) > len(s) and sset.issubset(t)
+    ]
     verts = {v for f in faces for v in f}
     return SimplicialComplex(verts, faces)
 
 
 def closed_star(complex: SimplicialComplex, vertex: int) -> frozenset[tuple[int, ...]]:
-    """Simplices of the closed star of ``vertex`` (faces of its cofaces)."""
+    """Simplices of the closed star of ``vertex`` (faces of its cofaces).
+
+    On a valid complex every such face is a coface c of the vertex or c minus
+    the vertex, so one pass over the cofaces finds them all.
+    """
+    _require_valid(complex)
     if (vertex,) not in complex.simplices:
         raise ComplexError(f"vertex {vertex} not in complex")
     out = set()
-    for t in complex.simplices:
-        if tuple(sorted(set(t) | {vertex})) in complex.simplices:
-            out.add(t)
+    for c in complex.cofaces()[vertex]:
+        out.add(c)
+        if len(c) > 1:
+            out.add(tuple(v for v in c if v != vertex))
     return frozenset(out)
 
 
@@ -305,8 +394,9 @@ def has_no_local_cut_points(complex: SimplicialComplex) -> bool:
         lk = link(complex, (v,))
         if not lk.vertices or not lk.is_connected():
             return False
-    for e in complex.simplices_of_dim(1):
-        if not any(len(t) == 3 and set(e) <= set(t) for t in complex.simplices):
+    cofaces = complex.cofaces()
+    for u, w in complex.simplices_of_dim(1):
+        if not any(len(t) == 3 and w in t for t in cofaces[u]):
             return False
     return True
 

@@ -20,7 +20,13 @@ import json
 from typing import Iterable, Mapping, Sequence
 
 from .complex_core import (
+    FormatError,
     SimplicialComplex,
+    _json_field,
+    _json_int,
+    _json_ints,
+    _json_list,
+    _json_object,
     _require_valid,
     closed_star,
     spanning_tree,
@@ -150,13 +156,21 @@ class VoltageAssignment:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "VoltageAssignment":
-        base = SimplicialComplex.from_json_dict(data["base"])
+    def from_json_dict(cls, data: Mapping, path: str = "$") -> "VoltageAssignment":
+        data = _json_object(data, path)
+        base = SimplicialComplex.from_json_dict(_json_field(data, "base", path), f"{path}.base")
+        degree = _json_int(_json_field(data, "degree", path), f"{path}.degree")
         voltages = {}
-        for item in data.get("voltages", []):
-            u, v = item["edge"]
-            voltages[(u, v)] = tuple(s - 1 for s in item["perm"])
-        return cls(base, data["degree"], voltages)
+        items = _json_list(data.get("voltages", []), f"{path}.voltages")
+        for i, item in enumerate(items):
+            at = f"{path}.voltages[{i}]"
+            item = _json_object(item, at)
+            edge = _json_ints(_json_field(item, "edge", at), f"{at}.edge")
+            if len(edge) != 2:
+                raise FormatError(f"{at}.edge: expected 2 vertices, got {len(edge)}")
+            perm = _json_ints(_json_field(item, "perm", at), f"{at}.perm")
+            voltages[tuple(edge)] = tuple(s - 1 for s in perm)
+        return cls(base, degree, voltages)
 
 
 class CoverComplex:
@@ -308,8 +322,11 @@ def lift_loop(c: CoverComplex, loop: Sequence[int], start_sheet: int) -> tuple[b
     loop = list(loop)
     if len(loop) < 1 or loop[0] != loop[-1]:
         raise CoverError("loop must be a closed vertex path (first = last)")
+    adj = c.base.adjacency()
+    if loop[0] not in adj:
+        raise CoverError(f"{loop[0]} is not a vertex of the base")
     for u, w in zip(loop, loop[1:]):
-        if not c.base.has_simplex((u, w)):
+        if w not in adj[u]:
             raise CoverError(f"({u}, {w}) is not an edge of the base")
     fibers = c.fibers()
     if start_sheet not in fibers[loop[0]]:
@@ -322,10 +339,6 @@ def lift_loop(c: CoverComplex, loop: Sequence[int], start_sheet: int) -> tuple[b
             raise CoverError("lift broke: not a covering complex")
     end = c.sheet[t]
     return end == start_sheet, end
-
-
-def is_connected_cover(c: CoverComplex) -> bool:
-    return c.total.is_connected()
 
 
 def _voltage_group(v: VoltageAssignment) -> list[tuple[int, ...]]:
@@ -354,7 +367,7 @@ def deck_group(c: CoverComplex) -> tuple[bool, list[tuple[int, ...]] | None]:
     are analyzed by extending each fiber point over the basepoint to a
     projection-commuting automorphism (unique lifting).
     """
-    if not is_connected_cover(c):
+    if not c.total.is_connected():
         raise CoverError("deck group requires a connected cover")
     if c.assignment is not None:
         group = _voltage_group(c.assignment)
@@ -425,7 +438,7 @@ def normal_generators(c: CoverComplex) -> list[list[int]]:
     tree, across the edge, back down, then projected to the base.  The result
     normally generates the image subgroup of the projection.
     """
-    if not is_connected_cover(c):
+    if not c.total.is_connected():
         raise CoverError("normal generators require a connected cover")
     tree = spanning_tree(c.total)
     adj = c.total.adjacency()

@@ -237,3 +237,16 @@ class TestExitCodes:
 
     def test_success(self, tmp_path, delta2):
         assert main(["homology", "--complex", delta2, "--ring", "Q"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, payload, path",
+        [
+            (["homology", "--ring", "Z", "--complex"], {"facets": 5}, "$.facets"),
+            (["homology", "--ring", "Z", "--complex"], [[0, 1, 2]], "$"),
+            (["cover", "--voltage"], {"base": {"facets": [[0, 1]]}}, "$.degree"),
+        ],
+    )
+    def test_malformed_json_is_format_error(self, tmp_path, capsys, argv, payload, path):
+        bad = write(tmp_path / "bad.json", json.dumps(payload))
+        assert main(argv + [bad]) == 2
+        assert f"fpforge: format error: {path}: " in capsys.readouterr().err

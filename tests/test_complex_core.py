@@ -1,12 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fpforge import complex_core
 from fpforge.complex_core import (
     ComplexError,
+    FormatError,
     GroupPresentationInput,
     SimplicialComplex,
     barycentric_subdivision,
+    closed_star,
     dump_complex,
     flagify_presentation_complex,
     has_no_local_cut_points,
@@ -37,6 +42,110 @@ def random_complex(rng, max_vertices=6):
         size = rng.randint(1, min(3, n))
         facets.append(rng.sample(range(n), size))
     return SimplicialComplex.from_facets(facets)
+
+
+# Reference scans: the whole-complex bodies of facets, closed_star, link and
+# is_flag from before the coface index, kept to check the indexed versions.
+
+
+def scan_facets(K):
+    verts = sorted(K.vertices)
+    out = []
+    for s in K.simplices:
+        sset = set(s)
+        if any(tuple(sorted(sset | {v})) in K.simplices for v in verts if v not in sset):
+            continue
+        out.append(s)
+    return sorted(out)
+
+
+def scan_closed_star(K, vertex):
+    return frozenset(t for t in K.simplices if tuple(sorted(set(t) | {vertex})) in K.simplices)
+
+
+def scan_link(K, s):
+    sset = set(s)
+    faces = [tuple(v for v in t if v not in sset) for t in K.simplices if sset.issubset(t) and len(t) > len(s)]
+    return SimplicialComplex({v for f in faces for v in f}, faces)
+
+
+def scan_is_flag(K):
+    verts = sorted(K.vertices)
+    pos = {v: i for i, v in enumerate(verts)}
+    adj = {v: 0 for v in verts}
+    for u, w in K.simplices_of_dim(1):
+        adj[u] |= 1 << pos[w]
+        adj[w] |= 1 << pos[u]
+    masks = {sum(1 << pos[v] for v in s) for s in K.simplices}
+    for s in K.simplices:
+        if len(s) < 2:
+            continue
+        m = sum(1 << pos[v] for v in s)
+        for v in verts:
+            b = 1 << pos[v]
+            if not m & b and adj[v] & m == m and (m | b) not in masks:
+                return False
+    return True
+
+
+@st.composite
+def facet_complexes(draw):
+    """Up to 10 random facets of up to 5 vertices on at most 8 vertices."""
+    n = draw(st.integers(1, 8))
+    facet = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 5), unique=True)
+    return SimplicialComplex.from_facets(draw(st.lists(facet, min_size=1, max_size=10)))
+
+
+@st.composite
+def raw_complexes(draw):
+    """Unvalidated complexes: a random subset of a valid one's simplices, a few
+    unsorted or repeated tuples, and an unrelated vertex set."""
+    simps = sorted(draw(facet_complexes()).simplices)
+    keep = draw(st.lists(st.booleans(), min_size=len(simps), max_size=len(simps)))
+    extra = draw(st.lists(st.lists(st.integers(0, 8), max_size=4).map(tuple), max_size=4))
+    verts = draw(st.sets(st.integers(0, 8), max_size=9))
+    return SimplicialComplex(verts, [s for s, k in zip(simps, keep) if k] + extra)
+
+
+class TestCofaceIndex:
+    @given(facet_complexes())
+    def test_predicates_match_reference_scans(self, K):
+        assert K.facets() == scan_facets(K)
+        assert is_flag(K) == scan_is_flag(K)
+        for v in K.vertices:
+            assert closed_star(K, v) == scan_closed_star(K, v)
+        for s in K.simplices:
+            assert link(K, s) == scan_link(K, s)
+
+    @given(raw_complexes())
+    def test_unvalidated_complexes_match_reference_scans(self, K):
+        assert K.facets() == scan_facets(K)
+        for s in K.simplices:
+            if s and s == tuple(sorted(set(s))):
+                assert link(K, s) == scan_link(K, s)
+        if validate(K):
+            with pytest.raises(ComplexError):
+                closed_star(K, 0)
+
+    def test_cached_facets_are_not_shared_with_callers(self):
+        K = full_simplex(3)
+        K.facets().append((9,))
+        assert K.facets() == [(0, 1, 2)]
+
+    def test_validity_is_checked_once_per_instance(self, monkeypatch):
+        calls = []
+        real = complex_core.validate
+        monkeypatch.setattr(complex_core, "validate", lambda K: calls.append(K) or real(K))
+        K = full_simplex(3)
+        is_flag(K)
+        is_flag(K)
+        closed_star(K, 0)
+        assert len(calls) == 1
+        broken = SimplicialComplex([1, 2, 3], [(1,), (2,), (3,), (1, 2, 3)])
+        for _ in range(2):
+            with pytest.raises(ComplexError):
+                is_flag(broken)
+        assert len(calls) == 3
 
 
 class TestValidate:
@@ -223,6 +332,20 @@ class TestJsonAndTree:
     def test_loader_closes_downward(self):
         K = SimplicialComplex.from_json_dict({"vertices": [], "facets": [[0, 1, 2]]})
         assert (0, 1) in K.simplices and (2,) in K.simplices
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"facets": 5}, "$.facets: expected an array, got an integer"),
+            ([[0, 1]], "$: expected an object, got an array"),
+            ({"facets": [[0, "1"]]}, "$.facets[0][1]: expected an integer, got a string"),
+            ({"facets": [], "vertices": [True]}, "$.vertices[0]: expected an integer, got a boolean"),
+        ],
+    )
+    def test_malformed_json_names_the_path(self, data, path):
+        with pytest.raises(FormatError) as info:
+            SimplicialComplex.from_json_dict(data)
+        assert str(info.value) == path
 
     def test_spanning_tree_properties(self):
         K = SimplicialComplex.from_facets(OCTAHEDRON)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree
+from fpforge.complex_core import FormatError, SimplicialComplex, barycentric_subdivision, spanning_tree
 from fpforge.covers import (
     CoverComplex,
     CoverError,
@@ -125,6 +125,23 @@ class TestBuildCover:
     def test_euler_characteristic_multiplies(self):
         for cover in (c4_double_cover(), orientation_cover()):
             assert cover.total.euler_characteristic() == cover.degree * cover.base.euler_characteristic()
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"base": {"facets": [[0, 1]]}}, "$.degree: missing"),
+            ({"degree": 2}, "$.base: missing"),
+            ({"base": {"facets": 5}, "degree": 2}, "$.base.facets: expected an array, got an integer"),
+            ({"base": {}, "degree": "2"}, "$.degree: expected an integer, got a string"),
+            ({"base": {}, "degree": 2, "voltages": [{"edge": [0, 1, 2], "perm": [2, 1]}]},
+             "$.voltages[0].edge: expected 2 vertices, got 3"),
+            ({"base": {}, "degree": 2, "voltages": [{"edge": [0, 1]}]}, "$.voltages[0].perm: missing"),
+        ],
+    )
+    def test_malformed_voltage_json_names_the_path(self, data, path):
+        with pytest.raises(FormatError) as info:
+            VoltageAssignment.from_json_dict(data)
+        assert str(info.value) == path
 
     def test_voltage_json_round_trip(self):
         cover = c4_double_cover()
@@ -268,6 +285,11 @@ class TestLiftLoop:
     def test_bad_sheet_rejected(self):
         with pytest.raises(CoverError):
             lift_loop(c4_double_cover(), [0, 1, 0], 7)
+
+    @pytest.mark.parametrize("loop", [[9], [9, 0, 9], [0, 9, 0], [0, 2, 0], [0, 0]])
+    def test_unknown_vertex_or_non_edge_rejected(self, loop):
+        with pytest.raises(CoverError):
+            lift_loop(c4_double_cover(), loop, 0)
 
 
 class TestDeckGroup:
