@@ -13,7 +13,6 @@ from fpforge import (
     fp_decide,
     sigma_field_example,
     sigma_prime_set,
-    sigma_value,
 )
 from fpforge.sigma import example_registry, validate_registry
 
@@ -25,7 +24,7 @@ print("registry validates:", validate_registry(registry) == [])
 print()
 print("=== FP_2 over all fields, but not over the integers ===")
 field_spec = sigma_field_example(registry, member_ids=members)
-print("assignment at heights 0..7:", [sigma_value(field_spec, n) for n in range(8)])
+print("assignment at heights 0..7:", [field_spec.value(n) for n in range(8)])
 rings = [RingSpec.Q(), RingSpec.Fp(2), RingSpec.Fp(3), RingSpec.Fp(5), RingSpec.Fp(7), RingSpec.Z()]
 for ring in rings:
     print(" ", fp_decide(field_spec, ring, 2))

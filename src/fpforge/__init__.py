@@ -56,7 +56,6 @@ from .sigma import (
     sigma_field_example,
     sigma_power_tower,
     sigma_prime_set,
-    sigma_value,
 )
 from .spectrum import TautSpectrumReport, k_related, separation_ratio_check, taut_spectrum
 from .spherical_double import DoubledComplex, retract_word, spherical_double

@@ -141,10 +141,10 @@ class SimplicialComplex:
             return -1
         return max(len(s) for s in self.simplices) - 1
 
-    def simplices_of_dim(self, k: int) -> list[tuple[int, ...]]:
+    def simplices_of_dim(self, k: int) -> tuple[tuple[int, ...], ...]:
         key = ("dim", k)
         if key not in self._cache:
-            self._cache[key] = sorted(s for s in self.simplices if len(s) == k + 1)
+            self._cache[key] = tuple(sorted(s for s in self.simplices if len(s) == k + 1))
         return self._cache[key]
 
     def f_vector(self) -> tuple[int, ...]:
@@ -156,7 +156,7 @@ class SimplicialComplex:
     def has_simplex(self, simplex: Iterable[int]) -> bool:
         return _normalize_simplex(simplex) in self.simplices
 
-    def edges(self) -> list[tuple[int, int]]:
+    def edges(self) -> tuple[tuple[int, int], ...]:
         return self.simplices_of_dim(1)
 
     def cofaces(self) -> dict[int, list[tuple[int, ...]]]:

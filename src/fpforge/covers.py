@@ -17,7 +17,7 @@ their own; sheet tracing falls back to the covering property.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .complex_core import (
     FormatError,
@@ -65,8 +65,8 @@ class VoltageAssignment:
     """Permutation voltages on the directed edges of a connected base complex.
 
     ``voltages`` gives non-tree edges only (either direction); tree edges and
-    unlisted edges carry the identity.  The spanning tree defaults to the
-    canonical breadth-first tree of the base.
+    unlisted edges carry the identity.  The spanning tree is the canonical
+    breadth-first tree of the base.
     """
 
     __slots__ = ("base", "degree", "spanning_tree", "voltage")
@@ -76,7 +76,6 @@ class VoltageAssignment:
         base: SimplicialComplex,
         degree: int,
         voltages: Mapping[tuple[int, int], Sequence[int]] | None = None,
-        tree: Iterable[tuple[int, int]] | None = None,
     ):
         _require_valid(base)
         if not base.is_connected() or not base.vertices:
@@ -85,18 +84,7 @@ class VoltageAssignment:
             raise CoverError("cover degree must be positive")
         self.base = base
         self.degree = int(degree)
-        if tree is None:
-            self.spanning_tree = frozenset(spanning_tree(base))
-        else:
-            tree_edges = frozenset((min(u, v), max(u, v)) for u, v in tree)
-            if not tree_edges <= set(base.edges()):
-                raise CoverError("spanning tree contains non-edges")
-            if len(tree_edges) != len(base.vertices) - 1:
-                raise CoverError("spanning tree has wrong edge count")
-            probe = SimplicialComplex.from_facets(list(tree_edges), base.vertices)
-            if not probe.is_connected():
-                raise CoverError("spanning tree is not spanning")
-            self.spanning_tree = tree_edges
+        self.spanning_tree = frozenset(spanning_tree(base))
 
         full: dict[tuple[int, int], tuple[int, ...]] = {}
         ident = perm_identity(self.degree)

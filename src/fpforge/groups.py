@@ -81,6 +81,18 @@ class Word:
         return f"Word({list(self.letters)})"
 
 
+def cyclic_relators(words: Iterable[Word]) -> list[Word]:
+    """The words cyclically reduced, without empty words or repeats, in first-seen order."""
+    out: list[Word] = []
+    seen: set[tuple[int, ...]] = set()
+    for w in words:
+        cw = w.cyclically_reduced()
+        if cw.letters and cw.letters not in seen:
+            seen.add(cw.letters)
+            out.append(cw)
+    return out
+
+
 @dataclass(frozen=True)
 class RelatorTag:
     """Provenance of a relator: its family and, for spreads, height and loop index."""
@@ -278,19 +290,15 @@ def power_spread(c: LoopWord, k: int) -> Word:
     """The word sending each oriented edge of the loop to its k-th power, in order."""
     if k < 0:
         raise ValueError("spread exponent must be nonnegative")
-    letters: list[int] = []
-    for x in c.letters:
-        letters.extend([x] * k)
-    return Word(letters)
+    return _signed_spread(c, k)
 
 
 def _signed_spread(c: LoopWord, n: int) -> Word:
     """Spread with height sign: negative heights invert each letter block in place."""
-    if n >= 0:
-        return power_spread(c, n)
+    sign = 1 if n >= 0 else -1
     letters: list[int] = []
     for x in c.letters:
-        letters.extend([-x] * (-n))
+        letters.extend([sign * x] * abs(n))
     return Word(letters)
 
 
@@ -419,6 +427,10 @@ class _CosetTable:
         self.defined = 1
         self.dead = 0
 
+    def index(self) -> int:
+        """Number of live cosets; the subgroup index once the table is complete."""
+        return sum(1 for a in range(len(self.table)) if self.rep(a) == a)
+
     def rep(self, a: int) -> int:
         root = a
         while self.parent[root] != root:
@@ -508,19 +520,8 @@ def coset_enumerate(
     Relator-first filling with deterministic scan order; a completed table is
     a genuine coset table, so a returned index is always correct.
     """
-    index, _ = coset_enumerate_detailed(p, subgroup_generators, budget)
-    return index
-
-
-def coset_enumerate_detailed(
-    p: Presentation, subgroup_generators: Sequence[Word] = (), budget: int = 10_000
-) -> tuple[int | None, int]:
-    """Like coset_enumerate but also reports the number of rows ever defined."""
-    table, defined = enumerate_table(p, subgroup_generators, budget)
-    if table is None:
-        return None, defined
-    live = sum(1 for a in range(len(table.table)) if table.rep(a) == a)
-    return live, defined
+    table, _ = enumerate_table(p, subgroup_generators, budget)
+    return None if table is None else table.index()
 
 
 def enumerate_table(
@@ -537,13 +538,7 @@ def enumerate_table(
         T = _CosetTable(1, budget)
         T.table[0] = [0, 0]  # trivial group: the phantom generator acts trivially
         return T, 1
-    relators = []
-    seen = set()
-    for w in p.relators:
-        cw = w.cyclically_reduced()
-        if cw.letters and cw.letters not in seen:
-            seen.add(cw.letters)
-            relators.append(_encode(cw))
+    relators = [_encode(w) for w in cyclic_relators(p.relators)]
     subs = [_encode(w) for w in subgroup_generators if w.letters]
     T = _CosetTable(len(p.generators), budget)
     try:
@@ -700,13 +695,9 @@ class SpanningTreeWords:
         return Word(letters)
 
     def presentation(self) -> Presentation:
-        relators = []
-        seen = set()
-        for u, v, w in self.complex.simplices_of_dim(2):
-            word = self.word_for_path([u, v, w, u]).cyclically_reduced()
-            if word.letters and word.letters not in seen:
-                seen.add(word.letters)
-                relators.append(word)
+        relators = cyclic_relators(
+            self.word_for_path([u, v, w, u]) for u, v, w in self.complex.simplices_of_dim(2)
+        )
         return Presentation(self.generator_names, relators, [OTHER] * len(relators))
 
 

@@ -108,7 +108,7 @@ class CoverRegistryEntry:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "CoverRegistryEntry":
+    def from_json_dict(cls, data: Mapping, path: str = "$") -> "CoverRegistryEntry":
         summaries = [HomologySummary.from_json_dict(s) for s in data.get("homology", [])]
         return cls(
             id=data["id"],
@@ -121,8 +121,13 @@ class CoverRegistryEntry:
             quotient_fp_certified=data.get("quotient_fp_certified", False),
             quotient_finitely_presented=data.get("quotient_finitely_presented", True),
             note=data.get("note", ""),
-            voltage=VoltageAssignment.from_json_dict(data["voltage"]) if data.get("voltage") else None,
+            voltage=VoltageAssignment.from_json_dict(data["voltage"], f"{path}.voltage") if data.get("voltage") else None,
         )
+
+
+def _registry_from_json(data: Mapping, path: str) -> dict[str, CoverRegistryEntry]:
+    entries = [CoverRegistryEntry.from_json_dict(e, f"{path}.entries[{i}]") for i, e in enumerate(data["entries"])]
+    return {e.id: e for e in entries}
 
 
 def materialize(entry: CoverRegistryEntry) -> CoverComplex:
@@ -470,9 +475,7 @@ class SigmaSpec:
     @classmethod
     def from_json_dict(cls, data: Mapping, registry: Mapping[str, CoverRegistryEntry] | None = None) -> "SigmaSpec":
         if registry is None:
-            reg_data = data["registry"]
-            entries = [CoverRegistryEntry.from_json_dict(e) for e in reg_data["entries"]]
-            registry = {e.id: e for e in entries}
+            registry = _registry_from_json(data["registry"], "$.registry")
         return cls(
             registry,
             data["base_id"],
@@ -485,11 +488,6 @@ class SigmaSpec:
 
     def __repr__(self) -> str:
         return f"SigmaSpec(base={self.base_id!r}, {len(self.registry)} registry entries)"
-
-
-def sigma_value(s: SigmaSpec, n: int) -> str:
-    """Entry id assigned to height n."""
-    return s.value(n)
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +632,15 @@ def sigma_field_example(
     return SigmaSpec(registry, base_id, prime_rule=rule)
 
 
+def _prime_member(p: int, member_ids: Mapping[int, str], base_id: str) -> str:
+    """Registry id for the prime p: the supplied member, or the base at p = 2."""
+    if p == 2:
+        return member_ids.get(2, base_id)
+    if p not in member_ids:
+        raise SigmaError(f"registry member for prime {p} not supplied")
+    return member_ids[p]
+
+
 def sigma_prime_set(
     S: Sequence[int],
     registry: Mapping[str, CoverRegistryEntry],
@@ -655,15 +662,7 @@ def sigma_prime_set(
     if not primes:
         positive = Tail.constant(sl_id)
     else:
-        ids = []
-        for p in primes:
-            if p == 2:
-                ids.append(member_ids.get(2, base_id))
-            else:
-                if p not in member_ids:
-                    raise SigmaError(f"registry member for prime {p} not supplied")
-                ids.append(member_ids[p])
-        positive = Tail.recurrent(ids)
+        positive = Tail.recurrent([_prime_member(p, member_ids, base_id) for p in primes])
     return SigmaSpec(
         registry,
         base_id,
@@ -734,27 +733,17 @@ def sigma_power_tower(
     m = len(constants)
     fset = set(int(x) for x in F)
 
-    def entry_for_b(b: int) -> str:
-        if b == 1:
-            return sl_id
-        if b == 2:
-            return member_ids.get(2, base_id)
-        if b not in member_ids:
-            raise SigmaError(f"registry member for prime {b} not supplied")
-        return member_ids[b]
-
     assignments: dict[int, str] = {}
     for i in range(1, m + 1):
         if i % 2 == 1:
-            b = primes[((i - 1) // 2) % len(primes)]
-            assignments[i] = entry_for_b(b)
+            assignments[i] = _prime_member(primes[((i - 1) // 2) % len(primes)], member_ids, base_id)
         elif i // 2 in fset:
-            assignments[i] = entry_for_b(1)
+            assignments[i] = sl_id
     rule = PowerTowerRule(
         constants=constants,
         assignments=assignments,
         default=universal_id,
-        recurrent=tuple(sorted({entry_for_b(p) for p in primes})),
+        recurrent=tuple(sorted({_prime_member(p, member_ids, base_id) for p in primes})),
     )
     heights = sorted(rule.heights().values())
     if any(b <= a for a, b in zip(heights, heights[1:])):
@@ -804,7 +793,7 @@ def min_kernel_length_bound(M: int | float, d: int) -> float:
     return math.sqrt(num / den)
 
 
-def _generic_value(spec: SigmaSpec, sign: int, residue: int, prime_above_2: bool, period: int):
+def _generic_value(spec: SigmaSpec, sign: int, residue: int, prime_above_2: bool):
     """Value token at any non-explicit height of the given type.
 
     A type is (sign, |n| mod period, primality above two); away from the
@@ -819,9 +808,7 @@ def _generic_value(spec: SigmaSpec, sign: int, residue: int, prime_above_2: bool
     if sign > 0 and spec.power_rule is not None:
         return ("id", spec.power_rule.default)
     tail = spec.positive_tail if sign > 0 else spec.negative_tail
-    if tail.kind == "constant":
-        return ("id", tail.ids[0])
-    return ("id", tail.ids[(residue - 1) % len(tail.ids)])
+    return ("id", tail.value_at(residue))
 
 
 def min_disagreement_height(a: SigmaSpec, b: SigmaSpec) -> int | float:
@@ -857,8 +844,8 @@ def min_disagreement_height(a: SigmaSpec, b: SigmaSpec) -> int | float:
     for sign in (1, -1):
         for residue in range(period):
             for prime_above_2 in ((False,) if sign < 0 else (False, True)):
-                va = _generic_value(a, sign, residue, prime_above_2, period)
-                vb = _generic_value(b, sign, residue, prime_above_2, period)
+                va = _generic_value(a, sign, residue, prime_above_2)
+                vb = _generic_value(b, sign, residue, prime_above_2)
                 if va == vb:
                     continue
                 magnitude = residue if residue else period
@@ -959,6 +946,4 @@ def dump_registry(registry: Mapping[str, CoverRegistryEntry]) -> str:
 
 def load_registry(path) -> dict[str, CoverRegistryEntry]:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    entries = [CoverRegistryEntry.from_json_dict(e) for e in data["entries"]]
-    return {e.id: e for e in entries}
+        return _registry_from_json(json.load(fh), "$")

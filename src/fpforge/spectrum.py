@@ -19,9 +19,17 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complex_core import ComplexError, SimplicialComplex, _require_valid
-from .groups import Presentation, SpanningTreeWords, Word, enumerate_table, trace_word
+from .complex_core import (
+    ComplexError,
+    SimplicialComplex,
+    _json_int_arrays,
+    _json_ints,
+    _json_object,
+    _require_valid,
+)
+from .groups import Presentation, SpanningTreeWords, Word, cyclic_relators, enumerate_table, trace_word
 from .homology import smith_normal_form
+from .sigma import _alpha_exceeds
 
 
 class CeilingError(ValueError):
@@ -79,20 +87,24 @@ def enumerate_cycles(graph: SimplicialComplex, max_len: int) -> dict[int, list[t
 # Certificates
 
 
-def _abelian_survival(relator_rows: list[list[int]], vector: list[int]) -> dict | None:
+def _lattice_smith(relator_rows: list[list[int]], n: int) -> tuple[list[int], list[list[int]]]:
+    """Diagonal and column transform V of the Smith form U*R*V = D of the
+    relator row lattice in Z^n."""
+    if not relator_rows:
+        return [], [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    D, _, V = smith_normal_form(relator_rows)
+    return [D[i][i] for i in range(min(len(D), n))], V
+
+
+def _abelian_survival(smith: tuple[list[int], list[list[int]]], vector: list[int]) -> dict | None:
     """A finite cyclic quotient of the abelianization where the vector survives.
 
-    Returns None when the vector lies in the relator row lattice.  The lattice
-    test runs through Smith normal form: with U*R*V = D, membership means the
-    transformed vector is divisible coordinatewise by the diagonal.
+    Returns None when the vector lies in the relator row lattice, whose
+    Smith form ``smith`` comes from :func:`_lattice_smith`: membership means
+    the transformed vector is divisible coordinatewise by the diagonal.
     """
     n = len(vector)
-    if not relator_rows:
-        d_diag = []
-        V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    else:
-        D, _, V = smith_normal_form(relator_rows)
-        d_diag = [D[i][i] for i in range(min(len(D), n))]
+    d_diag, V = smith
     y = [sum(vector[i] * V[i][j] for i in range(n)) for j in range(n)]
     for j in range(n):
         d = d_diag[j] if j < len(d_diag) else 0
@@ -207,32 +219,25 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
 
     budget_used = 0
     statuses: dict[int, LengthStatus] = {}
+    relators: dict[Word, None] = {}  # words of all shorter cycles, in first-seen order
     for l in range(1, l_max + 1):
-        relators = []
-        seen = set()
-        for length in sorted(cycle_words):
-            if length >= l:
-                break
-            for w in cycle_words[length]:
-                cw = w.cyclically_reduced()
-                if cw.letters and cw.letters not in seen:
-                    seen.add(cw.letters)
-                    relators.append(cw)
+        relators.update(dict.fromkeys(cyclic_relators(cycle_words.get(l - 1, ()))))
         candidates = list(zip(cycles.get(l, ()), cycle_words.get(l, ())))
         if not candidates:
             statuses[l] = LengthStatus("filled", {"method": "no-loops"})
             continue
 
-        presentation = Presentation([f"g{i}" for i in range(ngens)], relators)
+        presentation = Presentation([f"g{i}" for i in range(ngens)], list(relators))
         table, rows = enumerate_table(presentation, (), budget)
         budget_used += rows
-        order = None
         if table is not None:
-            order = sum(1 for a in range(len(table.table)) if table.rep(a) == a)
+            order = table.index()
+        else:
+            # every candidate reaches the fallback, so the level's Smith form is needed once
+            smith = _lattice_smith(presentation.exponent_matrix(), ngens)
 
         taut_hit: LengthStatus | None = None
-        all_filled = True
-        fallback_unknown = False
+        unknown = False
         for walk, word in candidates:
             if table is not None:
                 if trace_word(table, word) == table.rep(0):
@@ -241,25 +246,21 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
                     "taut", {"method": "finite-quotient", "order": order}, walk
                 )
                 break
-            cert = _abelian_survival(
-                presentation.exponent_matrix(), word.exponent_row(ngens)
-            )
+            cert = _abelian_survival(smith, word.exponent_row(ngens))
             if cert is not None:
                 taut_hit = LengthStatus("taut", cert, walk)
                 break
-            steps = _derivation_search(word, relators, max_nodes=max(budget // 10, 100))
-            if steps is None:
-                all_filled = False
-                fallback_unknown = True
+            if _derivation_search(word, presentation.relators, max_nodes=max(budget // 10, 100)) is None:
+                unknown = True
             # a successful derivation confirms this candidate filled; keep going
         if taut_hit is not None:
             statuses[l] = taut_hit
         elif table is not None:
             statuses[l] = LengthStatus("filled", {"method": "finite-quotient", "order": order})
-        elif all_filled:
-            statuses[l] = LengthStatus("filled", {"method": "derivation"})
-        elif fallback_unknown:
+        elif unknown:
             statuses[l] = LengthStatus("unknown", {"method": "budget-exhausted"})
+        else:
+            statuses[l] = LengthStatus("filled", {"method": "derivation"})
     return TautSpectrumReport(graph.f_vector(), l_max, budget, budget_used, statuses)
 
 
@@ -326,16 +327,13 @@ def separation_ratio_check(
     if any(x < 0 for x in r):
         raise ValueError("loop-length bounds must be nonnegative")
 
-    def alpha_gt(c: int, bound: int) -> bool:
-        return 2 * c * c > bound * bound * (d + 1)
-
     for n in range(1, len(C) + 1):
         c = C[n - 1]
-        if n == 1 and not alpha_gt(c, 3):
+        if n == 1 and not _alpha_exceeds(c, 3, d):
             failures.append("condition C_1*alpha > 3 fails")
-        if not alpha_gt(c, r[n - 1]):
+        if not _alpha_exceeds(c, r[n - 1], d):
             failures.append(f"condition C_{n}*alpha > r at position {n - 1} fails")
-        if not alpha_gt(c, r[n]):
+        if not _alpha_exceeds(c, r[n], d):
             failures.append(f"condition C_{n}*alpha > r at position {n} fails")
         if n >= 2 and not C[n - 1] > C[n - 2]:
             failures.append(f"condition C_{n} > C_{n - 1} fails")
@@ -346,7 +344,7 @@ def separation_ratio_check(
                 failures.append(f"interval gap ({m}, {n}): constants do not increase")
             if not (2 ** (m + n) - 2**m >= 2**m - 1):
                 failures.append(f"interval gap ({m}, {n}): exponent comparison fails")
-            if not alpha_gt(C[m - 1], r[m]):
+            if not _alpha_exceeds(C[m - 1], r[m], d):
                 failures.append(f"interval gap ({m}, {n}): final ratio step fails")
 
     bound = min((C[m - 1] ** (2**m - 2) for m in range(1, len(C) + 1)), default=None)
@@ -358,9 +356,12 @@ def separation_ratio_check(
 
 
 def load_graph(path) -> SimplicialComplex:
+    """Read graph JSON; a wrong shape raises ``FormatError`` naming its JSON path."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return SimplicialComplex.from_facets(data.get("edges", []), data.get("vertices", []))
+        data = _json_object(json.load(fh), "$")
+    return SimplicialComplex.from_facets(
+        _json_int_arrays(data.get("edges", []), "$.edges"), _json_ints(data.get("vertices", []), "$.vertices")
+    )
 
 
 def dump_graph(graph: SimplicialComplex) -> str:

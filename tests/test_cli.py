@@ -16,6 +16,17 @@ def write(path, text):
     return str(path)
 
 
+# A registry entry whose voltage lacks its "degree".
+BAD_VOLTAGE_ENTRY = {
+    "id": "c",
+    "kind": "constructed",
+    "degree": 2,
+    "certified_up_to": "all",
+    "quotient_is_finite": True,
+    "voltage": {"base": {"facets": [[0, 1]]}},
+}
+
+
 @pytest.fixture
 def delta2(tmp_path):
     return write(tmp_path / "delta2.json", json.dumps({"vertices": [0, 1, 2], "facets": [[0, 1, 2]]}))
@@ -143,10 +154,10 @@ class TestSigmaBuilders:
     def test_prime_set_round_trip(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         assert main(["sigma", "--builder", "prime-set", "--primes", "2,3", "--out", str(spec_path)]) == 0
-        from fpforge.sigma import load_sigma_spec, sigma_value
+        from fpforge.sigma import load_sigma_spec
 
         spec = load_sigma_spec(spec_path)
-        assert sigma_value(spec, 1) == "L" and sigma_value(spec, 2) == "Lp3"
+        assert spec.value(1) == "L" and spec.value(2) == "Lp3"
 
     def test_constants_builder(self, tmp_path, capsys):
         out = tmp_path / "c.json"
@@ -221,10 +232,10 @@ class TestSubpres:
             r["tag"]["height"] for r in sub["relators"] if r["tag"]["family"] == "beta"
         }
         assert beta_heights == {2}
-        from fpforge.sigma import load_sigma_spec, sigma_value
+        from fpforge.sigma import load_sigma_spec
 
         spec = load_sigma_spec(sigma_out)
-        assert sigma_value(spec, 2) == "L" and sigma_value(spec, 1) == "Lsl"
+        assert spec.value(2) == "L" and spec.value(1) == "Lsl"
 
 
 class TestExitCodes:
@@ -244,9 +255,26 @@ class TestExitCodes:
             (["homology", "--ring", "Z", "--complex"], {"facets": 5}, "$.facets"),
             (["homology", "--ring", "Z", "--complex"], [[0, 1, 2]], "$"),
             (["cover", "--voltage"], {"base": {"facets": [[0, 1]]}}, "$.degree"),
+            (
+                ["sigma", "--builder", "field-example", "--registry"],
+                {"entries": [BAD_VOLTAGE_ENTRY]},
+                "$.entries[0].voltage.degree",
+            ),
+            (
+                ["decide", "--ring", "Z", "--k", "2", "--sigma"],
+                {"registry": {"entries": [BAD_VOLTAGE_ENTRY]}, "base_id": "c"},
+                "$.registry.entries[0].voltage.degree",
+            ),
+            (["spectrum", "--lmax", "3", "--graph"], [[0, 1]], "$"),
+            (["spectrum", "--lmax", "3", "--graph"], {"edges": 5}, "$.edges"),
+            (
+                ["present", "--complex", "{delta2}", "--spreads"],
+                {"spreads": [{"loops": [[0, 1, 2, 0]]}]},
+                "$.spreads[0].height",
+            ),
         ],
     )
-    def test_malformed_json_is_format_error(self, tmp_path, capsys, argv, payload, path):
+    def test_malformed_json_is_format_error(self, tmp_path, capsys, delta2, argv, payload, path):
         bad = write(tmp_path / "bad.json", json.dumps(payload))
-        assert main(argv + [bad]) == 2
+        assert main([a.format(delta2=delta2) for a in argv] + [bad]) == 2
         assert f"fpforge: format error: {path}: " in capsys.readouterr().err

@@ -132,6 +132,13 @@ class TestCofaceIndex:
         K.facets().append((9,))
         assert K.facets() == [(0, 1, 2)]
 
+    def test_cached_edge_lists_are_read_only(self):
+        K = SimplicialComplex.from_facets([[0, 1], [1, 2]])
+        with pytest.raises(AttributeError):
+            K.edges().append((0, 9))
+        assert K.edges() == ((0, 1), (1, 2))
+        assert K.adjacency() == {0: {1}, 1: {0, 2}, 2: {1}}
+
     def test_validity_is_checked_once_per_instance(self, monkeypatch):
         calls = []
         real = complex_core.validate

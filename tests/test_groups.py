@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fpforge.complex_core import SimplicialComplex, spanning_tree
 from fpforge.covers import VoltageAssignment, build_cover, lift_loop, normal_generators
@@ -13,6 +15,7 @@ from fpforge.groups import (
     Word,
     abelianization,
     coset_enumerate,
+    cyclic_relators,
     deck_group_presentation,
     power_spread,
     presentation_to_json,
@@ -35,6 +38,18 @@ def cycle_complex(n):
     return SimplicialComplex.from_facets([[i, (i + 1) % n] for i in range(n)])
 
 
+def reference_cyclic_relators(words):
+    """The reduce-and-dedupe loop that each relator consumer used to carry."""
+    relators = []
+    seen = set()
+    for w in words:
+        cw = w.cyclically_reduced()
+        if cw.letters and cw.letters not in seen:
+            seen.add(cw.letters)
+            relators.append(cw)
+    return relators
+
+
 class TestWord:
     def test_free_reduction(self):
         assert Word([1, 2, -2, 3]).letters == (1, 3)
@@ -47,6 +62,14 @@ class TestWord:
 
     def test_cyclic_reduction(self):
         assert Word([1, 2, 3, -1]).cyclically_reduced().letters == (2, 3)
+
+    def test_cyclic_relators_drop_empty_words_and_repeats(self):
+        words = [Word([1, 2, -1]), Word([2]), Word([1, -1]), Word([-2, 1, 2]), Word([1])]
+        assert [w.letters for w in cyclic_relators(words)] == [(2,), (1,)]
+
+    @given(st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=6).map(Word), max_size=12))
+    def test_cyclic_relators_match_reference_loop(self, words):
+        assert cyclic_relators(words) == reference_cyclic_relators(words)
 
 
 class TestPowerSpread:

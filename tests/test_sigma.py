@@ -34,7 +34,6 @@ from fpforge.sigma import (
     sigma_field_example,
     sigma_power_tower,
     sigma_prime_set,
-    sigma_value,
     validate_registry,
 )
 
@@ -126,14 +125,14 @@ class TestSigmaValue:
             positive_tail=Tail.constant("L"),
             negative_tail=Tail.constant("L"),
         )
-        assert sigma_value(spec, 3) == "T5"
-        assert sigma_value(spec, 4) == "L"
+        assert spec.value(3) == "T5"
+        assert spec.value(4) == "L"
 
     def test_tower_height_lookup(self, registry):
         rule = PowerTowerRule((4,), {1: "T5"}, "Luniv")
         spec = SigmaSpec(registry, "L", power_rule=rule, negative_tail=Tail.constant("Luniv"))
-        assert sigma_value(spec, 16) == "T5"  # 4^(2^1)
-        assert sigma_value(spec, 17) == "Luniv"
+        assert spec.value(16) == "T5"  # 4^(2^1)
+        assert spec.value(17) == "Luniv"
 
     def test_negative_constant_tail(self, registry):
         spec = SigmaSpec(
@@ -142,7 +141,7 @@ class TestSigmaValue:
             positive_tail=Tail.constant("L"),
             negative_tail=Tail.constant("Luniv"),
         )
-        assert sigma_value(spec, -7) == "Luniv"
+        assert spec.value(-7) == "Luniv"
 
     def test_round_robin_schedule(self, registry):
         spec = SigmaSpec(
@@ -151,7 +150,7 @@ class TestSigmaValue:
             positive_tail=Tail.recurrent(["Lp3", "Lp5"]),
             negative_tail=Tail.constant("Lsl"),
         )
-        assert [sigma_value(spec, n) for n in (1, 2, 3, 4)] == ["Lp3", "Lp5", "Lp3", "Lp5"]
+        assert [spec.value(n) for n in (1, 2, 3, 4)] == ["Lp3", "Lp5", "Lp3", "Lp5"]
 
     def test_unknown_id_rejected(self, registry):
         with pytest.raises(SigmaError):
@@ -294,10 +293,10 @@ class TestFinitelyPresentedDecide:
 class TestBuilders:
     def test_field_example_values(self, registry):
         spec = sigma_field_example(registry, member_ids=MEMBERS)
-        assert sigma_value(spec, 4) == "Lperf"
-        assert sigma_value(spec, 5) == "Lp5"
-        assert sigma_value(spec, 0) == "Lperf"
-        assert sigma_value(spec, 11) == "Lp:11"  # symbolic member beyond the desk registry
+        assert spec.value(4) == "Lperf"
+        assert spec.value(5) == "Lp5"
+        assert spec.value(0) == "Lperf"
+        assert spec.value(11) == "Lp:11"  # symbolic member beyond the desk registry
 
     def test_field_example_verdicts(self, registry):
         spec = sigma_field_example(registry, member_ids=MEMBERS)
@@ -308,8 +307,8 @@ class TestBuilders:
 
     def test_prime_set_schedule_and_verdicts(self, registry):
         spec = sigma_prime_set([2, 3], registry, member_ids=MEMBERS)
-        assert [sigma_value(spec, n) for n in (1, 2, 3, 4)] == ["L", "Lp3", "L", "Lp3"]
-        assert sigma_value(spec, -1) == "Lsl"
+        assert [spec.value(n) for n in (1, 2, 3, 4)] == ["L", "Lp3", "L", "Lp3"]
+        assert spec.value(-1) == "Lsl"
         for p in (2, 3):
             assert not fp_decide(spec, RingSpec.Fp(p), 2).holds
         for p in (5, 7, 11):
@@ -364,19 +363,19 @@ class TestPowerTower:
         assert heights == {1: constants[0] ** 2, 2: constants[1] ** 4, 3: constants[2] ** 8}
         assert sorted(heights.values()) == list(heights.values())
         # odd indices carry the prime member, even index 2 carries the cover for 1 in F
-        assert sigma_value(spec, heights[1]) == "Lp3"
-        assert sigma_value(spec, heights[2]) == "Lsl"
-        assert sigma_value(spec, heights[3]) == "Lp3"
-        assert sigma_value(spec, 0) == "L"
-        assert sigma_value(spec, heights[1] + 1) == "Luniv"
-        assert sigma_value(spec, -9) == "Luniv"
+        assert spec.value(heights[1]) == "Lp3"
+        assert spec.value(heights[2]) == "Lsl"
+        assert spec.value(heights[3]) == "Lp3"
+        assert spec.value(0) == "L"
+        assert spec.value(heights[1] + 1) == "Luniv"
+        assert spec.value(-9) == "Luniv"
 
     def test_even_index_outside_f_gets_default(self, registry):
         constants = choose_constants(2, None, 2)
         spec = sigma_power_tower([], constants, registry, [3], member_ids=MEMBERS)
         heights = spec.power_rule.heights()
-        assert sigma_value(spec, heights[2]) == "Luniv"
-        assert sigma_value(spec, heights[1]) == "Lp3"
+        assert spec.value(heights[2]) == "Luniv"
+        assert spec.value(heights[1]) == "Lp3"
 
 
 class TestDisagreementHeight:
@@ -455,8 +454,8 @@ class TestSigmaJson:
         text = dump_sigma_spec(spec)
         again = SigmaSpec.from_json_dict(json.loads(text))
         assert dump_sigma_spec(again) == text
-        assert [sigma_value(again, n) for n in range(-3, 4)] == [
-            sigma_value(spec, n) for n in range(-3, 4)
+        assert [again.value(n) for n in range(-3, 4)] == [
+            spec.value(n) for n in range(-3, 4)
         ]
 
     def test_round_trip_rules(self, registry, tmp_path):
