@@ -14,7 +14,7 @@ import sys
 import tempfile
 
 from . import complex_core, covers, groups, homology, sigma as sigma_mod, spectrum as spectrum_mod
-from .complex_core import _json_field, _json_int, _json_int_arrays, _json_list, _json_object
+from .complex_core import _json_field, _json_int_arrays, _json_list, _json_object
 from .homology import RingSpec
 from .sigma import example_registry
 from .spherical_double import spherical_double
@@ -113,7 +113,7 @@ def _load_spreads(path: str | None) -> dict[int, list[list[int]]]:
     for i, item in enumerate(_json_list(data.get("spreads", []), "$.spreads")):
         at = f"$.spreads[{i}]"
         item = _json_object(item, at)
-        height = _json_int(_json_field(item, "height", at), f"{at}.height")
+        height = _json_field(item, "height", at, int)
         out[height] = [list(lp) for lp in _json_int_arrays(_json_field(item, "loops", at), f"{at}.loops")]
     return out
 

@@ -7,12 +7,13 @@ to share between threads.
 
 Because a complex never changes, derived tables are built lazily, once, into
 its ``_cache``: simplices by dimension, the 1-skeleton adjacency, the facet
-list, and the coface index (vertex -> stored simplices containing it).  The
-index is built in one pass over the simplices, so facets, closed stars, links
-and the flag and local-cut-point tests cost O(N·d) for N simplices of
-dimension d instead of a scan of every simplex per vertex.  A passing
-:func:`validate` is cached the same way, so the checks that guard the
-constructions below validate each complex once.
+list, and the coface index (vertex -> stored simplices containing it).  They
+are handed out as tuples, frozensets, read-only mappings or copies, so no
+caller can change a later answer.  The index is built in one pass over the
+simplices, so facets, closed stars, links and the flag and local-cut-point
+tests cost O(N·d) for N simplices of dimension d instead of a scan of every
+simplex per vertex.  A passing :func:`validate` is cached the same way, so
+the checks that guard the constructions below validate each complex once.
 
 The module provides the predicates and constructions the rest of the package
 leans on: flagness, links, barycentric subdivision, flag complexes realizing
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 
@@ -56,10 +58,24 @@ def _json_object(value, path: str) -> Mapping:
     return value
 
 
-def _json_field(data: Mapping, key: str, path: str):
+_REQUIRED = object()
+
+
+def _json_field(data: Mapping, key: str, path: str, *kinds: type, default=_REQUIRED):
+    """``data[key]``, of one of ``kinds`` when any are given; ``default`` when absent, if given."""
     if key not in data:
-        raise FormatError(f"{path}.{key}: missing")
-    return data[key]
+        if default is _REQUIRED:
+            raise FormatError(f"{path}.{key}: missing")
+        return default
+    return _json_value(data[key], f"{path}.{key}", *kinds) if kinds else data[key]
+
+
+def _json_value(value, path: str, *kinds: type):
+    """``value`` if its exact type is one of ``kinds``, so a boolean is no integer."""
+    if type(value) not in kinds:
+        expected = " or ".join(_JSON_TYPES[k] for k in kinds)
+        raise FormatError(f"{path}: expected {expected}, got {_json_type(value)}")
+    return value
 
 
 def _json_list(value, path: str) -> Sequence:
@@ -68,21 +84,16 @@ def _json_list(value, path: str) -> Sequence:
     return value
 
 
-def _json_int(value, path: str) -> int:
-    if type(value) is not int:
-        raise FormatError(f"{path}: expected an integer, got {_json_type(value)}")
-    return value
-
-
 # The two array checks below test types in one pass and build element paths
 # only to report a failure, so valid input costs little more than reading it.
 
 
-def _json_ints(value, path: str) -> Sequence[int]:
+def _json_items(value, path: str, kind: type = int) -> Sequence:
+    """An array whose items all have type ``kind``."""
     values = _json_list(value, path)
-    if not all(type(x) is int for x in values):
+    if not all(type(x) is kind for x in values):
         for i, x in enumerate(values):
-            _json_int(x, f"{path}[{i}]")
+            _json_value(x, f"{path}[{i}]", kind)
     return values
 
 
@@ -90,7 +101,7 @@ def _json_int_arrays(value, path: str) -> Sequence[Sequence[int]]:
     arrays = _json_list(value, path)
     if not (all(type(a) is list for a in arrays) and {type(x) for a in arrays for x in a} <= {int}):
         for i, a in enumerate(arrays):
-            _json_ints(a, f"{path}[{i}]")
+            _json_items(a, f"{path}[{i}]")
     return arrays
 
 
@@ -159,23 +170,27 @@ class SimplicialComplex:
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self.simplices_of_dim(1)
 
-    def cofaces(self) -> dict[int, list[tuple[int, ...]]]:
-        """Vertex -> the stored simplices that contain it, built in one pass."""
+    def cofaces(self) -> Mapping[int, tuple[tuple[int, ...], ...]]:
+        """Vertex -> the stored simplices that contain it, built in one pass.
+
+        Read-only, like every cached table, so no caller can alter later answers.
+        """
         if "cofaces" not in self._cache:
             index: dict[int, list[tuple[int, ...]]] = {}
             for s in self.simplices:
                 for v in s:
                     index.setdefault(v, []).append(s)
-            self._cache["cofaces"] = index
+            self._cache["cofaces"] = MappingProxyType({v: tuple(c) for v, c in index.items()})
         return self._cache["cofaces"]
 
-    def adjacency(self) -> dict[int, set[int]]:
+    def adjacency(self) -> Mapping[int, frozenset[int]]:
+        """Vertex -> its neighbours in the 1-skeleton, read-only."""
         if "adj" not in self._cache:
-            adj: dict[int, set[int]] = {v: set() for v in self.vertices}
+            adj: dict[int, list[int]] = {v: [] for v in self.vertices}
             for u, w in self.simplices_of_dim(1):
-                adj[u].add(w)
-                adj[w].add(u)
-            self._cache["adj"] = adj
+                adj[u].append(w)
+                adj[w].append(u)
+            self._cache["adj"] = MappingProxyType({v: frozenset(ns) for v, ns in adj.items()})
         return self._cache["adj"]
 
     def components(self) -> list[frozenset[int]]:
@@ -241,7 +256,7 @@ class SimplicialComplex:
         data = _json_object(data, path)
         return cls.from_facets(
             _json_int_arrays(data.get("facets", []), f"{path}.facets"),
-            _json_ints(data.get("vertices", []), f"{path}.vertices"),
+            _json_items(data.get("vertices", []), f"{path}.vertices"),
         )
 
 

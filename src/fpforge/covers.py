@@ -23,8 +23,7 @@ from .complex_core import (
     FormatError,
     SimplicialComplex,
     _json_field,
-    _json_int,
-    _json_ints,
+    _json_items,
     _json_list,
     _json_object,
     _require_valid,
@@ -147,16 +146,16 @@ class VoltageAssignment:
     def from_json_dict(cls, data: Mapping, path: str = "$") -> "VoltageAssignment":
         data = _json_object(data, path)
         base = SimplicialComplex.from_json_dict(_json_field(data, "base", path), f"{path}.base")
-        degree = _json_int(_json_field(data, "degree", path), f"{path}.degree")
+        degree = _json_field(data, "degree", path, int)
         voltages = {}
         items = _json_list(data.get("voltages", []), f"{path}.voltages")
         for i, item in enumerate(items):
             at = f"{path}.voltages[{i}]"
             item = _json_object(item, at)
-            edge = _json_ints(_json_field(item, "edge", at), f"{at}.edge")
+            edge = _json_items(_json_field(item, "edge", at), f"{at}.edge")
             if len(edge) != 2:
                 raise FormatError(f"{at}.edge: expected 2 vertices, got {len(edge)}")
-            perm = _json_ints(_json_field(item, "perm", at), f"{at}.perm")
+            perm = _json_items(_json_field(item, "perm", at), f"{at}.perm")
             voltages[tuple(edge)] = tuple(s - 1 for s in perm)
         return cls(base, degree, voltages)
 

@@ -16,10 +16,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import NoneType
 from typing import Iterable, Mapping, Sequence
 
-from .complex_core import SimplicialComplex, _require_valid, spanning_tree
-from .homology import invariant_factors
+from .complex_core import (
+    FormatError,
+    SimplicialComplex,
+    _json_field,
+    _json_items,
+    _json_list,
+    _json_object,
+    _require_valid,
+    spanning_tree,
+)
+from .homology import _sparse_invariant_factors
 
 
 def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -105,8 +115,13 @@ class RelatorTag:
         return {"family": self.family, "height": self.height, "index": self.index}
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "RelatorTag":
-        return cls(data["family"], data.get("height"), data.get("index"))
+    def from_json_dict(cls, data: Mapping, path: str = "$") -> "RelatorTag":
+        data = _json_object(data, path)
+        return cls(
+            _json_field(data, "family", path, str),
+            _json_field(data, "height", path, int, NoneType, default=None),
+            _json_field(data, "index", path, int, NoneType, default=None),
+        )
 
 
 TRIANGLE = RelatorTag("triangle")
@@ -204,16 +219,25 @@ class Presentation:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Presentation":
-        relators = [Word(r["letters"]) for r in data.get("relators", [])]
-        tags = [RelatorTag.from_json_dict(r.get("tag", {"family": "other"})) for r in data.get("relators", [])]
+    def from_json_dict(cls, data: Mapping, path: str = "$") -> "Presentation":
+        """Read a presentation; a wrong shape raises ``FormatError`` naming its JSON path."""
+        data = _json_object(data, path)
+        relators: list[Word] = []
+        tags: list[RelatorTag] = []
+        for i, r in enumerate(_json_list(data.get("relators", []), f"{path}.relators")):
+            at = f"{path}.relators[{i}]"
+            r = _json_object(r, at)
+            relators.append(Word(_json_items(_json_field(r, "letters", at), f"{at}.letters")))
+            tags.append(RelatorTag.from_json_dict(r["tag"], f"{at}.tag") if "tag" in r else OTHER)
         window = data.get("height_window")
+        if window and len(_json_items(window, f"{path}.height_window")) != 2:
+            raise FormatError(f"{path}.height_window: expected 2 heights, got {len(window)}")
         return cls(
-            data["generators"],
+            _json_items(_json_field(data, "generators", path), f"{path}.generators", str),
             relators,
             tags,
             tuple(window) if window else None,
-            data.get("extends_all_heights", False),
+            _json_field(data, "extends_all_heights", path, bool, default=False),
         )
 
     def __repr__(self) -> str:
@@ -402,11 +426,13 @@ class AbelianizationResult:
 
 
 def abelianization(p: Presentation) -> AbelianizationResult:
-    """Invariant factors and free rank of the relator exponent matrix."""
-    matrix = p.exponent_matrix()
-    if not matrix:
-        return AbelianizationResult(len(p.generators), ())
-    factors = invariant_factors(matrix)
+    """Invariant factors and free rank of the relator exponent matrix.
+
+    Uses the sparse elimination kernel; a positive free rank proves the
+    presented group infinite.
+    """
+    entries = {(i, j): v for i, row in enumerate(p.exponent_matrix()) for j, v in enumerate(row) if v}
+    factors = _sparse_invariant_factors(entries)
     return AbelianizationResult(len(p.generators) - len(factors), tuple(d for d in factors if d > 1))
 
 
@@ -684,11 +710,12 @@ class SpanningTreeWords:
         self.generator_names = [f"t{u}_{v}" for u, v in self.nontree]
 
     def word_for_path(self, path: Sequence[int]) -> Word:
+        adj = self.complex.adjacency()
         letters = []
         for u, w in zip(path, path[1:]):
-            key = (min(u, w), max(u, w))
-            if not self.complex.has_simplex(key):
+            if w not in adj.get(u, ()):
                 raise ValueError(f"({u}, {w}) is not an edge")
+            key = (min(u, w), max(u, w))
             i = self._index.get(key)
             if i is not None:
                 letters.append(i if u < w else -i)

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complex_core import SimplicialComplex, _require_valid
+from .complex_core import SimplicialComplex, _json_field, _json_items, _json_list, _json_object, _require_valid
 
 
 # The first 13 primes; as Miller-Rabin bases they decide primality exactly
@@ -399,14 +399,22 @@ class HomologySummary:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "HomologySummary":
-        ring = RingSpec.parse(data["ring"])
-        degrees = sorted(data["degrees"], key=lambda d: d["degree"])
-        if [d["degree"] for d in degrees] != list(range(len(degrees))):
+    def from_json_dict(cls, data: Mapping, path: str = "$") -> "HomologySummary":
+        data = _json_object(data, path)
+        ring = RingSpec.parse(_json_field(data, "ring", path, str))
+        degrees = []
+        for i, d in enumerate(_json_list(_json_field(data, "degrees", path), f"{path}.degrees")):
+            at = f"{path}.degrees[{i}]"
+            d = _json_object(d, at)
+            degrees.append((
+                _json_field(d, "degree", at, int),
+                _json_field(d, "rank", at, int),
+                tuple(_json_items(d.get("torsion", []), f"{at}.torsion")),
+            ))
+        degrees.sort(key=lambda d: d[0])
+        if [d[0] for d in degrees] != list(range(len(degrees))):
             raise ValueError("degree list must cover 0..max without gaps")
-        ranks = tuple(int(d["rank"]) for d in degrees)
-        torsion = tuple(tuple(int(t) for t in d.get("torsion", [])) for d in degrees)
-        return cls(ring, ranks, torsion)
+        return cls(ring, tuple(d[1] for d in degrees), tuple(d[2] for d in degrees))
 
     def __str__(self) -> str:
         parts = []

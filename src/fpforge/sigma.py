@@ -16,12 +16,15 @@ schedule that realizes recurrent tails.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from math import isqrt
+from types import NoneType
 from typing import Mapping, Sequence
 
+from .complex_core import FormatError, _json_field, _json_items, _json_list, _json_object, _json_value
 from .covers import CoverComplex, VoltageAssignment, build_cover, normal_generators
 from .groups import SpanningTreeWords, coset_enumerate
 from .homology import (
@@ -109,25 +112,48 @@ class CoverRegistryEntry:
 
     @classmethod
     def from_json_dict(cls, data: Mapping, path: str = "$") -> "CoverRegistryEntry":
-        summaries = [HomologySummary.from_json_dict(s) for s in data.get("homology", [])]
+        data = _json_object(data, path)
+        summaries = [
+            HomologySummary.from_json_dict(s, f"{path}.homology[{i}]")
+            for i, s in enumerate(_json_list(data.get("homology", []), f"{path}.homology"))
+        ]
+        voltage = data.get("voltage")
         return cls(
-            id=data["id"],
-            kind=data["kind"],
-            degree=data["degree"],
+            id=_json_field(data, "id", path, str),
+            kind=_json_field(data, "kind", path, str),
+            degree=_json_field(data, "degree", path, int, str),
             homology={s.ring.key: s for s in summaries},
-            certified_up_to=data["certified_up_to"],
-            simply_connected=data.get("simply_connected"),
-            quotient_is_finite=data["quotient_is_finite"],
-            quotient_fp_certified=data.get("quotient_fp_certified", False),
-            quotient_finitely_presented=data.get("quotient_finitely_presented", True),
-            note=data.get("note", ""),
-            voltage=VoltageAssignment.from_json_dict(data["voltage"], f"{path}.voltage") if data.get("voltage") else None,
+            certified_up_to=_json_field(data, "certified_up_to", path, int, str),
+            simply_connected=_json_field(data, "simply_connected", path, bool, NoneType, default=None),
+            quotient_is_finite=_json_field(data, "quotient_is_finite", path, bool),
+            quotient_fp_certified=_json_field(data, "quotient_fp_certified", path, bool, default=False),
+            quotient_finitely_presented=_json_field(data, "quotient_finitely_presented", path, bool, default=True),
+            note=_json_field(data, "note", path, str, default=""),
+            voltage=VoltageAssignment.from_json_dict(voltage, f"{path}.voltage") if voltage else None,
         )
 
 
 def _registry_from_json(data: Mapping, path: str) -> dict[str, CoverRegistryEntry]:
-    entries = [CoverRegistryEntry.from_json_dict(e, f"{path}.entries[{i}]") for i, e in enumerate(data["entries"])]
+    items = _json_list(_json_field(_json_object(data, path), "entries", path), f"{path}.entries")
+    entries = [CoverRegistryEntry.from_json_dict(e, f"{path}.entries[{i}]") for i, e in enumerate(items)]
     return {e.id: e for e in entries}
+
+
+def _json_id_pairs(value, path: str) -> dict[int, str]:
+    """[[integer, entry id], ...] as a mapping, as written for heights, indices and primes."""
+    out = {}
+    for i, pair in enumerate(_json_list(value, path)):
+        at = f"{path}[{i}]"
+        if len(_json_list(pair, at)) != 2:
+            raise FormatError(f"{at}: expected an [integer, string] pair, got {len(pair)} items")
+        out[_json_value(pair[0], f"{at}[0]", int)] = _json_value(pair[1], f"{at}[1]", str)
+    return out
+
+
+def _json_optional(data: Mapping, key: str, load):
+    """``load(data[key], "$.key")`` when the key holds a nonempty value, else None."""
+    value = data.get(key)
+    return load(value, f"$.{key}") if value else None
 
 
 def materialize(entry: CoverRegistryEntry) -> CoverComplex:
@@ -261,10 +287,17 @@ class Tail:
         return {self.kind: self.ids[0] if self.kind == "constant" else list(self.ids)}
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Tail":
+    def from_json_dict(cls, data: Mapping, path: str = "$") -> "Tail":
+        data = _json_object(data, path)
         if "constant" in data:
-            return cls.constant(data["constant"])
-        return cls.recurrent(data["recurrent"])
+            return cls.constant(_json_field(data, "constant", path, str))
+        return cls.recurrent(_json_items(_json_field(data, "recurrent", path), f"{path}.recurrent", str))
+
+
+@functools.lru_cache(maxsize=8)
+def _tower_heights(constants: tuple[int, ...]) -> tuple[int, ...]:
+    """The tower heights C_i^(2^i), i = 1..m, computed once per constant tuple."""
+    return tuple(c ** (2 ** (i + 1)) for i, c in enumerate(constants))
 
 
 @dataclass(frozen=True)
@@ -291,12 +324,13 @@ class PowerTowerRule:
                 raise SigmaError(f"assignment index {i} outside the constant window")
 
     def heights(self) -> dict[int, int]:
-        return {i + 1: c ** (2 ** (i + 1)) for i, c in enumerate(self.constants)}
+        return dict(enumerate(_tower_heights(tuple(self.constants)), start=1))
 
     def value_at(self, n: int) -> str:
-        for i, h in self.heights().items():
-            if n == h and i in self.assignments:
-                return self.assignments[i]
+        heights = _tower_heights(tuple(self.constants))
+        for i, entry in self.assignments.items():
+            if heights[i - 1] == n:
+                return entry
         return self.default
 
     def to_json_dict(self) -> dict:
@@ -308,12 +342,13 @@ class PowerTowerRule:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "PowerTowerRule":
+    def from_json_dict(cls, data: Mapping, path: str = "$") -> "PowerTowerRule":
+        data = _json_object(data, path)
         return cls(
-            tuple(data["constants"]),
-            {int(i): e for i, e in data.get("assignments", [])},
-            data["default"],
-            tuple(data.get("recurrent", [])),
+            tuple(_json_items(_json_field(data, "constants", path), f"{path}.constants")),
+            _json_id_pairs(data.get("assignments", []), f"{path}.assignments"),
+            _json_field(data, "default", path, str),
+            tuple(_json_items(data.get("recurrent", []), f"{path}.recurrent", str)),
         )
 
 
@@ -364,15 +399,16 @@ class PrimeCongruenceRule:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "PrimeCongruenceRule":
+    def from_json_dict(cls, data: Mapping, path: str = "$") -> "PrimeCongruenceRule":
+        data = _json_object(data, path)
         return cls(
-            {int(p): e for p, e in data.get("members", [])},
-            data["default"],
-            data.get("family_id", "Lp"),
-            data.get("torsion_degree", 1),
-            data.get("torsion_multiplicity", 1),
-            data.get("certified_up_to", 2),
-            data.get("members_simply_connected", False),
+            _json_id_pairs(data.get("members", []), f"{path}.members"),
+            _json_field(data, "default", path, str),
+            _json_field(data, "family_id", path, str, default="Lp"),
+            _json_field(data, "torsion_degree", path, int, default=1),
+            _json_field(data, "torsion_multiplicity", path, int, default=1),
+            _json_field(data, "certified_up_to", path, int, default=2),
+            _json_field(data, "members_simply_connected", path, bool, default=False),
         )
 
 
@@ -474,16 +510,18 @@ class SigmaSpec:
 
     @classmethod
     def from_json_dict(cls, data: Mapping, registry: Mapping[str, CoverRegistryEntry] | None = None) -> "SigmaSpec":
+        """Read a spec; a wrong shape raises ``FormatError`` naming its JSON path."""
+        data = _json_object(data, "$")
         if registry is None:
-            registry = _registry_from_json(data["registry"], "$.registry")
+            registry = _registry_from_json(_json_field(data, "registry", "$"), "$.registry")
         return cls(
             registry,
-            data["base_id"],
-            {int(n): e for n, e in data.get("exceptions", [])},
-            Tail.from_json_dict(data["positive_tail"]) if data.get("positive_tail") else None,
-            Tail.from_json_dict(data["negative_tail"]) if data.get("negative_tail") else None,
-            PowerTowerRule.from_json_dict(data["power_rule"]) if data.get("power_rule") else None,
-            PrimeCongruenceRule.from_json_dict(data["prime_rule"]) if data.get("prime_rule") else None,
+            _json_field(data, "base_id", "$", str),
+            _json_id_pairs(data.get("exceptions", []), "$.exceptions"),
+            _json_optional(data, "positive_tail", Tail.from_json_dict),
+            _json_optional(data, "negative_tail", Tail.from_json_dict),
+            _json_optional(data, "power_rule", PowerTowerRule.from_json_dict),
+            _json_optional(data, "prime_rule", PrimeCongruenceRule.from_json_dict),
         )
 
     def __repr__(self) -> str:

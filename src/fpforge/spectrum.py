@@ -8,6 +8,13 @@ taut by exhibiting a finite cyclic quotient (read off the abelianized level
 quotient) in which it survives, or certified filled by a bounded derivation
 search.  Anything else is reported unknown rather than guessed.
 
+Enumerating the cosets of the trivial subgroup finishes only when the level
+quotient is finite, and a positive free rank of its abelianization proves it
+infinite.  So enumeration runs only at levels of free rank zero; the other
+levels go straight to the fallbacks, and the reported ``budget_used`` counts
+coset rows only of enumerations that can finish.  This skips no certificate:
+at those levels the enumeration could only run out of budget.
+
 Only cyclically reduced loops matter on both sides: a loop with a backtrack
 is null-homotopic in every filled complex, and its relator is implied by a
 shorter loop's.
@@ -23,11 +30,19 @@ from .complex_core import (
     ComplexError,
     SimplicialComplex,
     _json_int_arrays,
-    _json_ints,
+    _json_items,
     _json_object,
     _require_valid,
 )
-from .groups import Presentation, SpanningTreeWords, Word, cyclic_relators, enumerate_table, trace_word
+from .groups import (
+    Presentation,
+    SpanningTreeWords,
+    Word,
+    abelianization,
+    cyclic_relators,
+    enumerate_table,
+    trace_word,
+)
 from .homology import smith_normal_form
 from .sigma import _alpha_exceeds
 
@@ -41,13 +56,15 @@ class CeilingError(ValueError):
 
 
 def _canonical_cycle(walk: tuple[int, ...]) -> tuple[int, ...]:
-    best = None
-    n = len(walk)
-    for seq in (walk, tuple(reversed(walk))):
-        for r in range(n):
-            rot = seq[r:] + seq[:r]
-            if best is None or rot < best:
-                best = rot
+    """Least rotation of the walk or its reversal; it starts at the least vertex."""
+    least = min(walk)
+    best = walk
+    for seq in (walk, walk[::-1]):
+        for r, v in enumerate(seq):
+            if v == least:
+                rot = seq[r:] + seq[:r]
+                if rot < best:
+                    best = rot
     return best
 
 
@@ -201,7 +218,14 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
     every candidate; an incomplete one falls back to abelian survival for
     taut and to derivation search for filled.  Certified statuses never flip
     under a larger budget; only unknowns can resolve.
+
+    Coset enumeration runs only once the level quotient's free rank is 0
+    (it then stays 0, since relators only accumulate): a positive free rank
+    makes the quotient infinite, so no table could complete.  ``budget_used``
+    counts the coset rows of the enumerations that ran.
     """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
     _require_valid(graph)
     if graph.dimension > 1:
         raise ComplexError("the spectrum is defined for graphs (dimension <= 1)")
@@ -220,6 +244,7 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
     budget_used = 0
     statuses: dict[int, LengthStatus] = {}
     relators: dict[Word, None] = {}  # words of all shorter cycles, in first-seen order
+    infinite = True  # until the level quotient's free rank reaches 0
     for l in range(1, l_max + 1):
         relators.update(dict.fromkeys(cyclic_relators(cycle_words.get(l - 1, ()))))
         candidates = list(zip(cycles.get(l, ()), cycle_words.get(l, ())))
@@ -228,8 +253,12 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
             continue
 
         presentation = Presentation([f"g{i}" for i in range(ngens)], list(relators))
-        table, rows = enumerate_table(presentation, (), budget)
-        budget_used += rows
+        if infinite:
+            infinite = abelianization(presentation).free_rank > 0
+        table = None
+        if not infinite:
+            table, rows = enumerate_table(presentation, (), budget)
+            budget_used += rows
         if table is not None:
             order = table.index()
         else:
@@ -360,7 +389,7 @@ def load_graph(path) -> SimplicialComplex:
     with open(path, "r", encoding="utf-8") as fh:
         data = _json_object(json.load(fh), "$")
     return SimplicialComplex.from_facets(
-        _json_int_arrays(data.get("edges", []), "$.edges"), _json_ints(data.get("vertices", []), "$.vertices")
+        _json_int_arrays(data.get("edges", []), "$.edges"), _json_items(data.get("vertices", []), "$.vertices")
     )
 
 

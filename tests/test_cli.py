@@ -1,12 +1,24 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpforge.cli import main
 from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree
 from fpforge.covers import VoltageAssignment, dump_voltage
 from fpforge.groups import LoopWord, presentation_to_json, tagged_family_presentation
-from fpforge.sigma import dump_registry, example_registry
+from fpforge.sigma import (
+    choose_constants,
+    dump_registry,
+    dump_sigma_spec,
+    example_registry,
+    sigma_field_example,
+    sigma_power_tower,
+)
 
 from helpers import RP2_FACETS
 
@@ -272,9 +284,84 @@ class TestExitCodes:
                 {"spreads": [{"loops": [[0, 1, 2, 0]]}]},
                 "$.spreads[0].height",
             ),
+            (["sigma", "--builder", "field-example", "--registry"], {}, "$.entries"),
+            (["subpres", "--presentation"], [], "$"),
+            (
+                ["sigma", "--builder", "field-example", "--registry"],
+                {"entries": [dict(BAD_VOLTAGE_ENTRY, voltage=None, homology=[{"ring": "Z", "degrees": 5}])]},
+                "$.entries[0].homology[0].degrees",
+            ),
+            (["decide", "--finitely-presented", "--sigma"], {"registry": {"entries": []}, "base_id": 3}, "$.base_id"),
+            (
+                ["decide", "--finitely-presented", "--sigma"],
+                {"registry": {"entries": []}, "base_id": "L", "exceptions": [[1]]},
+                "$.exceptions[0]",
+            ),
+            (["subpres", "--presentation"], {"generators": ["a"], "relators": [{"letters": ["a"]}]}, "$.relators[0].letters[0]"),
+            (["subpres", "--presentation"], {"relators": []}, "$.generators"),
         ],
     )
     def test_malformed_json_is_format_error(self, tmp_path, capsys, delta2, argv, payload, path):
         bad = write(tmp_path / "bad.json", json.dumps(payload))
         assert main([a.format(delta2=delta2) for a in argv] + [bad]) == 2
         assert f"fpforge: format error: {path}: " in capsys.readouterr().err
+
+
+def _fuzz_documents():
+    """Valid input files for each loading subcommand: (argv without the file, JSON document)."""
+    base = SimplicialComplex.from_facets([[0, 1], [1, 2], [0, 2]])
+    voltage = VoltageAssignment(base, 2, {(1, 2): (1, 0)})
+    registry = example_registry()
+    registry_doc = json.loads(dump_registry(registry))
+    registry_doc["entries"].append(dict(BAD_VOLTAGE_ENTRY, id="c", voltage=json.loads(dump_voltage(voltage))))
+    spec = sigma_field_example(registry, member_ids={3: "Lp3", 5: "Lp5", 7: "Lp7"})
+    tower = sigma_power_tower([1], choose_constants(2, None, 3), registry, [3], member_ids={3: "Lp3"})
+    tetra = SimplicialComplex.from_facets([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    tagged = tagged_family_presentation(tetra, {"alpha": [[0, 1, 2, 0]], "beta": [[0, 1, 3, 0]]}, (-1, 1))
+    return [
+        (["sigma", "--builder", "field-example", "--registry"], registry_doc),
+        (["decide", "--ring", "Z", "--k", "2", "--sigma"], json.loads(dump_sigma_spec(spec))),
+        (["decide", "--finitely-presented", "--sigma"], json.loads(dump_sigma_spec(tower))),
+        (["subpres", "--presentation"], json.loads(presentation_to_json(tagged))),
+        (["spectrum", "--lmax", "4", "--budget", "200", "--graph"], {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]]}),
+        (["cover", "--voltage"], json.loads(dump_voltage(voltage))),
+        (["homology", "--ring", "Z", "--complex"], {"vertices": [0, 1, 2], "facets": [[0, 1, 2]]}),
+    ]
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+FUZZ_DOCUMENTS = _fuzz_documents()
+FUZZ_SITES = [(i, path) for i, (_, doc) in enumerate(FUZZ_DOCUMENTS) for path in _json_paths(doc)]
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 6), st.floats(-2, 2), st.sampled_from(["Z", "L", "all", "a"])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["id", "degree", "constant"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300)
+@given(site=st.sampled_from(FUZZ_SITES), value=JSON_VALUES, delete=st.booleans())
+def test_any_damaged_input_keeps_the_documented_exit_codes(tmp_path_factory, site, value, delete):
+    """Replace (or delete) one node of a valid input file: the CLI exits 0, 1 or 2, never with a traceback."""
+    i, path = site
+    argv, doc = FUZZ_DOCUMENTS[i]
+    doc = copy.deepcopy(doc)
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    f = write(tmp_path_factory.mktemp("fuzz") / "in.json", json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv + [f]) in (0, 1, 2)

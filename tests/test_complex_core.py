@@ -139,6 +139,20 @@ class TestCofaceIndex:
         assert K.edges() == ((0, 1), (1, 2))
         assert K.adjacency() == {0: {1}, 1: {0, 2}, 2: {1}}
 
+    def test_coface_index_and_adjacency_are_read_only(self):
+        K = full_simplex(3)
+        star = closed_star(K, 0)
+        for attempt in (
+            lambda: K.cofaces()[0].clear(),
+            lambda: K.cofaces().pop(0),
+            lambda: K.adjacency()[0].clear(),
+            lambda: K.adjacency().__setitem__(0, set()),
+        ):
+            with pytest.raises((AttributeError, TypeError)):
+                attempt()
+        assert closed_star(K, 0) == star != frozenset()
+        assert K.adjacency() == {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+
     def test_validity_is_checked_once_per_instance(self, monkeypatch):
         calls = []
         real = complex_core.validate

@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+from fpforge import sigma as sigma_mod
 from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree
 from fpforge.covers import VoltageAssignment, build_cover, double_cover_voltages
 from fpforge.homology import RingSpec, reduced_homology
@@ -376,6 +377,18 @@ class TestPowerTower:
         heights = spec.power_rule.heights()
         assert spec.value(heights[2]) == "Luniv"
         assert spec.value(heights[1]) == "Lp3"
+
+
+    def test_heights_are_computed_once_and_lookups_match_the_definition(self):
+        constants = choose_constants(2, None, 6)
+        rule = PowerTowerRule(constants, {2: "a", 5: "b"}, "d")
+        sigma_mod._tower_heights.cache_clear()
+        direct = {i + 1: c ** (2 ** (i + 1)) for i, c in enumerate(constants)}
+        assert rule.heights() == direct
+        for i, h in direct.items():
+            assert rule.value_at(h) == {2: "a", 5: "b"}.get(i, "d")
+            assert rule.value_at(h + 1) == rule.value_at(h - 1) == "d"
+        assert sigma_mod._tower_heights.cache_info().misses == 1
 
 
 class TestDisagreementHeight:

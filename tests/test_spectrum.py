@@ -2,11 +2,18 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpforge.complex_core import ComplexError, SimplicialComplex
+from fpforge.groups import Presentation, SpanningTreeWords, cyclic_relators, enumerate_table, trace_word
 from fpforge.spectrum import (
     CeilingError,
+    LengthStatus,
     TautSpectrumReport,
+    _abelian_survival,
+    _derivation_search,
+    _lattice_smith,
     dump_graph,
     enumerate_cycles,
     k_related,
@@ -146,6 +153,99 @@ class TestTautSpectrum:
         data = report.to_json_dict()
         text = json.dumps(data, sort_keys=True)
         assert json.loads(text)["spectrum"] == [5]
+
+
+def always_enumerate_reference(graph, l_max, budget):
+    """The spectrum loop that runs coset enumeration at every level with loops,
+    kept as the reference for the free-rank gate in taut_spectrum."""
+    words = SpanningTreeWords(graph)
+    ngens = len(words.generator_names)
+    cycles = enumerate_cycles(graph, l_max)
+    cycle_words = {l: [words.word_for_path(w + (w[0],)) for w in ws] for l, ws in cycles.items()}
+    budget_used = 0
+    statuses = {}
+    relators = {}
+    for l in range(1, l_max + 1):
+        relators.update(dict.fromkeys(cyclic_relators(cycle_words.get(l - 1, ()))))
+        candidates = list(zip(cycles.get(l, ()), cycle_words.get(l, ())))
+        if not candidates:
+            statuses[l] = LengthStatus("filled", {"method": "no-loops"})
+            continue
+        presentation = Presentation([f"g{i}" for i in range(ngens)], list(relators))
+        table, rows = enumerate_table(presentation, (), budget)
+        budget_used += rows
+        if table is None:
+            smith = _lattice_smith(presentation.exponent_matrix(), ngens)
+        hit, unknown = None, False
+        for walk, word in candidates:
+            if table is not None:
+                if trace_word(table, word) != table.rep(0):
+                    hit = LengthStatus("taut", {"method": "finite-quotient", "order": table.index()}, walk)
+                    break
+                continue
+            cert = _abelian_survival(smith, word.exponent_row(ngens))
+            if cert is not None:
+                hit = LengthStatus("taut", cert, walk)
+                break
+            if _derivation_search(word, presentation.relators, max_nodes=max(budget // 10, 100)) is None:
+                unknown = True
+        if hit is not None:
+            statuses[l] = hit
+        elif table is not None:
+            statuses[l] = LengthStatus("filled", {"method": "finite-quotient", "order": table.index()})
+        elif unknown:
+            statuses[l] = LengthStatus("unknown", {"method": "budget-exhausted"})
+        else:
+            statuses[l] = LengthStatus("filled", {"method": "derivation"})
+    return budget_used, statuses
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected simple graphs on at most 7 vertices: a random tree plus extra edges."""
+    n = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=6)))
+    return SimplicialComplex.from_facets(sorted(edges))
+
+
+class TestFreeRankGate:
+    @settings(max_examples=150)
+    @given(graph=connected_graphs(), l_max=st.integers(1, 7), budget=st.integers(50, 2000))
+    def test_matches_always_enumerating_reference(self, graph, l_max, budget):
+        report = taut_spectrum(graph, l_max, budget)
+        ref_used, ref_statuses = always_enumerate_reference(graph, l_max, budget)
+        assert report.statuses == ref_statuses
+        assert report.budget_used <= ref_used
+
+    def test_cycle_graph_never_enumerates(self):
+        # the only relators are multiples of the 5-cycle, so the free rank stays 1
+        report = taut_spectrum(cycle_graph(5), 6, 100_000)
+        assert report.spectrum == [5]
+        assert report.budget_used == 0
+
+    def test_wedge_below_both_cycles_filled_never_enumerates(self):
+        # up to length 5 the relators are the triangle only: the square's generator stays free
+        report = taut_spectrum(wedge_graph(), 5, 100_000)
+        assert report.spectrum == [3, 4]
+        assert report.budget_used == 0
+
+    def test_enumeration_resumes_once_the_free_rank_is_zero(self):
+        report = taut_spectrum(wedge_graph(), 10, 100_000)
+        assert report.budget_used > 0
+        assert report.statuses[8].certificate["method"] == "finite-quotient"
+
+    def test_nonpositive_budget_is_refused_even_when_no_level_enumerates(self):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            taut_spectrum(cycle_graph(5), 6, 0)
+
+    def test_word_for_path_rejects_non_edges(self):
+        words = SpanningTreeWords(cycle_graph(5))
+        for path in ([0, 2], [0, 0], [0, 1, 9], [9, 0]):
+            with pytest.raises(ValueError, match="is not an edge"):
+                words.word_for_path(path)
+        assert words.word_for_path([0, 1, 2, 3, 4, 0]).letters in ((1,), (-1,))
 
 
 class TestKRelated:
