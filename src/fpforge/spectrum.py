@@ -15,6 +15,13 @@ levels go straight to the fallbacks, and the reported ``budget_used`` counts
 coset rows only of enumerations that can finish.  This skips no certificate:
 at those levels the enumeration could only run out of budget.
 
+Once a level's table completes with order 1, every later level quotient is
+trivial too, so a later length is filled exactly when it has a loop: when
+tr(B^l) > 0 for the graph's non-backtracking (Hashimoto) matrix B, decided
+with no cycle listed.  Cycles are listed one length at a time and only up to
+that level, and no later table is built, so ``budget_used`` falls (5x5 torus
+grid at l_max 10: 40 coset rows when every finite level was enumerated, 8).
+
 Only cyclically reduced loops matter on both sides: a loop with a backtrack
 is null-homotopic in every filled complex, and its relator is implied by a
 shorter loop's.
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .complex_core import (
     ComplexError,
@@ -55,17 +62,45 @@ class CeilingError(ValueError):
 # Cycle enumeration
 
 
-def _canonical_cycle(walk: tuple[int, ...]) -> tuple[int, ...]:
-    """Least rotation of the walk or its reversal; it starts at the least vertex."""
-    least = min(walk)
-    best = walk
+def _is_kept_rotation(walk: tuple[int, ...]) -> bool:
+    """Whether the walk is the greatest of its rotations that start at its
+    first vertex, taken in both directions."""
+    s = walk[0]
     for seq in (walk, walk[::-1]):
         for r, v in enumerate(seq):
-            if v == least:
-                rot = seq[r:] + seq[:r]
-                if rot < best:
-                    best = rot
-    return best
+            if v == s and seq[r:] + seq[:r] > walk:
+                return False
+    return True
+
+
+def cycles_by_length(
+    graph: SimplicialComplex, lengths: Iterable[int]
+) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """Cyclically reduced closed walks up to rotation and reversal, one
+    requested length at a time, each list sorted.
+
+    Each length is a fresh depth-first search, so a caller that stops pulling
+    never pays for longer lengths.  A class is searched from its least vertex
+    s, over vertices >= s, and kept only as the greatest of its rotations
+    that start at s, in either direction.
+    """
+    adj = {v: sorted(ns) for v, ns in graph.adjacency().items()}
+    starts = sorted(graph.vertices)
+    for length in lengths:
+        walks: list[tuple[int, ...]] = []
+        for s in starts if length >= 3 else ():
+            stack: list[tuple[int, int | None, tuple[int, ...]]] = [(s, None, (s,))]
+            while stack:
+                cur, prev, path = stack.pop()
+                if len(path) == length:
+                    if s != prev and path[1] != cur and s in adj[cur] and _is_kept_rotation(path):
+                        walks.append(path)
+                    continue
+                for nxt in adj[cur]:
+                    if nxt >= s and nxt != prev:
+                        stack.append((nxt, cur, path + (nxt,)))
+        walks.sort()
+        yield length, walks
 
 
 def enumerate_cycles(graph: SimplicialComplex, max_len: int) -> dict[int, list[tuple[int, ...]]]:
@@ -73,31 +108,38 @@ def enumerate_cycles(graph: SimplicialComplex, max_len: int) -> dict[int, list[t
 
     Walks may revisit vertices and edges (an essential loop traversed twice is
     a genuine length-2l loop); only immediate backtracking is excluded,
-    including across the wrap-around.
+    including across the wrap-around.  Each class is listed by the greatest
+    of its rotations that start at its least vertex, in either direction.
     """
-    adj = {v: sorted(ns) for v, ns in graph.adjacency().items()}
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for s in sorted(graph.vertices):
-        stack: list[tuple[int, int | None, tuple[int, ...]]] = [(s, None, (s,))]
-        while stack:
-            cur, prev, path = stack.pop()
-            for nxt in adj[cur]:
-                if nxt < s:
-                    continue  # cycles are collected from their least vertex
-                if prev is not None and nxt == prev:
-                    continue
-                if nxt == s and len(path) >= 3 and path[1] != cur:
-                    canon = _canonical_cycle(path)
-                    if canon not in found:
-                        found[canon] = path
-                if len(path) < max_len:
-                    stack.append((nxt, cur, path + (nxt,)))
-    by_length: dict[int, list[tuple[int, ...]]] = {}
-    for walk in found.values():
-        by_length.setdefault(len(walk), []).append(walk)
-    for walks in by_length.values():
-        walks.sort()
-    return by_length
+    return {l: walks for l, walks in cycles_by_length(graph, range(1, max_len + 1)) if walks}
+
+
+def closed_walk_lengths(graph: SimplicialComplex, max_len: int) -> set[int]:
+    """The lengths l <= max_len that have a cyclically non-backtracking
+    closed walk, found without listing one: those with tr(B^l) > 0 for the
+    non-backtracking (Hashimoto) matrix B on darts.
+
+    Row d of B^l is kept as a bitset of the darts that some walk of l steps
+    from d ends on; a row of B^(l+1) is the union of B^l's rows at the
+    successors of d.
+    """
+    adj = graph.adjacency()
+    darts = [(u, v) for u in sorted(adj) for v in sorted(adj[u])]
+    index = {d: i for i, d in enumerate(darts)}
+    successors = [[index[v, w] for w in adj[v] if w != u] for u, v in darts]
+    rows = [1 << i for i in range(len(darts))]
+    lengths = set()
+    for l in range(1, max_len + 1):
+        new_rows = []
+        for succ in successors:
+            row = 0
+            for e in succ:
+                row |= rows[e]
+            new_rows.append(row)
+        rows = new_rows
+        if any(row >> i & 1 for i, row in enumerate(rows)):
+            lengths.add(l)
+    return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +263,11 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
 
     Coset enumeration runs only once the level quotient's free rank is 0
     (it then stays 0, since relators only accumulate): a positive free rank
-    makes the quotient infinite, so no table could complete.  ``budget_used``
-    counts the coset rows of the enumerations that ran.
+    makes the quotient infinite, so no table could complete.  Once a table
+    completes with order 1, no later level is enumerated or listed: each
+    later length is filled (``finite-quotient``, order 1) when
+    :func:`closed_walk_lengths` has it and ``no-loops`` otherwise.
+    ``budget_used`` counts the coset rows of the enumerations that ran.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -236,19 +281,18 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
 
     words = SpanningTreeWords(graph)
     ngens = len(words.generator_names)
-    cycles = enumerate_cycles(graph, l_max)
-    cycle_words: dict[int, list[Word]] = {}
-    for length, walks in cycles.items():
-        cycle_words[length] = [words.word_for_path(w + (w[0],)) for w in walks]
+    loop_lengths = closed_walk_lengths(graph, l_max)
+    cycles = cycles_by_length(graph, sorted(loop_lengths))  # pulled only while a level needs its walks
 
     budget_used = 0
     statuses: dict[int, LengthStatus] = {}
     relators: dict[Word, None] = {}  # words of all shorter cycles, in first-seen order
+    shorter: list[Word] = []  # words of the cycles of length l - 1
     infinite = True  # until the level quotient's free rank reaches 0
     for l in range(1, l_max + 1):
-        relators.update(dict.fromkeys(cyclic_relators(cycle_words.get(l - 1, ()))))
-        candidates = list(zip(cycles.get(l, ()), cycle_words.get(l, ())))
-        if not candidates:
+        relators.update(dict.fromkeys(cyclic_relators(shorter)))
+        shorter = []
+        if l not in loop_lengths:
             statuses[l] = LengthStatus("filled", {"method": "no-loops"})
             continue
 
@@ -259,15 +303,26 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
         if not infinite:
             table, rows = enumerate_table(presentation, (), budget)
             budget_used += rows
+        if table is not None and table.index() == 1:
+            # later level quotients are trivial too: a length is filled, by
+            # this table, exactly when it has loops
+            for m in range(l, l_max + 1):
+                if m in loop_lengths:
+                    statuses[m] = LengthStatus("filled", {"method": "finite-quotient", "order": 1})
+                else:
+                    statuses[m] = LengthStatus("filled", {"method": "no-loops"})
+            break
         if table is not None:
             order = table.index()
         else:
             # every candidate reaches the fallback, so the level's Smith form is needed once
             smith = _lattice_smith(presentation.exponent_matrix(), ngens)
 
+        walks = next(cycles)[1]
+        shorter = [words.word_for_path(w + (w[0],)) for w in walks]
         taut_hit: LengthStatus | None = None
         unknown = False
-        for walk, word in candidates:
+        for walk, word in zip(walks, shorter):
             if table is not None:
                 if trace_word(table, word) == table.rep(0):
                     continue

@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpforge import spectrum
 from fpforge.complex_core import ComplexError, SimplicialComplex
 from fpforge.groups import Presentation, SpanningTreeWords, cyclic_relators, enumerate_table, trace_word
 from fpforge.spectrum import (
@@ -14,6 +19,7 @@ from fpforge.spectrum import (
     _abelian_survival,
     _derivation_search,
     _lattice_smith,
+    closed_walk_lengths,
     dump_graph,
     enumerate_cycles,
     k_related,
@@ -31,6 +37,23 @@ def cycle_graph(n):
 def wedge_graph():
     # 3-cycle 0-1-2 and 4-cycle 0-3-4-5 sharing vertex 0
     return SimplicialComplex.from_facets([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [4, 5], [0, 5]])
+
+
+def complete_graph(n):
+    return SimplicialComplex.from_facets([[a, b] for a in range(n) for b in range(a + 1, n)])
+
+
+def petersen_graph():
+    outer = [[i, (i + 1) % 5] for i in range(5)]
+    spokes = [[i, i + 5] for i in range(5)]
+    inner = [[5 + i, 5 + (i + 2) % 5] for i in range(5)]
+    return SimplicialComplex.from_facets(outer + spokes + inner)
+
+
+def torus_grid(n=5):
+    rows = [[n * i + j, n * i + (j + 1) % n] for i in range(n) for j in range(n)]
+    cols = [[n * i + j, n * ((i + 1) % n) + j] for i in range(n) for j in range(n)]
+    return SimplicialComplex.from_facets(rows + cols)
 
 
 class TestEnumerateCycles:
@@ -246,6 +269,133 @@ class TestFreeRankGate:
             with pytest.raises(ValueError, match="is not an edge"):
                 words.word_for_path(path)
         assert words.word_for_path([0, 1, 2, 3, 4, 0]).letters in ((1,), (-1,))
+
+
+def _canonical_cycle_reference(walk):
+    least = min(walk)
+    best = walk
+    for seq in (walk, walk[::-1]):
+        for r, v in enumerate(seq):
+            if v == least:
+                rot = seq[r:] + seq[:r]
+                if rot < best:
+                    best = rot
+    return best
+
+
+def enumerate_cycles_reference(graph, max_len):
+    """One depth-first search that meets each cycle class once per rotation
+    at its least vertex and direction, keeping the first walk met; kept as
+    the reference for the once-per-class search in enumerate_cycles."""
+    adj = {v: sorted(ns) for v, ns in graph.adjacency().items()}
+    found = {}
+    for s in sorted(graph.vertices):
+        stack = [(s, None, (s,))]
+        while stack:
+            cur, prev, path = stack.pop()
+            for nxt in adj[cur]:
+                if nxt < s:
+                    continue
+                if prev is not None and nxt == prev:
+                    continue
+                if nxt == s and len(path) >= 3 and path[1] != cur:
+                    canon = _canonical_cycle_reference(path)
+                    if canon not in found:
+                        found[canon] = path
+                if len(path) < max_len:
+                    stack.append((nxt, cur, path + (nxt,)))
+    by_length = {}
+    for walk in found.values():
+        by_length.setdefault(len(walk), []).append(walk)
+    for walks in by_length.values():
+        walks.sort()
+    return by_length
+
+
+@st.composite
+def trees(draw):
+    n = draw(st.integers(2, 9))
+    return SimplicialComplex.from_facets([(draw(st.integers(0, v - 1)), v) for v in range(1, n)])
+
+
+class TestCyclesByLength:
+    @settings(max_examples=200)
+    @given(graph=connected_graphs(), max_len=st.integers(1, 9))
+    def test_matches_the_first_walk_per_class_of_one_search(self, graph, max_len):
+        assert enumerate_cycles(graph, max_len) == enumerate_cycles_reference(graph, max_len)
+
+    @settings(max_examples=200)
+    @given(
+        graph=st.one_of(connected_graphs(), trees(), st.integers(3, 8).map(cycle_graph)),
+        max_len=st.integers(1, 10),
+    )
+    def test_closed_walk_lengths_are_the_enumerated_lengths(self, graph, max_len):
+        assert closed_walk_lengths(graph, max_len) == set(enumerate_cycles(graph, max_len))
+
+    def test_closed_walk_lengths_of_the_wedge(self):
+        # 3x + 4y for x, y >= 0, not both 0
+        assert closed_walk_lengths(wedge_graph(), 12) == {3, 4, 6, 7, 8, 9, 10, 11, 12}
+
+    def test_lengths_come_one_at_a_time(self):
+        walks = spectrum.cycles_by_length(wedge_graph(), [7, 3])
+        assert next(walks) == (7, enumerate_cycles(wedge_graph(), 7)[7])
+        assert next(walks) == (3, [(0, 2, 1)])
+
+
+class TestTrivialQuotientCut:
+    @pytest.mark.parametrize(
+        "graph, l_max",
+        [(complete_graph(4), 10), (petersen_graph(), 12), (torus_grid(), 10), (wedge_graph(), 12)],
+        ids=["k4", "petersen", "grid5x5", "wedge3_4"],
+    )
+    def test_matches_always_enumerating_reference(self, graph, l_max):
+        report = taut_spectrum(graph, l_max, 100_000)
+        ref_used, ref_statuses = always_enumerate_reference(graph, l_max, 100_000)
+        assert report.statuses == ref_statuses
+        assert report.budget_used <= ref_used
+
+    def test_no_cycle_is_enumerated_past_the_first_trivial_level(self, monkeypatch):
+        pulled = []
+
+        def recording(graph, lengths):
+            for length, walks in cycles_by_length(graph, lengths):
+                pulled.append(length)
+                yield length, walks
+
+        cycles_by_length = spectrum.cycles_by_length
+        monkeypatch.setattr(spectrum, "cycles_by_length", recording)
+        report = taut_spectrum(torus_grid(), 12, 100_000)
+        # the level-6 quotient is trivial, so only the taut lengths 4 and 5 are listed
+        assert pulled == [4, 5]
+        assert report.spectrum == [4, 5]
+        assert report.statuses[12].certificate == {"method": "finite-quotient", "order": 1}
+
+    def test_no_loops_past_the_cut_on_a_cycle_of_triangles(self):
+        # the 3-cycle twice around is length 6; lengths 4 and 5 stay empty
+        report = taut_spectrum(cycle_graph(3), 7, 1000)
+        assert report.spectrum == [3]
+        assert [report.statuses[l].certificate["method"] for l in (4, 5, 6, 7)] == [
+            "no-loops", "no-loops", "finite-quotient", "no-loops"
+        ]
+
+    def test_long_grid_spectrum_from_the_cli(self, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        graph, out = tmp_path / "grid.json", tmp_path / "report.json"
+        graph.write_text(dump_graph(torus_grid()), encoding="utf-8")
+        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+        argv = ["spectrum", "--graph", str(graph), "--lmax", "60", "--budget", "50000", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fpforge.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "spectrum: taut lengths [4, 5]\n"
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["spectrum"] == [4, 5]
+        assert len(report["statuses"]) == 60
 
 
 class TestKRelated:
