@@ -14,7 +14,7 @@ import sys
 import tempfile
 
 from . import complex_core, covers, groups, homology, sigma as sigma_mod, spectrum as spectrum_mod
-from .complex_core import _json_field, _json_int_arrays, _json_list, _json_object
+from .complex_core import _json_field, _json_int_arrays, _json_list, _json_object, _json_text, _read_json
 from .homology import RingSpec
 from .sigma import example_registry
 from .spherical_double import spherical_double
@@ -42,15 +42,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _dump(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -65,7 +56,7 @@ def _cmd_double(args) -> int:
         "double_f_vector": list(doubled.complex.f_vector()),
     }
     if args.report:
-        _atomic_write(args.report, _dump(report))
+        _atomic_write(args.report, _json_text(report))
     print(f"double: f-vector {tuple(doubled.complex.f_vector())}")
     return 0
 
@@ -87,7 +78,7 @@ def _cmd_cover(args) -> int:
         "homology": certificates,
     }
     if args.certificate:
-        _atomic_write(args.certificate, _dump(report))
+        _atomic_write(args.certificate, _json_text(report))
     print(f"cover: degree {voltage.degree}, total f-vector {tuple(cover.total.f_vector())}")
     for cert in certificates:
         print(f"cover: certificate over {cert['ring']} written")
@@ -108,7 +99,7 @@ def _cmd_homology(args) -> int:
 def _load_spreads(path: str | None) -> dict[int, list[list[int]]]:
     if not path:
         return {}
-    data = _json_object(_load_json(path), "$")
+    data = _json_object(_read_json(path), "$")
     out: dict[int, list[list[int]]] = {}
     for i, item in enumerate(_json_list(data.get("spreads", []), "$.spreads")):
         at = f"$.spreads[{i}]"
@@ -144,7 +135,7 @@ def _cmd_decide(args) -> int:
         k = args.k if args.k == "FP" else int(args.k)
         verdict = sigma_mod.fp_decide(spec, RingSpec.parse(args.ring), k)
     if args.out:
-        _atomic_write(args.out, _dump(verdict.to_json_dict()))
+        _atomic_write(args.out, _json_text(verdict.to_json_dict()))
     print(str(verdict))
     return 0
 
@@ -154,7 +145,7 @@ def _cmd_sigma(args) -> int:
         constants = sigma_mod.choose_constants(args.d, args.r_bounds, args.m)
         payload = {"constants": list(constants), "d": args.d}
         if args.out:
-            _atomic_write(args.out, _dump(payload))
+            _atomic_write(args.out, _json_text(payload))
         print(f"constants: {list(constants)}")
         return 0
 
@@ -182,7 +173,7 @@ def _cmd_spectrum(args) -> int:
     graph = spectrum_mod.load_graph(args.graph)
     report = spectrum_mod.taut_spectrum(graph, args.lmax, args.budget)
     if args.out:
-        _atomic_write(args.out, _dump(report.to_json_dict()))
+        _atomic_write(args.out, _json_text(report.to_json_dict()))
     print(f"spectrum: taut lengths {report.spectrum}")
     return 0
 

@@ -7,19 +7,21 @@ to share between threads.
 
 Because a complex never changes, derived tables are built lazily, once, into
 its ``_cache``: simplices by dimension, the 1-skeleton adjacency, the facet
-list, and the coface index (vertex -> stored simplices containing it).  They
-are handed out as tuples, frozensets, read-only mappings or copies, so no
-caller can change a later answer.  The index is built in one pass over the
-simplices, so facets, closed stars, links and the flag and local-cut-point
-tests cost O(N·d) for N simplices of dimension d instead of a scan of every
-simplex per vertex.  A passing :func:`validate` is cached the same way, so
-the checks that guard the constructions below validate each complex once.
+list, the coface index (vertex -> stored simplices containing it) and the
+canonical spanning tree.  They are handed out as tuples, frozensets,
+read-only mappings or copies, so no caller can change a later answer.  The
+index is built in one pass over the simplices, so facets, closed stars, links
+and the flag and local-cut-point tests cost O(N·d) for N simplices of
+dimension d instead of a scan of every simplex per vertex.  A passing
+:func:`validate` is cached the same way, so the checks that guard the
+constructions below validate each complex once.
 
 The module provides the predicates and constructions the rest of the package
 leans on: flagness, links, barycentric subdivision, flag complexes realizing
 a given finite presentation, and a local-cut-point test for complexes of
-dimension at most two.  JSON input that does not have the documented shape
-raises :class:`FormatError`, naming the JSON path that failed.
+dimension at most two.  JSON is read and written only by :func:`_read_json`
+and :func:`_json_text`; input without the documented shape raises
+:class:`FormatError`, naming the JSON path that failed.
 """
 
 from __future__ import annotations
@@ -365,31 +367,32 @@ def barycentric_subdivision(complex: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(range(len(simps)), all_chains)
 
 
-def spanning_tree(complex: SimplicialComplex) -> set[tuple[int, int]]:
-    """Edges of the breadth-first spanning tree of the 1-skeleton.
+def _tree_parents(complex: SimplicialComplex) -> Mapping[int, int | None]:
+    """Vertex -> parent (None at the root) in the canonical spanning tree, built once, read-only.
 
-    Deterministic: the root is the smallest vertex and neighbors are visited
-    in sorted order.  Raises on disconnected complexes.
+    Breadth-first from the smallest vertex, neighbours in sorted order.  Raises on disconnected complexes.
     """
-    if not complex.vertices:
-        return set()
-    if not complex.is_connected():
-        raise ComplexError("complex is disconnected")
-    adj = complex.adjacency()
-    root = min(complex.vertices)
-    tree: set[tuple[int, int]] = set()
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    tree.add((min(v, w), max(v, w)))
-                    nxt.append(w)
-        frontier = nxt
-    return tree
+    if "tree" not in complex._cache:
+        adj = complex.adjacency()
+        frontier = sorted(complex.vertices)[:1]
+        parent: dict[int, int | None] = dict.fromkeys(frontier)
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in sorted(adj[v]):
+                    if w not in parent:
+                        parent[w] = v
+                        nxt.append(w)
+            frontier = nxt
+        if len(parent) != len(complex.vertices):
+            raise ComplexError("complex is disconnected")
+        complex._cache["tree"] = MappingProxyType(parent)
+    return complex._cache["tree"]
+
+
+def spanning_tree(complex: SimplicialComplex) -> frozenset[tuple[int, int]]:
+    """Edges of the canonical spanning tree of the 1-skeleton (see :func:`_tree_parents`)."""
+    return frozenset((min(v, p), max(v, p)) for v, p in _tree_parents(complex).items() if p is not None)
 
 
 def has_no_local_cut_points(complex: SimplicialComplex) -> bool:
@@ -485,10 +488,19 @@ def flagify_presentation_complex(input: GroupPresentationInput) -> SimplicialCom
     return barycentric_subdivision(barycentric_subdivision(complex))
 
 
-def load_complex(path) -> SimplicialComplex:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return SimplicialComplex.from_json_dict(json.load(fh))
+        return json.load(fh)
+
+
+def _json_text(data) -> str:
+    """The package's one JSON text format: sorted keys, two-space indent, final newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def load_complex(path) -> SimplicialComplex:
+    return SimplicialComplex.from_json_dict(_read_json(path))
 
 
 def dump_complex(complex: SimplicialComplex) -> str:
-    return json.dumps(complex.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return _json_text(complex.to_json_dict())

@@ -16,7 +16,6 @@ their own; sheet tracing falls back to the covering property.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping, Sequence
 
 from .complex_core import (
@@ -26,10 +25,14 @@ from .complex_core import (
     _json_items,
     _json_list,
     _json_object,
+    _json_text,
+    _read_json,
     _require_valid,
+    _tree_parents,
     closed_star,
     spanning_tree,
 )
+from .groups import SpanningTreeWords
 from .spherical_double import spherical_double
 
 
@@ -83,7 +86,7 @@ class VoltageAssignment:
             raise CoverError("cover degree must be positive")
         self.base = base
         self.degree = int(degree)
-        self.spanning_tree = frozenset(spanning_tree(base))
+        self.spanning_tree = spanning_tree(base)
 
         full: dict[tuple[int, int], tuple[int, ...]] = {}
         ident = perm_identity(self.degree)
@@ -427,23 +430,7 @@ def normal_generators(c: CoverComplex) -> list[list[int]]:
     """
     if not c.total.is_connected():
         raise CoverError("normal generators require a connected cover")
-    tree = spanning_tree(c.total)
-    adj = c.total.adjacency()
-    root = min(c.total.vertices)
-    parent: dict[int, int | None] = {root: None}
-    order = [root]
-    frontier = [root]
-    tree_set = tree
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in sorted(adj[x]):
-                e = (min(x, y), max(x, y))
-                if e in tree_set and y not in parent:
-                    parent[y] = x
-                    order.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    parent = _tree_parents(c.total)
 
     def path_to_root(x: int) -> list[int]:
         path = [x]
@@ -453,8 +440,8 @@ def normal_generators(c: CoverComplex) -> list[list[int]]:
 
     loops = []
     for u, w in c.total.edges():
-        if (u, w) in tree_set:
-            continue
+        if parent[w] == u or parent[u] == w:
+            continue  # a tree edge
         up = path_to_root(u)[::-1]  # root .. u
         down = path_to_root(w)  # w .. root
         total_loop = up + down
@@ -472,9 +459,7 @@ def double_cover_voltages(base: SimplicialComplex) -> list[VoltageAssignment]:
     2-torsion first homology of rank one, the unique solution is the
     orientation double cover.
     """
-    _require_valid(base)
-    tree = spanning_tree(base)
-    nontree = [e for e in base.edges() if e not in tree]
+    nontree = SpanningTreeWords(base).nontree
     index = {e: i for i, e in enumerate(nontree)}
     rows = []
     for tri in base.simplices_of_dim(2):
@@ -518,9 +503,8 @@ def double_cover_voltages(base: SimplicialComplex) -> list[VoltageAssignment]:
 
 
 def dump_voltage(v: VoltageAssignment) -> str:
-    return json.dumps(v.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return _json_text(v.to_json_dict())
 
 
 def load_voltage(path) -> VoltageAssignment:
-    with open(path, "r", encoding="utf-8") as fh:
-        return VoltageAssignment.from_json_dict(json.load(fh))
+    return VoltageAssignment.from_json_dict(_read_json(path))

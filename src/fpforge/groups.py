@@ -14,7 +14,6 @@ and a completed table always reports the true index.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from types import NoneType
 from typing import Iterable, Mapping, Sequence
@@ -26,6 +25,8 @@ from .complex_core import (
     _json_items,
     _json_list,
     _json_object,
+    _json_text,
+    _read_json,
     _require_valid,
     spanning_tree,
 )
@@ -729,9 +730,8 @@ class SpanningTreeWords:
 
 
 def presentation_to_json(p: Presentation) -> str:
-    return json.dumps(p.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return _json_text(p.to_json_dict())
 
 
 def presentation_from_json(path) -> Presentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Presentation.from_json_dict(json.load(fh))
+    return Presentation.from_json_dict(_read_json(path))

@@ -17,11 +17,12 @@ the diagonal together with unimodular transforms U, V satisfying U*A*V = D.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complex_core import SimplicialComplex, _json_field, _json_items, _json_list, _json_object, _require_valid
+from .complex_core import (
+    SimplicialComplex, _json_field, _json_items, _json_list, _json_object, _json_text, _read_json, _require_valid,
+)
 
 
 # The first 13 primes; as Miller-Rabin bases they decide primality exactly
@@ -471,9 +472,8 @@ def field_summary_from_integral(z_summary: HomologySummary, R: RingSpec) -> Homo
 
 
 def dump_summary(summary: HomologySummary) -> str:
-    return json.dumps(summary.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return _json_text(summary.to_json_dict())
 
 
 def load_summary(path) -> HomologySummary:
-    with open(path, "r", encoding="utf-8") as fh:
-        return HomologySummary.from_json_dict(json.load(fh))
+    return HomologySummary.from_json_dict(_read_json(path))

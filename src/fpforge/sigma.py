@@ -17,14 +17,16 @@ schedule that realizes recurrent tails.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
+from itertools import count
 from math import isqrt
 from types import NoneType
 from typing import Mapping, Sequence
 
-from .complex_core import FormatError, _json_field, _json_items, _json_list, _json_object, _json_value
+from .complex_core import (
+    FormatError, _json_field, _json_items, _json_list, _json_object, _json_text, _json_value, _read_json,
+)
 from .covers import CoverComplex, VoltageAssignment, build_cover, normal_generators
 from .groups import SpanningTreeWords, coset_enumerate
 from .homology import (
@@ -714,6 +716,18 @@ def _alpha_exceeds(C: int, r: int, d: int) -> bool:
     return 2 * C * C > r * r * (d + 1)
 
 
+def _growth_failures(C: Sequence[int], n: int, r: Sequence[int], d: int) -> list[str]:
+    """The growth conditions that constant n (1-based) of ``C`` breaks, as messages, in check order."""
+    c = C[n - 1]
+    checks = (
+        (n == 1 and not _alpha_exceeds(c, 3, d), "condition C_1*alpha > 3 fails"),
+        (not _alpha_exceeds(c, r[n - 1], d), f"condition C_{n}*alpha > r at position {n - 1} fails"),
+        (not _alpha_exceeds(c, r[n], d), f"condition C_{n}*alpha > r at position {n} fails"),
+        (n >= 2 and not c > C[n - 2], f"condition C_{n} > C_{n - 1} fails"),
+    )
+    return [message for failed, message in checks if failed]
+
+
 def choose_constants(d: int, r_bounds: Sequence[int] | None = None, m: int = 1) -> tuple[int, ...]:
     """Lexicographically minimal integers meeting the growth conditions.
 
@@ -728,18 +742,14 @@ def choose_constants(d: int, r_bounds: Sequence[int] | None = None, m: int = 1) 
         raise SigmaError("loop-length bounds must be nonnegative")
     r += [0] * (m + 1 - len(r))
     out: list[int] = []
-    prev = 0
     for n in range(1, m + 1):
-        C = prev + 1
-        while True:
-            ok = _alpha_exceeds(C, r[n - 1], d) and _alpha_exceeds(C, r[n], d)
-            if n == 1:
-                ok = ok and _alpha_exceeds(C, 3, d)
-            if ok:
-                break
-            C += 1
-        out.append(C)
-        prev = C
+        # Every condition is monotone in C and holds at hi, so bisect for the least C.
+        lo = out[-1] + 1 if out else 1
+        hi = lo + max(3, r[n - 1], r[n]) * (d + 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if _growth_failures(out + [mid], n, r, d) else (lo, mid)
+        out.append(lo)
     return tuple(out)
 
 
@@ -856,8 +866,8 @@ def min_disagreement_height(a: SigmaSpec, b: SigmaSpec) -> int | float:
     zero) are evaluated directly.  Every other height is covered by finitely
     many types (sign, residue modulo the joint tail period, primality), whose
     values are compared symbolically; a disagreeing type contributes its
-    smallest non-explicit representative.  No unbounded scan is needed even
-    when tower heights are astronomically large.
+    smallest non-explicit representative, found exactly with no scan cap.
+    Tower heights are never scanned, so astronomically large ones cost nothing.
     """
     if a.registry != b.registry:
         raise SigmaError("specs compare only over a common registry")
@@ -878,22 +888,21 @@ def min_disagreement_height(a: SigmaSpec, b: SigmaSpec) -> int | float:
         for tail in (s.positive_tail, s.negative_tail):
             if tail:
                 period = math.lcm(period, tail.period())
-    cap = 10_000 * period + 10_000
     for sign in (1, -1):
         for residue in range(period):
             for prime_above_2 in ((False,) if sign < 0 else (False, True)):
-                va = _generic_value(a, sign, residue, prime_above_2)
-                vb = _generic_value(b, sign, residue, prime_above_2)
-                if va == vb:
+                kind = (sign, residue, prime_above_2)
+                if _generic_value(a, *kind) == _generic_value(b, *kind):
                     continue
-                magnitude = residue if residue else period
-                while magnitude <= cap:
+                # A class whose members share a factor g > 1 holds no prime but g; any other
+                # holds infinitely many primes (Dirichlet) and composites, so the scan ends.
+                g = math.gcd(residue, period)
+                for magnitude in [g] if prime_above_2 and g > 1 else count(residue or period, period):
                     n = sign * magnitude
-                    if n not in explicit and (n > 2 and _is_prime(n)) == prime_above_2:
+                    in_type = magnitude % period == residue and n not in explicit
+                    if in_type and (n > 2 and _is_prime(n)) == prime_above_2:
                         best = min(best, magnitude)
                         break
-                    magnitude += period
-                # types with no representative below the cap are unrealized
     return best
 
 
@@ -969,19 +978,16 @@ def example_registry(multiplicity: int = 1) -> dict[str, CoverRegistryEntry]:
 
 
 def dump_sigma_spec(s: SigmaSpec) -> str:
-    return json.dumps(s.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return _json_text(s.to_json_dict())
 
 
 def load_sigma_spec(path) -> SigmaSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SigmaSpec.from_json_dict(json.load(fh))
+    return SigmaSpec.from_json_dict(_read_json(path))
 
 
 def dump_registry(registry: Mapping[str, CoverRegistryEntry]) -> str:
-    payload = {"entries": [e.to_json_dict() for _, e in sorted(registry.items())]}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json_text({"entries": [e.to_json_dict() for _, e in sorted(registry.items())]})
 
 
 def load_registry(path) -> dict[str, CoverRegistryEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _registry_from_json(json.load(fh), "$")
+    return _registry_from_json(_read_json(path), "$")

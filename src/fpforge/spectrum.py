@@ -29,7 +29,6 @@ shorter loop's.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -39,6 +38,8 @@ from .complex_core import (
     _json_int_arrays,
     _json_items,
     _json_object,
+    _json_text,
+    _read_json,
     _require_valid,
 )
 from .groups import (
@@ -48,10 +49,11 @@ from .groups import (
     abelianization,
     cyclic_relators,
     enumerate_table,
+    free_reduce,
     trace_word,
 )
 from .homology import smith_normal_form
-from .sigma import _alpha_exceeds
+from .sigma import _alpha_exceeds, _growth_failures
 
 
 class CeilingError(ValueError):
@@ -200,7 +202,7 @@ def _derivation_search(word: Word, relators: Sequence[Word], max_nodes: int) -> 
         for current in frontier:
             for move in moves:
                 for pos in range(len(current) + 1):
-                    candidate = Word(current[:pos] + move + current[pos:]).letters
+                    candidate = free_reduce(current[:pos] + move + current[pos:])
                     if len(candidate) > max_len or candidate in seen:
                         continue
                     if not candidate:
@@ -405,22 +407,12 @@ def separation_ratio_check(
     C = [int(c) for c in constants]
     r = [int(x) for x in r_values]
     r += [0] * (len(C) + 1 - len(r))
-    failures: list[str] = []
     if d < 1:
         raise ValueError("dimension must be positive")
     if any(x < 0 for x in r):
         raise ValueError("loop-length bounds must be nonnegative")
 
-    for n in range(1, len(C) + 1):
-        c = C[n - 1]
-        if n == 1 and not _alpha_exceeds(c, 3, d):
-            failures.append("condition C_1*alpha > 3 fails")
-        if not _alpha_exceeds(c, r[n - 1], d):
-            failures.append(f"condition C_{n}*alpha > r at position {n - 1} fails")
-        if not _alpha_exceeds(c, r[n], d):
-            failures.append(f"condition C_{n}*alpha > r at position {n} fails")
-        if n >= 2 and not C[n - 1] > C[n - 2]:
-            failures.append(f"condition C_{n} > C_{n - 1} fails")
+    failures = [message for n in range(1, len(C) + 1) for message in _growth_failures(C, n, r, d)]
 
     for m in range(1, len(C) + 1):
         for n in range(1, len(C) + 1 - m):
@@ -441,16 +433,11 @@ def separation_ratio_check(
 
 def load_graph(path) -> SimplicialComplex:
     """Read graph JSON; a wrong shape raises ``FormatError`` naming its JSON path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = _json_object(json.load(fh), "$")
+    data = _json_object(_read_json(path), "$")
     return SimplicialComplex.from_facets(
         _json_int_arrays(data.get("edges", []), "$.edges"), _json_items(data.get("vertices", []), "$.vertices")
     )
 
 
 def dump_graph(graph: SimplicialComplex) -> str:
-    return json.dumps(
-        {"vertices": sorted(graph.vertices), "edges": [list(e) for e in graph.edges()]},
-        sort_keys=True,
-        indent=2,
-    ) + "\n"
+    return _json_text({"vertices": sorted(graph.vertices), "edges": [list(e) for e in graph.edges()]})

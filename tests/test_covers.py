@@ -1,8 +1,18 @@
 import random
+from types import MappingProxyType
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from fpforge.complex_core import FormatError, SimplicialComplex, barycentric_subdivision, spanning_tree
+from fpforge.complex_core import (
+    FormatError,
+    GroupPresentationInput,
+    SimplicialComplex,
+    _tree_parents,
+    barycentric_subdivision,
+    flagify_presentation_complex,
+    spanning_tree,
+)
 from fpforge.covers import (
     CoverComplex,
     CoverError,
@@ -18,6 +28,7 @@ from fpforge.covers import (
     perm_identity,
     verify_covering,
 )
+from fpforge.groups import SpanningTreeWords
 from fpforge.homology import RingSpec, reduced_homology
 from fpforge.spherical_double import spherical_double
 
@@ -343,3 +354,171 @@ class TestNormalGenerators:
             for s in range(cover.degree):
                 closed, _ = lift_loop(cover, loop, s)
                 assert closed
+
+
+# ---------------------------------------------------------------------------
+# One canonical spanning tree, read by every cover path
+
+
+def reference_tree(K):
+    """Oracle: the breadth-first tree (smallest root, sorted neighbours) by its own walk."""
+    adj = {v: set() for v in K.vertices}
+    for u, w in K.edges():
+        adj[u].add(w)
+        adj[w].add(u)
+    root = min(K.vertices)
+    tree, seen, frontier = set(), {root}, [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in sorted(adj[v]):
+                if w not in seen:
+                    seen.add(w)
+                    tree.add((min(v, w), max(v, w)))
+                    nxt.append(w)
+        frontier = nxt
+    assert len(seen) == len(K.vertices)
+    return tree
+
+
+def reference_normal_generators(c):
+    """Oracle: the loops read off a second walk of the tree for parents, as before the tree was shared."""
+    tree = reference_tree(c.total)
+    adj = c.total.adjacency()
+    root = min(c.total.vertices)
+    parent = {root: None}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in sorted(adj[x]):
+                if (min(x, y), max(x, y)) in tree and y not in parent:
+                    parent[y] = x
+                    nxt.append(y)
+        frontier = nxt
+
+    def path_to_root(x):
+        path = [x]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
+    loops = [
+        [c.projection[x] for x in path_to_root(u)[::-1] + path_to_root(w)]
+        for u, w in c.total.edges()
+        if (u, w) not in tree
+    ]
+    loops.sort(key=lambda p: (len(p), p))
+    return loops
+
+
+def reference_double_cover_voltages(base):
+    """Oracle: the GF(2) solve over the non-tree edges of an independently walked tree."""
+    tree = reference_tree(base)
+    nontree = [e for e in base.edges() if e not in tree]
+    index = {e: i for i, e in enumerate(nontree)}
+    pivots = {}
+    for u, v, w in base.simplices_of_dim(2):
+        row = 0
+        for e in ((u, v), (v, w), (u, w)):
+            if e in index:
+                row ^= 1 << index[e]
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+    free_bits = [i for i in range(len(nontree)) if i not in pivots]
+    solutions = set()
+    for combo in range(1, 1 << len(free_bits)):
+        x = sum(1 << bit for j, bit in enumerate(free_bits) if combo >> j & 1)
+        for lead in sorted(pivots):
+            if bin(pivots[lead] & x & ~(1 << lead)).count("1") % 2:
+                x |= 1 << lead
+        solutions.add(x)
+    return [
+        VoltageAssignment(base, 2, {e: (1, 0) for e, i in index.items() if x >> i & 1})
+        for x in sorted(solutions)
+        if x
+    ]
+
+
+@st.composite
+def connected_2_complexes(draw):
+    """Connected complexes on at most six shuffled vertex ids: a random tree plus extra edges and triangles."""
+    n = draw(st.integers(1, 6))
+    labels = draw(st.permutations(range(0, 2 * n, 2)))
+    facets = [[labels[v], labels[draw(st.integers(0, v - 1))]] for v in range(1, n)]
+    for size, most in ((2, 3), (3, 4)):
+        if n >= size:
+            simplex = st.lists(st.sampled_from(labels), min_size=size, max_size=size, unique=True)
+            facets += draw(st.lists(simplex, max_size=most))
+    return SimplicialComplex.from_facets(facets, vertices=labels)
+
+
+def flagified_torus():
+    return flagify_presentation_complex(GroupPresentationInput(2, [[1, 2, -1, -2]]))
+
+
+def check_against_references(base):
+    assignments = double_cover_voltages(base)
+    assert assignments == reference_double_cover_voltages(base)
+    assert [dump_voltage(v) for v in assignments] == [
+        dump_voltage(v) for v in reference_double_cover_voltages(base)
+    ]
+    for v in [VoltageAssignment(base, 1)] + assignments:
+        cover = build_cover(v)
+        if cover.total.is_connected():
+            assert normal_generators(cover) == reference_normal_generators(cover)
+
+
+class TestSharedSpanningTree:
+    @settings(max_examples=150)
+    @given(connected_2_complexes())
+    def test_covers_match_the_separately_walked_tree(self, K):
+        assume(len(K.edges()) - len(K.vertices) + 1 <= 8)  # at most 2^8 - 1 double covers
+        assert spanning_tree(K) == reference_tree(K)
+        check_against_references(K)
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_subdivided_rp2_matches(self, rounds):
+        K = SimplicialComplex.from_facets(RP2_FACETS)
+        for _ in range(rounds):
+            K = barycentric_subdivision(K)
+        check_against_references(K)
+
+    def test_flagified_torus_matches(self):
+        K = flagified_torus()
+        assert len(double_cover_voltages(K)) == 3  # Hom(Z^2, Z/2) minus the trivial map
+        check_against_references(K)
+
+    def test_spanning_tree_is_an_immutable_set(self):
+        K = cycle_complex(5)
+        tree = spanning_tree(K)
+        assert isinstance(tree, frozenset)
+        with pytest.raises(AttributeError):
+            tree.add((0, 2))
+        with pytest.raises(TypeError):
+            _tree_parents(K)[0] = 1
+
+    def test_tree_is_walked_once_and_read_everywhere(self):
+        # Planting a different spanning tree of the square in the cache shows that
+        # every consumer reads it there instead of walking the 1-skeleton again.
+        K = cycle_complex(4)
+        assert dict(_tree_parents(K)) == {0: None, 1: 0, 3: 0, 2: 1}
+        assert _tree_parents(K) is _tree_parents(K)
+        K._cache["tree"] = MappingProxyType({0: None, 1: 0, 2: 1, 3: 2})
+        assert spanning_tree(K) == {(0, 1), (1, 2), (2, 3)}
+        assert SpanningTreeWords(K).nontree == [(0, 3)]
+        (double,) = double_cover_voltages(K)
+        assert double.spanning_tree == spanning_tree(K)
+        assert double.nontree_voltages() == {(0, 3): (1, 0)}
+        with pytest.raises(CoverError, match="tree edge"):
+            VoltageAssignment(K, 2, {(2, 3): (1, 0)})
+
+        cover = build_cover(VoltageAssignment(cycle_complex(4), 1))
+        assert normal_generators(cover) == [[0, 1, 2, 3, 0]]
+        cover = build_cover(VoltageAssignment(cycle_complex(4), 1))
+        cover.total._cache["tree"] = MappingProxyType({0: None, 1: 0, 2: 1, 3: 2})
+        assert normal_generators(cover) == [[0, 3, 2, 1, 0]]

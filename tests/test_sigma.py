@@ -6,6 +6,7 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fpforge import sigma as sigma_mod
 from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree
@@ -56,6 +57,69 @@ def c4_double_voltage():
 def orientation_voltage():
     base = barycentric_subdivision(SimplicialComplex.from_facets(RP2_FACETS))
     return double_cover_voltages(base)[0]
+
+
+def capped_min_disagreement_height(a, b):
+    """Oracle: the type scan as it was with a cap, which no representative below reaches here."""
+    explicit = {0}
+    for s in (a, b):
+        explicit.update(s.exceptions)
+        if s.power_rule:
+            explicit.update(s.power_rule.heights().values())
+        if s.prime_rule:
+            explicit.update(s.prime_rule.members.keys())
+    best = min((abs(n) for n in explicit if a.value(n) != b.value(n)), default=math.inf)
+    period = 1
+    for s in (a, b):
+        for tail in (s.positive_tail, s.negative_tail):
+            if tail:
+                period = math.lcm(period, tail.period())
+    cap = 10_000 * period + 10_000
+    for sign in (1, -1):
+        for residue in range(period):
+            for prime_above_2 in ((False,) if sign < 0 else (False, True)):
+                va = sigma_mod._generic_value(a, sign, residue, prime_above_2)
+                vb = sigma_mod._generic_value(b, sign, residue, prime_above_2)
+                if va == vb:
+                    continue
+                magnitude = residue if residue else period
+                while magnitude <= cap:
+                    n = sign * magnitude
+                    if n not in explicit and (n > 2 and sigma_mod._is_prime(n)) == prime_above_2:
+                        best = min(best, magnitude)
+                        break
+                    magnitude += period
+    return best
+
+
+def linear_choose_constants(d, r_bounds, m):
+    """Oracle: try C = previous + 1, previous + 2, ... against the conditions written out."""
+    r = list(r_bounds) + [0] * (m + 1)
+    out = []
+    for n in range(1, m + 1):
+        C = out[-1] + 1 if out else 1
+        while not (2 * C * C > (d + 1) * max(r[n - 1], r[n], 3 if n == 1 else 0) ** 2):
+            C += 1
+        out.append(C)
+    return tuple(out)
+
+@st.composite
+def sigma_specs(draw, registry):
+    """Specs over the example ids: periodic tails, a prime rule, or a short power tower, with exceptions."""
+    ids = st.sampled_from(["Lsl", "Luniv"])  # two ids, so that specs often agree on whole classes
+    exceptions = draw(st.dictionaries(st.integers(-30, 30), ids, max_size=2))
+    kind = draw(st.sampled_from(["tails", "prime", "tower"]))
+    if kind == "prime":
+        members = draw(st.dictionaries(st.sampled_from([3, 5, 7]), st.sampled_from(["Lp3", "Lp5", "Lp7"])))
+        rule = PrimeCongruenceRule(members, draw(ids), family_id=draw(st.sampled_from(["Lp", "Lq"])))
+        return SigmaSpec(registry, "Luniv", exceptions, prime_rule=rule)
+    negative = Tail.recurrent(draw(st.lists(ids, min_size=1, max_size=3)))
+    if kind == "tower":
+        fset = draw(st.lists(st.integers(1, 2), max_size=2))
+        tower = sigma_power_tower(fset, choose_constants(2, None, 3), registry, [3, 5], member_ids=MEMBERS)
+        return SigmaSpec(registry, "Luniv", exceptions, negative_tail=negative, power_rule=tower.power_rule)
+    positive = Tail.recurrent(draw(st.lists(ids, min_size=1, max_size=4)))
+    return SigmaSpec(registry, "Luniv", exceptions, positive_tail=positive, negative_tail=negative)
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +419,13 @@ class TestChooseConstants:
         # alpha = 1: condition C > 3
         assert choose_constants(1, None, 1) == (4,)
 
+    @given(d=st.integers(1, 6), r=st.lists(st.integers(0, 3000), max_size=6), m=st.integers(1, 4))
+    def test_matches_the_linear_search(self, d, r, m):
+        assert choose_constants(d, r, m) == linear_choose_constants(d, r, m)
+
+    def test_large_bounds_are_found_without_a_linear_walk(self):
+        assert choose_constants(2, [0, 10**30], 1) == (1224744871391589049098642037353,)
+
 
 class TestPowerTower:
     def test_heights_and_assignments(self, registry):
@@ -434,6 +505,26 @@ class TestDisagreementHeight:
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20)
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) == 10**18 + 9
+
+    def test_prime_rule_against_periodic_tail_tests_few_primes(self, registry, monkeypatch):
+        # A scan capped at 10_000 * period + 10_000 made 46_676 primality tests here,
+        # walking to the cap in the classes 0, 2, 3 and 4 mod 6, whose only primes are 2 and 3.
+        calls = []
+        is_prime = sigma_mod._is_prime
+        monkeypatch.setattr(sigma_mod, "_is_prime", lambda n: calls.append(n) or is_prime(n))
+        a = SigmaSpec(registry, "L", prime_rule=PrimeCongruenceRule({3: "Lp3"}, "Luniv"))
+        tail = Tail.recurrent(["L", "Lsl", "Luniv", "L", "Lsl", "Luniv"])
+        b = SigmaSpec(registry, "Luniv", positive_tail=tail, negative_tail=Tail.constant("Luniv"))
+        assert min_disagreement_height(a, b) == capped_min_disagreement_height(a, b) == 1
+        calls.clear()
+        min_disagreement_height(a, b)
+        assert len(calls) <= 20, len(calls)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_matches_the_capped_scan(self, registry, data):
+        a, b = data.draw(sigma_specs(registry)), data.draw(sigma_specs(registry))
+        assert min_disagreement_height(a, b) == capped_min_disagreement_height(a, b)
 
     def test_different_registries_rejected(self, registry):
         other = example_registry()

@@ -454,6 +454,21 @@ class TestSeparationRatioCheck:
         assert not result.ok
         assert any("C_2 > C_1" in f for f in result.failures)
 
+    def test_failure_messages_and_their_order(self):
+        result = separation_ratio_check((3, 2, 2), [5, 0, 9], 2)
+        assert result.failures == (
+            "condition C_1*alpha > 3 fails",
+            "condition C_1*alpha > r at position 0 fails",
+            "condition C_2*alpha > r at position 2 fails",
+            "condition C_2 > C_1 fails",
+            "condition C_3*alpha > r at position 2 fails",
+            "condition C_3 > C_2 fails",
+            "interval gap (1, 1): constants do not increase",
+            "interval gap (1, 2): constants do not increase",
+            "interval gap (2, 1): constants do not increase",
+            "interval gap (2, 1): final ratio step fails",
+        )
+
     def test_reported_bound_is_min_over_positions(self):
         constants = choose_constants(2, None, 3)
         result = separation_ratio_check(constants, [0, 0, 0, 0], 2)
