@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .complex_core import (
+    ComplexError,
     FormatError,
     SimplicialComplex,
     _json_field,
@@ -29,7 +30,6 @@ from .complex_core import (
     _read_json,
     _require_valid,
     _tree_parents,
-    closed_star,
     spanning_tree,
 )
 from .groups import SpanningTreeWords
@@ -56,6 +56,14 @@ def perm_compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(q[p[i]] for i in range(len(p)))
 
 
+def _connected_tree(K: SimplicialComplex, message: str) -> Mapping[int, int | None]:
+    """The cached canonical tree of ``K``, whose walk proves it connected; else CoverError(message)."""
+    try:
+        return _tree_parents(K)
+    except ComplexError:
+        raise CoverError(message) from None
+
+
 def _check_perm(p: Sequence[int], d: int) -> tuple[int, ...]:
     t = tuple(int(x) for x in p)
     if sorted(t) != list(range(d)):
@@ -80,8 +88,10 @@ class VoltageAssignment:
         voltages: Mapping[tuple[int, int], Sequence[int]] | None = None,
     ):
         _require_valid(base)
-        if not base.is_connected() or not base.vertices:
-            raise CoverError("voltage base must be connected and nonempty")
+        message = "voltage base must be connected and nonempty"
+        if not base.vertices:
+            raise CoverError(message)
+        _connected_tree(base, message)
         if degree < 1:
             raise CoverError("cover degree must be positive")
         self.base = base
@@ -249,27 +259,37 @@ def build_cover(v: VoltageAssignment) -> CoverComplex:
 
 
 def verify_covering(c: CoverComplex) -> bool:
-    """Check the star condition: the projection restricts to an isomorphism
-    from each closed star onto the closed star of the image vertex."""
+    """Check the star condition: the projection p maps the closed star of
+    each total vertex t isomorphically onto the closed star of p(t).
+
+    No star is built.  On valid complexes this holds at t exactly when
+    (a) the step table sends the neighbours of t one-to-one onto those of p(t),
+    (b) t lies in as many simplices as p(t), and
+    (c) every total simplex of dimension >= 2 projects to a stored base simplex.
+    No vertex has more step-table entries than neighbours or, given (a) and
+    (c), more simplices than p(t), so the one-to-one part of (a) and all of
+    (b) are checked as two totals.
+    """
     if not c.total.vertices:
         return False
     if set(c.projection.values()) != set(c.base.vertices):
         return False
-    base_stars = {v: closed_star(c.base, v) for v in c.base.vertices}
-    for t in c.total.vertices:
-        st_t = closed_star(c.total, t)
-        st_v = base_stars[c.projection[t]]
-        if len(st_t) != len(st_v):
-            return False
-        image = set()
-        for s in st_t:
-            proj = tuple(sorted({c.projection[x] for x in s}))
-            if len(proj) != len(s):
-                return False
-            image.add(proj)
-        if image != st_v:
-            return False
-    return True
+    _require_valid(c.base)
+    _require_valid(c.total)
+    projection = c.projection
+    step = _total_adjacency(c)
+    base_adj = c.base.adjacency()
+    if any(nbrs.keys() != base_adj[projection[t]] for t, nbrs in step.items()):
+        return False
+    if sum(map(len, step.values())) != 2 * len(c.total.edges()):
+        return False
+    base_cofaces = c.base.cofaces()
+    if sum(map(len, c.total.simplices)) != sum(len(base_cofaces[projection[t]]) for t in step):
+        return False
+    base_simplices = c.base.simplices
+    return all(
+        tuple(sorted([projection[x] for x in s])) in base_simplices for s in c.total.simplices if len(s) > 2
+    )
 
 
 def double_of_cover(L: SimplicialComplex, c: CoverComplex) -> CoverComplex:
@@ -293,7 +313,12 @@ def double_of_cover(L: SimplicialComplex, c: CoverComplex) -> CoverComplex:
 
 
 def _total_adjacency(c: CoverComplex) -> dict[int, dict[int, int]]:
-    """total vertex -> {base neighbor: total neighbor} (valid under the star condition)."""
+    """Total vertex -> {base neighbour: total neighbour}, built once per cover.
+
+    It is read on unverified covers too: two neighbours of t over the same base
+    vertex leave one entry, a collision that :func:`verify_covering` catches by
+    counting entries against the edges of the total space.
+    """
     if "step" not in c._cache:
         step: dict[int, dict[int, int]] = {t: {} for t in c.total.vertices}
         for u, w in c.total.edges():
@@ -307,26 +332,29 @@ def lift_loop(c: CoverComplex, loop: Sequence[int], start_sheet: int) -> tuple[b
     """Trace a based loop of the base through the cover from a start sheet.
 
     Returns (closed, end_sheet).  The end sheet equals the image of the start
-    sheet under the product of edge voltages along the loop.
+    sheet under the product of edge voltages along the loop.  One pass checks
+    each step against the base and lifts it, so a non-edge is reported before
+    a bad start sheet, and both before a broken lift.
     """
     loop = list(loop)
     if len(loop) < 1 or loop[0] != loop[-1]:
         raise CoverError("loop must be a closed vertex path (first = last)")
     adj = c.base.adjacency()
-    if loop[0] not in adj:
-        raise CoverError(f"{loop[0]} is not a vertex of the base")
-    for u, w in zip(loop, loop[1:]):
+    u = loop[0]
+    if u not in adj:
+        raise CoverError(f"{u} is not a vertex of the base")
+    step = _total_adjacency(c)
+    t = start = c.fibers()[u].get(start_sheet)
+    for w in loop[1:]:
         if w not in adj[u]:
             raise CoverError(f"({u}, {w}) is not an edge of the base")
-    fibers = c.fibers()
-    if start_sheet not in fibers[loop[0]]:
+        if t is not None:
+            t = step[t].get(w)
+        u = w
+    if start is None:
         raise CoverError(f"sheet {start_sheet} out of range over vertex {loop[0]}")
-    step = _total_adjacency(c)
-    t = fibers[loop[0]][start_sheet]
-    for w in loop[1:]:
-        t = step[t].get(w)
-        if t is None:
-            raise CoverError("lift broke: not a covering complex")
+    if t is None:
+        raise CoverError("lift broke: not a covering complex")
     end = c.sheet[t]
     return end == start_sheet, end
 
@@ -357,8 +385,7 @@ def deck_group(c: CoverComplex) -> tuple[bool, list[tuple[int, ...]] | None]:
     are analyzed by extending each fiber point over the basepoint to a
     projection-commuting automorphism (unique lifting).
     """
-    if not c.total.is_connected():
-        raise CoverError("deck group requires a connected cover")
+    _connected_tree(c.total, "deck group requires a connected cover")
     if c.assignment is not None:
         group = _voltage_group(c.assignment)
         d = c.assignment.degree
@@ -428,9 +455,7 @@ def normal_generators(c: CoverComplex) -> list[list[int]]:
     tree, across the edge, back down, then projected to the base.  The result
     normally generates the image subgroup of the projection.
     """
-    if not c.total.is_connected():
-        raise CoverError("normal generators require a connected cover")
-    parent = _tree_parents(c.total)
+    parent = _connected_tree(c.total, "normal generators require a connected cover")
 
     def path_to_root(x: int) -> list[int]:
         path = [x]

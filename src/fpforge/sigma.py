@@ -25,7 +25,8 @@ from types import NoneType
 from typing import Mapping, Sequence
 
 from .complex_core import (
-    FormatError, _json_field, _json_items, _json_list, _json_object, _json_text, _json_value, _read_json,
+    ComplexError, FormatError, _json_field, _json_items, _json_list, _json_object, _json_text, _json_value, _read_json,
+    _tree_parents,
 )
 from .covers import CoverComplex, VoltageAssignment, build_cover, normal_generators
 from .groups import SpanningTreeWords, coset_enumerate
@@ -816,8 +817,10 @@ def normal_generating_length_bound(c: CoverComplex, budget: int = 4000) -> int:
     completes at index one); otherwise the longest loop produced by the
     spanning-tree generators.  Always an upper bound for the true minimum.
     """
-    if not c.total.is_connected():
-        raise SigmaError("the bound needs a connected cover")
+    try:
+        _tree_parents(c.total)  # cached for SpanningTreeWords; its walk proves connectivity
+    except ComplexError:
+        raise SigmaError("the bound needs a connected cover") from None
     presentation = SpanningTreeWords(c.total).presentation()
     if coset_enumerate(presentation, (), budget) == 1:
         return 0

@@ -4,12 +4,15 @@ from types import MappingProxyType
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fpforge import complex_core, covers
 from fpforge.complex_core import (
+    ComplexError,
     FormatError,
     GroupPresentationInput,
     SimplicialComplex,
     _tree_parents,
     barycentric_subdivision,
+    closed_star,
     flagify_presentation_complex,
     spanning_tree,
 )
@@ -30,6 +33,7 @@ from fpforge.covers import (
 )
 from fpforge.groups import SpanningTreeWords
 from fpforge.homology import RingSpec, reduced_homology
+from fpforge.sigma import SigmaError, normal_generating_length_bound
 from fpforge.spherical_double import spherical_double
 
 from helpers import RP2_FACETS
@@ -44,6 +48,12 @@ def c4_double_cover():
     nontree = [e for e in base.edges() if e not in spanning_tree(base)]
     assert nontree == [(2, 3)]
     return build_cover(VoltageAssignment(base, 2, {(2, 3): (1, 0)}))
+
+
+def broken_square_cover():
+    """A hand-made cover of the square whose total space lacks the edge over (3, 0)."""
+    total = SimplicialComplex.from_facets([[0, 1], [1, 2], [2, 3]])
+    return CoverComplex(total, cycle_complex(4), {t: t for t in range(4)}, {t: 0 for t in range(4)})
 
 
 def subdivided_rp2():
@@ -290,17 +300,49 @@ class TestLiftLoop:
                     assert closed == (perm[s] == s)
 
     def test_open_path_rejected(self):
-        with pytest.raises(CoverError):
+        with pytest.raises(CoverError, match=r"^loop must be a closed vertex path \(first = last\)$"):
             lift_loop(c4_double_cover(), [0, 1, 2], 0)
 
+    @pytest.mark.parametrize("loop", [[], (v for v in [0, 1])])
+    def test_empty_or_open_iterable_rejected(self, loop):
+        with pytest.raises(CoverError, match=r"^loop must be a closed vertex path \(first = last\)$"):
+            lift_loop(c4_double_cover(), loop, 0)
+
     def test_bad_sheet_rejected(self):
-        with pytest.raises(CoverError):
+        with pytest.raises(CoverError, match=r"^sheet 7 out of range over vertex 0$"):
             lift_loop(c4_double_cover(), [0, 1, 0], 7)
 
-    @pytest.mark.parametrize("loop", [[9], [9, 0, 9], [0, 9, 0], [0, 2, 0], [0, 0]])
+    @pytest.mark.parametrize("loop", [[9], [9, 0, 9], [0, 9, 0], [0, 2, 0], [0, 0], [0, 1, 2, 0]])
     def test_unknown_vertex_or_non_edge_rejected(self, loop):
-        with pytest.raises(CoverError):
+        expected = {
+            (9,): "9 is not a vertex of the base",
+            (9, 0, 9): "9 is not a vertex of the base",
+            (0, 9, 0): "(0, 9) is not an edge of the base",
+            (0, 2, 0): "(0, 2) is not an edge of the base",
+            (0, 0): "(0, 0) is not an edge of the base",
+            (0, 1, 2, 0): "(2, 0) is not an edge of the base",
+        }
+        with pytest.raises(CoverError) as info:
             lift_loop(c4_double_cover(), loop, 0)
+        assert str(info.value) == expected[tuple(loop)]
+
+    def test_lift_breaks_on_a_total_without_the_edge(self):
+        cover = broken_square_cover()
+        assert lift_loop(cover, [0, 1, 2, 1, 0], 0) == (True, 0)
+        with pytest.raises(CoverError, match=r"^lift broke: not a covering complex$"):
+            lift_loop(cover, [0, 1, 2, 3, 0], 0)
+
+    def test_non_edge_is_reported_before_a_bad_sheet(self):
+        with pytest.raises(CoverError, match=r"^\(0, 2\) is not an edge of the base$"):
+            lift_loop(c4_double_cover(), [0, 1, 0, 2, 3, 0], 7)
+
+    def test_non_edge_is_reported_before_a_broken_lift(self):
+        with pytest.raises(CoverError, match=r"^\(0, 2\) is not an edge of the base$"):
+            lift_loop(broken_square_cover(), [0, 1, 2, 3, 0, 2, 3, 0], 0)
+
+    def test_bad_sheet_is_reported_before_a_broken_lift(self):
+        with pytest.raises(CoverError, match=r"^sheet 1 out of range over vertex 0$"):
+            lift_loop(broken_square_cover(), [0, 1, 2, 3, 0], 1)
 
 
 class TestDeckGroup:
@@ -326,7 +368,7 @@ class TestDeckGroup:
 
     def test_disconnected_rejected(self):
         cover = build_cover(VoltageAssignment(cycle_complex(4), 2))
-        with pytest.raises(CoverError):
+        with pytest.raises(CoverError, match=r"^deck group requires a connected cover$"):
             deck_group(cover)
 
 
@@ -522,3 +564,193 @@ class TestSharedSpanningTree:
         cover = build_cover(VoltageAssignment(cycle_complex(4), 1))
         cover.total._cache["tree"] = MappingProxyType({0: None, 1: 0, 2: 1, 3: 2})
         assert normal_generators(cover) == [[0, 3, 2, 1, 0]]
+
+
+# ---------------------------------------------------------------------------
+# Covering checks through the step table
+#
+# Reference scan: the closed-star body of verify_covering from before the step
+# table, kept to check the star-free version.
+
+
+def scan_verify_covering(c):
+    if not c.total.vertices:
+        return False
+    if set(c.projection.values()) != set(c.base.vertices):
+        return False
+    base_stars = {v: closed_star(c.base, v) for v in c.base.vertices}
+    for t in c.total.vertices:
+        st_t = closed_star(c.total, t)
+        st_v = base_stars[c.projection[t]]
+        if len(st_t) != len(st_v):
+            return False
+        image = set()
+        for s in st_t:
+            proj = tuple(sorted({c.projection[x] for x in s}))
+            if len(proj) != len(s):
+                return False
+            image.add(proj)
+        if image != st_v:
+            return False
+    return True
+
+
+def verdict(check, c):
+    """The check's answer, or the type of the exception it raised."""
+    try:
+        return check(c)
+    except Exception as exc:  # any type: the two checks must raise the same one
+        return type(exc)
+
+
+def random_voltage_cover(draw, base):
+    """A voltage cover of degree 1-3: random sheet permutations on the non-tree
+    edges, kept when the triangle condition holds and otherwise only on the
+    edges that lie in no triangle, where it holds for any choice."""
+    degree = draw(st.integers(1, 3))
+    nontree = SpanningTreeWords(base).nontree
+    perms = st.permutations(range(degree)).map(tuple)
+    voltages = {e: draw(perms) for e in nontree}
+    try:
+        return build_cover(VoltageAssignment(base, degree, voltages))
+    except CoverError:
+        in_triangles = {e for u, v, w in base.simplices_of_dim(2) for e in ((u, v), (v, w), (u, w))}
+        free = {e: p for e, p in voltages.items() if e not in in_triangles}
+        return build_cover(VoltageAssignment(base, degree, free))
+
+
+def perturb(choice, c):
+    """One damaged copy of a cover: two projection entries swapped or merged, a
+    facet of the total dropped or added, or a total that fails validation."""
+    kind, i, j, k = choice
+    verts = sorted(c.total.vertices)
+    a, b = verts[i % len(verts)], verts[j % len(verts)]
+    projection, total = dict(c.projection), c.total
+    if kind == "swap":
+        projection[a], projection[b] = projection[b], projection[a]
+    elif kind == "merge":
+        projection[a] = projection[b]
+    elif kind == "drop":
+        facets = total.facets()
+        del facets[k % len(facets)]
+        total = SimplicialComplex.from_facets(facets, vertices=verts)
+    elif kind == "add":
+        third = verts[k % len(verts)]
+        total = SimplicialComplex.from_facets(total.facets() + [[a, b, third]], vertices=verts)
+    elif kind == "invalid":
+        simplices = set(total.simplices)
+        edges = sorted(s for s in simplices if len(s) == 2)
+        if edges and k % 2:
+            simplices.discard(edges[k % len(edges)])  # a face goes missing
+        else:
+            simplices.discard((a,))  # a vertex without its 0-simplex
+        total = SimplicialComplex(total.vertices, simplices)
+    return CoverComplex(total, c.base, projection, c.sheet)
+
+
+PERTURBATIONS = ("none", "swap", "merge", "drop", "add", "invalid")
+
+
+@st.composite
+def perturbed_covers(draw):
+    c = random_voltage_cover(draw, draw(connected_2_complexes()))
+    choice = (draw(st.sampled_from(PERTURBATIONS)),) + tuple(draw(st.integers(0, 99)) for _ in range(3))
+    return perturb(choice, c)
+
+
+class TestVerifyCoveringMatchesStarScan:
+    @settings(max_examples=300)
+    @given(perturbed_covers())
+    def test_random_and_damaged_covers(self, c):
+        assert verdict(verify_covering, c) == verdict(scan_verify_covering, c)
+
+    def test_damaged_orientation_covers(self):
+        # 600 damaged copies of the sd^1 RP^2 orientation cover, many of each
+        # verdict, so the comparison above is not carried by one answer.
+        cover = orientation_cover()
+        rng = random.Random(8)
+        seen = {}
+        for _ in range(600):
+            choice = (rng.choice(PERTURBATIONS),) + tuple(rng.randrange(1000) for _ in range(3))
+            c = perturb(choice, cover)
+            got = verdict(verify_covering, c)
+            assert got == verdict(scan_verify_covering, c), choice
+            seen[got] = seen.get(got, 0) + 1
+        assert min(seen[True], seen[False], seen[ComplexError]) >= 50, seen
+
+    @pytest.mark.parametrize(
+        "total_facets, base_facets, projection",
+        [
+            # K5's edges with the pentagram's triangles over K5's edges with the pentagon's:
+            # every vertex keeps its neighbours and its simplex count, no star maps onto its image.
+            (
+                [[1, 2, 4], [2, 3, 5], [1, 3, 4], [2, 4, 5], [1, 3, 5]],
+                [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5], [1, 2, 5]],
+                {v: v for v in range(1, 6)},
+            ),
+            # A hollow triangle over a filled one, with four neighbours of its third vertex
+            # over one base vertex: the three missing triangle incidences balance the three
+            # extra edges, so only counting neighbours against edges rejects it.
+            (
+                [[0, 1], [1, 2], [0, 2], [2, 3], [2, 4], [2, 5], [2, 6]],
+                [[0, 1, 2], [2, 3]],
+                {0: 0, 1: 1, 2: 2, 3: 3, 4: 3, 5: 3, 6: 3},
+            ),
+        ],
+    )
+    def test_totals_that_balance_across_vertices(self, total_facets, base_facets, projection):
+        total, base = SimplicialComplex.from_facets(total_facets), SimplicialComplex.from_facets(base_facets)
+        c = CoverComplex(total, base, projection, dict.fromkeys(projection, 0))
+        assert scan_verify_covering(c) is False
+        assert verify_covering(c) is False
+
+    def test_checks_run_in_order(self):
+        # Empty total, then surjectivity, then the base's validity, then the total's.
+        cover = c4_double_cover()
+        base = SimplicialComplex(cover.base.vertices, set(cover.base.simplices) - {(0,)})
+        total = SimplicialComplex(cover.total.vertices | {99}, cover.total.simplices)
+        projection = cover.projection | {99: 0}
+        cases = [
+            (CoverComplex(SimplicialComplex((), ()), base, {}, {}), False),
+            (CoverComplex(total, base, projection | {0: 1, 1: 1, 99: 1}, cover.sheet), False),
+            (CoverComplex(total, base, projection, cover.sheet), r"missing face \[0\] of simplex \[0, 1\]"),
+            (CoverComplex(total, cover.base, projection, cover.sheet), r"vertex 99 has no 0-simplex"),
+        ]
+        for c, expected in cases:
+            for check in (verify_covering, scan_verify_covering):
+                if expected is False:
+                    assert check(c) is False
+                else:
+                    with pytest.raises(ComplexError, match=expected):
+                        check(c)
+
+    def test_no_closed_star_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify_covering built a closed star")
+
+        monkeypatch.setattr(complex_core, "closed_star", refuse)
+        monkeypatch.setattr(covers, "closed_star", refuse, raising=False)
+        base = subdivided_rp2()
+        (voltage,) = double_cover_voltages(barycentric_subdivision(base))
+        assert verify_covering(build_cover(voltage))
+
+
+class TestConnectivityFromTheTree:
+    def test_disconnected_base_rejected(self):
+        base = SimplicialComplex.from_facets([[0, 1], [2, 3]])
+        with pytest.raises(CoverError, match=r"^voltage base must be connected and nonempty$"):
+            VoltageAssignment(base, 2)
+        with pytest.raises(CoverError, match=r"^voltage base must be connected and nonempty$"):
+            VoltageAssignment(SimplicialComplex((), ()), 2)
+
+    def test_disconnected_base_is_reported_before_a_bad_degree(self):
+        base = SimplicialComplex.from_facets([[0, 1], [2, 3]])
+        with pytest.raises(CoverError, match="connected"):
+            VoltageAssignment(base, 0)
+
+    def test_disconnected_cover_rejected(self):
+        cover = build_cover(VoltageAssignment(cycle_complex(4), 2))
+        with pytest.raises(CoverError, match=r"^normal generators require a connected cover$"):
+            normal_generators(cover)
+        with pytest.raises(SigmaError, match=r"^the bound needs a connected cover$"):
+            normal_generating_length_bound(cover)
