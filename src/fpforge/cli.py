@@ -16,7 +16,7 @@ import tempfile
 from . import complex_core, covers, groups, homology, sigma as sigma_mod, spectrum as spectrum_mod
 from .complex_core import _json_field, _json_int_arrays, _json_list, _json_object, _json_text, _read_json
 from .homology import RingSpec
-from .sigma import example_registry
+from .sigma import BASE_ID, FAMILY_ID, SL_ID, example_registry
 from .spherical_double import spherical_double
 
 COMPLEX_FORMAT = 'complex JSON: {"vertices": [0, 1, 2], "facets": [[0, 1, 2]]}'
@@ -150,7 +150,7 @@ def _cmd_sigma(args) -> int:
         return 0
 
     registry = sigma_mod.load_registry(args.registry) if args.registry else example_registry()
-    member_ids = {p: f"Lp{p}" for p in (3, 5, 7) if f"Lp{p}" in registry}
+    member_ids = {p: f"{FAMILY_ID}{p}" for p in (3, 5, 7) if f"{FAMILY_ID}{p}" in registry}
     if args.builder == "field-example":
         spec = sigma_mod.sigma_field_example(registry, member_ids=member_ids)
     elif args.builder == "prime-set":
@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presentation", required=True, help="full tagged presentation JSON path")
     p.add_argument("--retain", help="comma-separated relator indices to retain")
     p.add_argument("--registry", help="registry JSON path")
-    p.add_argument("--base-id", default="L")
-    p.add_argument("--cover-id", default="Lsl")
+    p.add_argument("--base-id", default=BASE_ID)
+    p.add_argument("--cover-id", default=SL_ID)
     p.add_argument("--out", help="subpresentation JSON path")
     p.add_argument("--sigma-out", help="induced sigma specification JSON path")
     p.set_defaults(func=_cmd_subpres)

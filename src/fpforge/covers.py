@@ -272,7 +272,7 @@ def verify_covering(c: CoverComplex) -> bool:
     """
     if not c.total.vertices:
         return False
-    if set(c.projection.values()) != set(c.base.vertices):
+    if {c.projection[t] for t in c.total.vertices} != set(c.base.vertices):
         return False
     _require_valid(c.base)
     _require_valid(c.total)

@@ -432,7 +432,11 @@ def abelianization(p: Presentation) -> AbelianizationResult:
     Uses the sparse elimination kernel; a positive free rank proves the
     presented group infinite.
     """
-    entries = {(i, j): v for i, row in enumerate(p.exponent_matrix()) for j, v in enumerate(row) if v}
+    entries: dict[tuple[int, int], int] = {}
+    for i, w in enumerate(p.relators):
+        for x in w.letters:
+            key = (i, abs(x) - 1)
+            entries[key] = entries.get(key, 0) + (1 if x > 0 else -1)
     factors = _sparse_invariant_factors(entries)
     return AbelianizationResult(len(p.generators) - len(factors), tuple(d for d in factors if d > 1))
 
@@ -561,10 +565,6 @@ def enumerate_table(
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if not p.generators:
-        T = _CosetTable(1, budget)
-        T.table[0] = [0, 0]  # trivial group: the phantom generator acts trivially
-        return T, 1
     relators = [_encode(w) for w in cyclic_relators(p.relators)]
     subs = [_encode(w) for w in subgroup_generators if w.letters]
     T = _CosetTable(len(p.generators), budget)

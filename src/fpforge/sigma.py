@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from itertools import count
 from math import isqrt
 from types import NoneType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .complex_core import (
     ComplexError, FormatError, _json_field, _json_items, _json_list, _json_object, _json_text, _json_value, _read_json,
-    _tree_parents,
+    SimplicialComplex, _tree_parents,
 )
 from .covers import CoverComplex, VoltageAssignment, build_cover, normal_generators
 from .groups import SpanningTreeWords, coset_enumerate
@@ -49,6 +49,18 @@ class MissingCertificateError(SigmaError):
 
 # ---------------------------------------------------------------------------
 # Registry
+
+# Entry ids of the example registry: the base, its index-two cover with perfect
+# fundamental group, the perfect alternative base, the universal cover, and the
+# prefix of the congruence-family members (member p is FAMILY_ID + str(p)).
+BASE_ID = "L"
+SL_ID = "Lsl"
+PERFECT_ID = "Lperf"
+UNIVERSAL_ID = "Luniv"
+FAMILY_ID = "Lp"
+
+# Coset rows granted to each simple-connectivity check.
+SIMPLE_CONNECTIVITY_BUDGET = 4000
 
 
 @dataclass(frozen=True, eq=True)
@@ -165,19 +177,18 @@ def materialize(entry: CoverRegistryEntry) -> CoverComplex:
     return build_cover(entry.voltage)
 
 
-def constructed_entry(
-    id: str,
-    voltage: VoltageAssignment,
-    *,
-    quotient_is_finite: bool = True,
-    note: str = "",
-    simple_connectivity_budget: int = 4000,
-) -> CoverRegistryEntry:
+def _simply_connected(K: SimplicialComplex) -> bool:
+    """True when coset enumeration of the edge-path group completes at index one."""
+    return coset_enumerate(SpanningTreeWords(K).presentation(), (), SIMPLE_CONNECTIVITY_BUDGET) == 1
+
+
+def constructed_entry(id: str, voltage: VoltageAssignment, *, note: str = "") -> CoverRegistryEntry:
     """Build a cover, compute its integral certificate, and wrap it as an entry.
 
     Simple connectivity is certified by coset enumeration when it completes at
     index one; a nonzero first homology certifies the negative; otherwise the
-    field is left undetermined.
+    field is left undetermined.  The deck quotient of a finite-degree cover is
+    finite.
     """
     cover = build_cover(voltage)
     summary = reduced_homology(cover.total, RingSpec.Z())
@@ -185,8 +196,7 @@ def constructed_entry(
     if not summary.is_trivial_in(1):
         simply_connected = False
     else:
-        index = coset_enumerate(SpanningTreeWords(cover.total).presentation(), (), simple_connectivity_budget)
-        simply_connected = True if index == 1 else None
+        simply_connected = True if _simply_connected(cover.total) else None
     return CoverRegistryEntry(
         id=id,
         kind="constructed",
@@ -194,7 +204,7 @@ def constructed_entry(
         homology={"Z": summary},
         certified_up_to="all",
         simply_connected=simply_connected,
-        quotient_is_finite=quotient_is_finite,
+        quotient_is_finite=True,
         note=note,
         voltage=voltage,
     )
@@ -369,7 +379,7 @@ class PrimeCongruenceRule:
 
     members: Mapping[int, str]
     default: str
-    family_id: str = "Lp"
+    family_id: str = FAMILY_ID
     torsion_degree: int = 1
     torsion_multiplicity: int = 1
     certified_up_to: int = 2
@@ -407,7 +417,7 @@ class PrimeCongruenceRule:
         return cls(
             _json_id_pairs(data.get("members", []), f"{path}.members"),
             _json_field(data, "default", path, str),
-            _json_field(data, "family_id", path, str, default="Lp"),
+            _json_field(data, "family_id", path, str, default=FAMILY_ID),
             _json_field(data, "torsion_degree", path, int, default=1),
             _json_field(data, "torsion_multiplicity", path, int, default=1),
             _json_field(data, "certified_up_to", path, int, default=2),
@@ -459,17 +469,10 @@ class SigmaSpec:
                 raise SigmaError(f"referenced entry {eid!r} is not in the registry")
 
     def _referenced_ids(self) -> set[str]:
-        out = {self.base_id}
-        out.update(self.exceptions.values())
-        for tail in (self.positive_tail, self.negative_tail):
-            if tail:
-                out.update(tail.ids)
+        out = self.recurrent_ids() | {self.base_id} | set(self.exceptions.values())
         if self.power_rule:
-            out.add(self.power_rule.default)
             out.update(self.power_rule.assignments.values())
-            out.update(self.power_rule.recurrent)
         if self.prime_rule:
-            out.add(self.prime_rule.default)
             out.update(self.prime_rule.members.values())
         return out
 
@@ -559,13 +562,12 @@ class FpVerdict:
         }
 
 
-def _check_fp_hypothesis(s: SigmaSpec) -> None:
+def _check_quotients(s: SigmaSpec, certified: Callable[[CoverRegistryEntry], bool], missing: str) -> None:
+    """Refuse the first referenced entry whose deck quotient is neither finite nor ``certified``."""
     for eid in sorted(s._referenced_ids()):
         entry = s.registry[eid]
-        if not (entry.quotient_is_finite or entry.quotient_fp_certified):
-            raise SigmaError(
-                f"entry {eid!r} has no finiteness certificate for its deck quotient"
-            )
+        if not (entry.quotient_is_finite or certified(entry)):
+            raise SigmaError(f"entry {eid!r} has no {missing}")
 
 
 def fp_decide(s: SigmaSpec, R: RingSpec, k: int | str) -> FpVerdict:
@@ -580,7 +582,7 @@ def fp_decide(s: SigmaSpec, R: RingSpec, k: int | str) -> FpVerdict:
         k = int(k)
         if k < 1:
             raise SigmaError("k must be at least 1, or the string 'FP'")
-    _check_fp_hypothesis(s)
+    _check_quotients(s, lambda e: e.quotient_fp_certified, "finiteness certificate for its deck quotient")
 
     for eid in sorted(s.recurrent_ids()):
         entry = s.registry[eid]
@@ -628,10 +630,9 @@ class PresentabilityVerdict:
 
 def finitely_presented_decide(s: SigmaSpec) -> PresentabilityVerdict:
     """YES exactly when all but finitely many heights carry simply connected covers."""
-    for eid in sorted(s._referenced_ids()):
-        entry = s.registry[eid]
-        if not (entry.quotient_is_finite or entry.quotient_finitely_presented):
-            raise SigmaError(f"entry {eid!r} has no finite-presentability certificate for its quotient")
+    _check_quotients(
+        s, lambda e: e.quotient_finitely_presented, "finite-presentability certificate for its quotient"
+    )
     for eid in sorted(s.recurrent_ids()):
         entry = s.registry[eid]
         if entry.simply_connected is None:
@@ -648,35 +649,23 @@ def finitely_presented_decide(s: SigmaSpec) -> PresentabilityVerdict:
 
 
 def sigma_field_example(
-    registry: Mapping[str, CoverRegistryEntry],
-    *,
-    base_id: str = "Lperf",
-    member_ids: Mapping[int, str] | None = None,
-    family_multiplicity: int = 1,
-    family_id: str = "Lp",
+    registry: Mapping[str, CoverRegistryEntry], *, member_ids: Mapping[int, str] | None = None
 ) -> SigmaSpec:
     """Prime heights above two get the congruence-family member, all others the base.
 
     Each prime is used at exactly one height, but the family as a whole
     recurs, which is what separates the integral verdict from the field ones.
     The base must have vanishing first homology over every ring, which is why
-    the default is the perfect-fundamental-group stand-in.
+    it is the perfect-fundamental-group stand-in.
     """
-    member_ids = dict(member_ids or {})
-    rule = PrimeCongruenceRule(
-        members=member_ids,
-        default=base_id,
-        family_id=family_id,
-        torsion_degree=1,
-        torsion_multiplicity=family_multiplicity,
-    )
-    return SigmaSpec(registry, base_id, prime_rule=rule)
+    rule = PrimeCongruenceRule(members=dict(member_ids or {}), default=PERFECT_ID)
+    return SigmaSpec(registry, PERFECT_ID, prime_rule=rule)
 
 
-def _prime_member(p: int, member_ids: Mapping[int, str], base_id: str) -> str:
+def _prime_member(p: int, member_ids: Mapping[int, str]) -> str:
     """Registry id for the prime p: the supplied member, or the base at p = 2."""
     if p == 2:
-        return member_ids.get(2, base_id)
+        return member_ids.get(2, BASE_ID)
     if p not in member_ids:
         raise SigmaError(f"registry member for prime {p} not supplied")
     return member_ids[p]
@@ -686,8 +675,6 @@ def sigma_prime_set(
     S: Sequence[int],
     registry: Mapping[str, CoverRegistryEntry],
     *,
-    base_id: str = "L",
-    sl_id: str = "Lsl",
     member_ids: Mapping[int, str] | None = None,
 ) -> SigmaSpec:
     """Negative heights get the index-two cover; positive heights cycle through
@@ -701,14 +688,14 @@ def sigma_prime_set(
         if not _is_prime(p):
             raise SigmaError(f"{p} is not prime")
     if not primes:
-        positive = Tail.constant(sl_id)
+        positive = Tail.constant(SL_ID)
     else:
-        positive = Tail.recurrent([_prime_member(p, member_ids, base_id) for p in primes])
+        positive = Tail.recurrent([_prime_member(p, member_ids) for p in primes])
     return SigmaSpec(
         registry,
-        base_id,
+        BASE_ID,
         positive_tail=positive,
-        negative_tail=Tail.constant(sl_id),
+        negative_tail=Tail.constant(SL_ID),
     )
 
 
@@ -760,9 +747,6 @@ def sigma_power_tower(
     registry: Mapping[str, CoverRegistryEntry],
     primes: Sequence[int],
     *,
-    base_id: str = "L",
-    sl_id: str = "Lsl",
-    universal_id: str = "Luniv",
     member_ids: Mapping[int, str] | None = None,
 ) -> SigmaSpec:
     """Sparse spec with entries only at the tower heights.
@@ -785,24 +769,21 @@ def sigma_power_tower(
     assignments: dict[int, str] = {}
     for i in range(1, m + 1):
         if i % 2 == 1:
-            assignments[i] = _prime_member(primes[((i - 1) // 2) % len(primes)], member_ids, base_id)
+            assignments[i] = _prime_member(primes[((i - 1) // 2) % len(primes)], member_ids)
         elif i // 2 in fset:
-            assignments[i] = sl_id
+            assignments[i] = SL_ID
     rule = PowerTowerRule(
         constants=constants,
         assignments=assignments,
-        default=universal_id,
-        recurrent=tuple(sorted({_prime_member(p, member_ids, base_id) for p in primes})),
+        default=UNIVERSAL_ID,
+        recurrent=tuple(sorted({_prime_member(p, member_ids) for p in primes})),
     )
-    heights = sorted(rule.heights().values())
-    if any(b <= a for a, b in zip(heights, heights[1:])):
-        raise SigmaError("tower heights must strictly increase")
     return SigmaSpec(
         registry,
-        base_id,
-        exceptions={0: base_id},
+        BASE_ID,
+        exceptions={0: BASE_ID},
         power_rule=rule,
-        negative_tail=Tail.constant(universal_id),
+        negative_tail=Tail.constant(UNIVERSAL_ID),
     )
 
 
@@ -810,7 +791,7 @@ def sigma_power_tower(
 # Quantities for the spectrum arguments
 
 
-def normal_generating_length_bound(c: CoverComplex, budget: int = 4000) -> int:
+def normal_generating_length_bound(c: CoverComplex) -> int:
     """Upper bound for the shortest max-length normal generating set of the cover.
 
     Zero when the total space is certifiably simply connected (enumeration
@@ -821,8 +802,7 @@ def normal_generating_length_bound(c: CoverComplex, budget: int = 4000) -> int:
         _tree_parents(c.total)  # cached for SpanningTreeWords; its walk proves connectivity
     except ComplexError:
         raise SigmaError("the bound needs a connected cover") from None
-    presentation = SpanningTreeWords(c.total).presentation()
-    if coset_enumerate(presentation, (), budget) == 1:
+    if _simply_connected(c.total):
         return 0
     loops = normal_generators(c)
     return max((len(p) - 1 for p in loops), default=0)
@@ -909,17 +889,17 @@ def min_disagreement_height(a: SigmaSpec, b: SigmaSpec) -> int | float:
     return best
 
 
-def example_registry(multiplicity: int = 1) -> dict[str, CoverRegistryEntry]:
+def example_registry() -> dict[str, CoverRegistryEntry]:
     """Desk-scale registry of declared arithmetic stand-ins.
 
     The base abelianizes to order two, its index-two cover has perfect
     fundamental group, the universal-cover entry is simply connected with a
     finitely presented deck quotient, and each congruence member carries
-    p-torsion of the given multiplicity in degree one.
+    one copy of Z/p in degree one.
     """
     entries = [
         declared_entry(
-            "L",
+            BASE_ID,
             degree=1,
             ranks=(0, 0),
             torsion=((), (2,)),
@@ -929,7 +909,7 @@ def example_registry(multiplicity: int = 1) -> dict[str, CoverRegistryEntry]:
             note="base complex; fundamental group abelianizes to order two (determinant sign)",
         ),
         declared_entry(
-            "Lsl",
+            SL_ID,
             degree=2,
             ranks=(0, 0),
             torsion=((), ()),
@@ -939,7 +919,7 @@ def example_registry(multiplicity: int = 1) -> dict[str, CoverRegistryEntry]:
             note="index-two cover with perfect fundamental group; first homology vanishes",
         ),
         declared_entry(
-            "Lperf",
+            PERFECT_ID,
             degree=1,
             ranks=(0, 0),
             torsion=((), ()),
@@ -949,7 +929,7 @@ def example_registry(multiplicity: int = 1) -> dict[str, CoverRegistryEntry]:
             note="alternative base with perfect fundamental group; first homology vanishes",
         ),
         declared_entry(
-            "Luniv",
+            UNIVERSAL_ID,
             degree="infinite",
             ranks=(0, 0),
             torsion=((), ()),
@@ -964,10 +944,10 @@ def example_registry(multiplicity: int = 1) -> dict[str, CoverRegistryEntry]:
     for p in (3, 5, 7):
         entries.append(
             declared_entry(
-                f"Lp{p}",
+                f"{FAMILY_ID}{p}",
                 degree=p**3 * (p**2 - 1) * (p**3 - 1),
                 ranks=(0, 0),
-                torsion=((), (p,) * multiplicity),
+                torsion=((), (p,)),
                 certified_up_to=2,
                 simply_connected=False,
                 quotient_is_finite=True,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpforge import sigma
 from fpforge.cli import main
 from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree
 from fpforge.covers import VoltageAssignment, dump_voltage
@@ -184,6 +185,19 @@ class TestSigmaBuilders:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["power_rule"]["constants"] == [4, 5]
+
+    def test_power_tower_at_m_31_computes_no_tower_height(self, tmp_path, monkeypatch, capsys):
+        # C_31^(2^31) has billions of digits; building and deciding read only ids and constants.
+        def refuse(constants):
+            raise RuntimeError("a tower height was computed")
+
+        monkeypatch.setattr(sigma, "_tower_heights", refuse)
+        spec = str(tmp_path / "tower.json")
+        argv = ["sigma", "--builder", "power-tower", "--f-set", "1,2", "--primes", "3", "--m", "31", "--out", spec]
+        assert main(argv) == 0
+        assert main(["decide", "--sigma", spec, "--ring", "Q", "--k", "2"]) == 0
+        assert main(["decide", "--sigma", spec, "--finitely-presented"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["FP_2(Q): YES", "finitely presented: NO (entry Lp3)"]
 
     def test_external_registry(self, tmp_path):
         reg_path = write(tmp_path / "reg.json", dump_registry(example_registry()))

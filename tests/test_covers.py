@@ -576,7 +576,7 @@ class TestSharedSpanningTree:
 def scan_verify_covering(c):
     if not c.total.vertices:
         return False
-    if set(c.projection.values()) != set(c.base.vertices):
+    if {c.projection[t] for t in c.total.vertices} != set(c.base.vertices):
         return False
     base_stars = {v: closed_star(c.base, v) for v in c.base.vertices}
     for t in c.total.vertices:
@@ -703,6 +703,15 @@ class TestVerifyCoveringMatchesStarScan:
         c = CoverComplex(total, base, projection, dict.fromkeys(projection, 0))
         assert scan_verify_covering(c) is False
         assert verify_covering(c) is False
+
+    def test_projection_entries_off_the_total_do_not_reach_the_base(self):
+        # The projection also maps ids 7 and 8, which are not total vertices: nothing lies over 2 and 3.
+        base = SimplicialComplex.from_facets([[0, 1], [2, 3]])
+        total = SimplicialComplex.from_facets([[0, 1]])
+        c = CoverComplex(total, base, {0: 0, 1: 1, 7: 2, 8: 3}, {0: 0, 1: 0})
+        assert c.fibers()[2] == c.fibers()[3] == {}
+        assert verify_covering(c) is False
+        assert scan_verify_covering(c) is False
 
     def test_checks_run_in_order(self):
         # Empty total, then surjectivity, then the base's validity, then the total's.

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpforge.complex_core import SimplicialComplex, spanning_tree
@@ -17,14 +17,16 @@ from fpforge.groups import (
     coset_enumerate,
     cyclic_relators,
     deck_group_presentation,
+    enumerate_table,
     power_spread,
     presentation_to_json,
     quotient_relators,
     raag_presentation,
     subpresentation_select,
     tagged_family_presentation,
+    trace_word,
 )
-from fpforge.homology import smith_normal_form, snf_diagonal
+from fpforge.homology import invariant_factors, smith_normal_form, snf_diagonal
 from fpforge.sigma import example_registry
 
 from helpers import matmul
@@ -169,6 +171,15 @@ class TestDeckGroupPresentation:
             deck_group_presentation(cycle_complex(4), {1: [[0, 2, 0]]})
 
 
+@st.composite
+def presentations(draw):
+    """Up to four generators and six relators of length up to eight, often with cancelling letters."""
+    n = draw(st.integers(0, 4))
+    words = st.lists(st.integers(-n, n).filter(bool), max_size=8) if n else st.just([])
+    relators = draw(st.lists(words, max_size=6))
+    return Presentation([f"x{i}" for i in range(n)], [Word(r) for r in relators])
+
+
 class TestAbelianization:
     def test_triangle_relators(self):
         p = deck_group_presentation(full_simplex(3), {})
@@ -183,6 +194,14 @@ class TestAbelianization:
         p = Presentation(["x", "y"])
         ab = abelianization(p)
         assert ab.free_rank == 2 and ab.factors == ()
+
+    @settings(max_examples=300)
+    @given(presentations())
+    def test_exponent_sums_match_the_dense_smith_form(self, p):
+        factors = invariant_factors(p.exponent_matrix())
+        ab = abelianization(p)
+        assert ab.free_rank == len(p.generators) - len(factors)
+        assert ab.factors == tuple(d for d in factors if d > 1)
 
 
 KNOWN_GROUPS = [
@@ -215,6 +234,11 @@ class TestCosetEnumeration:
     def test_trivial_presentation(self):
         p = Presentation(["x"], [Word([1])])
         assert coset_enumerate(p, (), 100) == 1
+
+    def test_no_generators(self):
+        # The width-0 table is already the complete coset table of the trivial group.
+        table, rows = enumerate_table(Presentation([]), (), 10)
+        assert (table.index(), trace_word(table, Word([])), rows) == (1, 0, 1)
 
     def test_deterministic(self):
         p = Presentation(["a", "b"], [Word([1, 1]), Word([2, 2, 2]), Word([1, 2] * 3)])

@@ -551,6 +551,12 @@ class TestBounds:
         degree1 = build_cover(VoltageAssignment(cycle_complex(4), 1))
         assert normal_generating_length_bound(degree1) == 4
 
+    def test_degree_one_cover_of_a_path(self):
+        # A tree's edge-path group has no generators: its coset table is complete at index one.
+        path = VoltageAssignment(SimplicialComplex.from_facets([[0, 1], [1, 2]]), 1)
+        assert normal_generating_length_bound(build_cover(path)) == 0
+        assert constructed_entry("path", path).simply_connected is True
+
 
 class TestSigmaJson:
     def test_round_trip_tails(self, registry):
