@@ -10,6 +10,11 @@ rank of a boundary matrix is the number of its nonzero integral invariant
 factors.  Integer entries are never reduced on the Z and Q paths, since
 intermediate entries can grow.
 
+Reduced homology eliminates neither the edge boundary nor the rows of the
+triangle boundary that belong to a spanning forest of the 1-skeleton: the
+edge boundary's factors are one 1 per forest edge, and deleting forest rows
+leaves the triangle boundary's factors unchanged (see ``reduced_homology``).
+
 The dense Smith normal form stays public as the reference routine: it returns
 the diagonal together with unimodular transforms U, V satisfying U*A*V = D.
 """
@@ -240,12 +245,12 @@ def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | N
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
 
-    def units_of(row: dict[int, int]) -> list[int]:
+    def has_unit(row: dict[int, int]) -> bool:
         if p is not None:
-            return list(row)
-        return [c for c, v in row.items() if v == 1 or v == -1]
+            return bool(row)
+        return any(v == 1 or v == -1 for v in row.values())
 
-    heap = [(len(row), r) for r, row in rows.items() if units_of(row)]
+    heap = [(len(row), r) for r, row in rows.items() if has_unit(row)]
     heapq.heapify(heap)
     units = 0
     while heap:
@@ -253,12 +258,12 @@ def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | N
         prow = rows.get(r)
         if prow is None:
             continue
-        candidates = units_of(prow)
-        if not candidates:
+        if not has_unit(prow):
             continue
         if len(prow) != length:
             heapq.heappush(heap, (len(prow), r))
             continue
+        candidates = [c for c, v in prow.items() if p is not None or v == 1 or v == -1]
         c = min(candidates, key=lambda j: (len(cols[j]), j))
         inv = prow[c] if p is None else pow(prow[c], -1, p)  # +-1 is its own inverse
         for r2 in cols[c] - {r}:
@@ -276,7 +281,7 @@ def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | N
                     cols[c2].discard(r2)
             if not row2:
                 del rows[r2]
-            elif units_of(row2):
+            elif has_unit(row2):
                 heapq.heappush(heap, (len(row2), r2))
         for c2 in prow:
             cols[c2].discard(r)
@@ -427,8 +432,36 @@ class HomologySummary:
         return f"[{self.ring}] " + ("; ".join(parts) if parts else "trivial")
 
 
+def _spanning_forest(edges: Sequence[tuple[int, int]]) -> set[int]:
+    """Indices of the edges a union-find pass in list order keeps as a spanning forest."""
+    parent: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while parent.setdefault(v, v) != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    forest = set()
+    for i, (u, w) in enumerate(edges):
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            parent[ru] = rw
+            forest.add(i)
+    return forest
+
+
 def reduced_homology(K: SimplicialComplex, R: RingSpec) -> HomologySummary:
-    """Reduced homology of K with coefficients in R."""
+    """Reduced homology of K with coefficients in R.
+
+    Neither the incidence matrix of the 1-skeleton nor the rows of a spanning
+    forest F are eliminated.  The edges of F map injectively onto the image of
+    the boundary of C_1, which is a direct summand of C_0, so that boundary
+    has |F| invariant factors, all 1, over every ring.  Its kernel is a direct
+    summand of C_1 that projects isomorphically onto the non-forest edges, so
+    deleting the rows of F from the boundary of C_2 leaves its invariant
+    factors over Z, Q and F_p unchanged.
+    """
     cx = chain_complex(K)
     dim = cx.dimension
     if dim < 0:
@@ -436,8 +469,13 @@ def reduced_homology(K: SimplicialComplex, R: RingSpec) -> HomologySummary:
     counts = [len(b) for b in cx.bases]
     # Over Q the boundary ranks are the counts of nonzero integral factors.
     factors = [[] for _ in range(dim + 2)]
-    for k in range(1, dim + 1):
-        factors[k] = _sparse_invariant_factors(cx.boundaries[k], R.p)
+    forest = _spanning_forest(cx.bases[1]) if dim >= 1 else set()
+    factors[1] = [1] * len(forest)
+    for k in range(2, dim + 1):
+        entries = cx.boundaries[k]
+        if k == 2:
+            entries = {(r, c): v for (r, c), v in entries.items() if r not in forest}
+        factors[k] = _sparse_invariant_factors(entries, R.p)
     ranks = []
     torsion = []
     for k in range(dim + 1):

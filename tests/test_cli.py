@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from fpforge import sigma
 from fpforge.cli import main
-from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree
+from fpforge.complex_core import (
+    GroupPresentationInput, SimplicialComplex, barycentric_subdivision, flagify_presentation_complex, spanning_tree,
+)
 from fpforge.covers import VoltageAssignment, dump_voltage
 from fpforge.groups import LoopWord, presentation_to_json, tagged_family_presentation
 from fpforge.sigma import (
@@ -88,6 +90,23 @@ class TestHomology:
         assert cert["ring"] == "Z"
         by_degree = {d["degree"]: d for d in cert["degrees"]}
         assert by_degree[1]["torsion"] == [2] and by_degree[1]["rank"] == 0
+
+    @pytest.mark.parametrize("ring", ["Z", "Q", "F3"])
+    @pytest.mark.parametrize("space", ["sd2_rp2", "flag_a2", "flag_ab"])
+    def test_benchmark_ladder_spaces(self, tmp_path, space, ring):
+        if space == "sd2_rp2":
+            K = barycentric_subdivision(barycentric_subdivision(SimplicialComplex.from_facets(RP2_FACETS)))
+        elif space == "flag_a2":
+            K = flagify_presentation_complex(GroupPresentationInput(1, [[1, 1]]))
+        else:
+            K = flagify_presentation_complex(GroupPresentationInput(2, [[1, 2, -1, -2]]))
+        cpath = write(tmp_path / "k.json", json.dumps(K.to_json_dict()))
+        out = tmp_path / "cert.json"
+        assert main(["homology", "--complex", cpath, "--ring", ring, "--out", str(out)]) == 0
+        degrees = json.loads(out.read_text())["degrees"]
+        torus = space == "flag_ab"
+        assert [d["rank"] for d in degrees] == ([0, 2, 1] if torus else [0, 0, 0])
+        assert [d["torsion"] for d in degrees] == ([[], [2], []] if ring == "Z" and not torus else [[], [], []])
 
 
 class TestPresent:

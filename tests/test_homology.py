@@ -2,14 +2,17 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fpforge.complex_core import SimplicialComplex, barycentric_subdivision
+from fpforge.complex_core import (
+    GroupPresentationInput, SimplicialComplex, barycentric_subdivision, flagify_presentation_complex,
+)
 from fpforge.homology import (
     HomologySummary,
     RingSpec,
     _is_prime,
+    _spanning_forest,
     _sparse_invariant_factors,
     chain_complex,
     dump_summary,
@@ -47,6 +50,26 @@ def sparse_matrices(draw):
             row[j] = 0
     entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
     return entries, dense
+
+
+@st.composite
+def complexes(draw):
+    """Complexes of dimension up to 3 on up to 9 vertices, often disconnected, with isolated vertices."""
+    n = draw(st.integers(0, 9))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=8)) if n else []
+    return SimplicialComplex.from_facets(facets, vertices=range(n))
+
+
+def full_kernel_homology(K, R):
+    """Reference reduced homology: every boundary, forest rows included, goes through the sparse kernel."""
+    cx = chain_complex(K)
+    dim = cx.dimension
+    if dim < 0:
+        return HomologySummary(R, (), ())
+    factors = [[]] + [_sparse_invariant_factors(cx.boundaries[k], R.p) for k in range(1, dim + 1)] + [[]]
+    ranks = tuple(len(cx.bases[k]) - len(factors[k]) - len(factors[k + 1]) - (k == 0) for k in range(dim + 1))
+    torsion = tuple(tuple(d for d in factors[k + 1] if d > 1) if R.tag == "Z" else () for k in range(dim + 1))
+    return HomologySummary(R, ranks, torsion)
 
 
 def trial_division_is_prime(n):
@@ -192,6 +215,32 @@ class TestReducedHomology:
                 direct = reduced_homology(K, RingSpec.Fp(p))
                 assert derived == direct
             assert field_summary_from_integral(z, RingSpec.Q()) == reduced_homology(K, RingSpec.Q())
+
+
+class TestSpanningForest:
+    @given(complexes())
+    @example(SimplicialComplex.from_facets([]))
+    @example(SimplicialComplex.from_facets([], vertices=[0, 3, 5]))
+    @example(SimplicialComplex.from_facets([[0, 1], [1, 2], [0, 2], [3, 4]], vertices=[7]))
+    @example(SimplicialComplex.from_facets([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4], [1, 2, 3, 4], [5, 6, 7]]))
+    @example(SimplicialComplex.from_facets(RP2_FACETS, vertices=[0]))
+    def test_matches_full_kernel_reference(self, K):
+        for ring in (RingSpec.Z(), RingSpec.Q(), RingSpec.Fp(2), RingSpec.Fp(3), RingSpec.Fp(5)):
+            assert reduced_homology(K, ring) == full_kernel_homology(K, ring)
+
+    @pytest.mark.parametrize("space", ["sd2_rp2", "flag_a2"])
+    def test_forest_rows_leave_invariant_factors_unchanged(self, space):
+        if space == "sd2_rp2":
+            K = barycentric_subdivision(barycentric_subdivision(SimplicialComplex.from_facets(RP2_FACETS)))
+        else:
+            K = flagify_presentation_complex(GroupPresentationInput(1, [[1, 1]]))
+        cx = chain_complex(K)
+        forest = _spanning_forest(cx.bases[1])
+        assert len(forest) == len(cx.bases[0]) - 1
+        cut = {(r, c): v for (r, c), v in cx.boundaries[2].items() if r not in forest}
+        for p in (None, 2, 3):
+            assert _sparse_invariant_factors(cut, p) == _sparse_invariant_factors(cx.boundaries[2], p)
+        assert sorted(_sparse_invariant_factors(cut))[-1] == 2
 
 
 class TestSummaryJson:
