@@ -14,7 +14,8 @@ index is built in one pass over the simplices, so facets, closed stars, links
 and the flag and local-cut-point tests cost O(N·d) for N simplices of
 dimension d instead of a scan of every simplex per vertex.  A passing
 :func:`validate` is cached the same way, so the checks that guard the
-constructions below validate each complex once.
+constructions below validate each complex once; ``from_facets`` records it
+at construction, since its output is valid by construction.
 
 The module provides the predicates and constructions the rest of the package
 leans on: flagness, links, barycentric subdivision, flag complexes realizing
@@ -145,7 +146,9 @@ class SimplicialComplex:
             for k in range(1, len(f) + 1):
                 simplices.update(combinations(f, k))
         simplices.update((v,) for v in verts)
-        return cls(verts, simplices)
+        complex = cls(verts, simplices)
+        complex._cache["valid"] = True  # sorted, deduplicated, closed downward, every vertex a 0-simplex
+        return complex
 
     @property
     def dimension(self) -> int:

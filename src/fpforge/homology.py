@@ -10,6 +10,11 @@ rank of a boundary matrix is the number of its nonzero integral invariant
 factors.  Integer entries are never reduced on the Z and Q paths, since
 intermediate entries can grow.
 
+A chain complex holds, per dimension, the sorted basis and one tuple of face
+indices per simplex: position i names the face without vertex i, which
+carries sign (-1)^i.  Each codimension-1 face is looked up once, ∂∂ = 0 is
+checked over the tuples, and sparse boundary dicts are built only on demand.
+
 Reduced homology eliminates neither the edge boundary nor the rows of the
 triangle boundary that belong to a spanning forest of the 1-skeleton: the
 edge boundary's factors are one 1 per forest edge, and deleting forest rows
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import combinations
+from typing import Container, Mapping, Sequence
 
 from .complex_core import (
     SimplicialComplex, _json_field, _json_items, _json_list, _json_object, _json_text, _read_json, _require_valid,
@@ -302,64 +308,58 @@ def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | N
 
 
 class ChainComplex:
-    """Ordered simplex bases per dimension with integer boundary matrices.
+    """Sorted simplex bases per dimension, each simplex with its face indices.
 
-    Boundary signs come from the sorted vertex order: dropping the i-th
-    vertex of a sorted simplex carries sign (-1)^i.  The composition of
-    consecutive boundaries is verified to vanish exactly.
+    ``faces[k][c]`` holds, at position i, the index in ``bases[k - 1]`` of the
+    face of the c-th k-simplex without its i-th vertex; that face enters the
+    boundary with sign (-1)^i.  The composition of consecutive boundaries is
+    verified to vanish exactly.
     """
 
-    __slots__ = ("bases", "boundaries")
+    __slots__ = ("bases", "faces")
 
-    def __init__(self, bases: list[list[tuple[int, ...]]], boundaries: list[dict[tuple[int, int], int]]):
+    def __init__(self, bases: list[tuple[tuple[int, ...], ...]], faces: list[tuple[tuple[int, ...], ...]]):
         self.bases = bases
-        self.boundaries = boundaries  # boundaries[k] maps C_k -> C_{k-1}; boundaries[0] is empty
+        self.faces = faces  # faces[0] is empty
 
     @property
     def dimension(self) -> int:
         return len(self.bases) - 1
 
-    def boundary_dense(self, k: int) -> list[list[int]]:
-        rows = len(self.bases[k - 1]) if k >= 1 else 0
-        cols = len(self.bases[k]) if k <= self.dimension else 0
-        out = [[0] * cols for _ in range(rows)]
-        if 1 <= k <= self.dimension:
-            for (r, c), v in self.boundaries[k].items():
-                out[r][c] = v
-        return out
+    @property
+    def boundaries(self) -> list[dict[tuple[int, int], int]]:
+        """Each C_k -> C_{k-1} as {(row, col): +-1}, built from the face tuples on every access."""
+        return [_boundary_entries(faces) for faces in self.faces]
+
+
+def _boundary_entries(faces: Sequence[Sequence[int]], skip_rows: Container[int] = ()) -> dict[tuple[int, int], int]:
+    """One dimension's boundary as {(row, col): +-1}, without the rows in ``skip_rows``."""
+    return {(r, c): -1 if i % 2 else 1 for c, ids in enumerate(faces) for i, r in enumerate(ids) if r not in skip_rows}
 
 
 def chain_complex(K: SimplicialComplex) -> ChainComplex:
-    """Boundary matrices of K with the standard alternating signs."""
+    """Bases and face tuples of K; each codimension-1 face is looked up once."""
     _require_valid(K)
-    dim = K.dimension
-    bases = [K.simplices_of_dim(k) for k in range(dim + 1)]
-    index = [{s: i for i, s in enumerate(basis)} for basis in bases]
-    boundaries: list[dict[tuple[int, int], int]] = [dict() for _ in range(dim + 1)]
-    for k in range(1, dim + 1):
-        entries = boundaries[k]
-        for c, s in enumerate(bases[k]):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                entries[(index[k - 1][face], c)] = -1 if i % 2 else 1
-    for k in range(1, dim):
-        _check_composition_zero(boundaries[k], boundaries[k + 1])
-    return ChainComplex(bases, boundaries)
+    bases = [K.simplices_of_dim(k) for k in range(K.dimension + 1)]
+    faces: list[tuple[tuple[int, ...], ...]] = [()] if bases else []  # 0-simplices have no faces
+    for k in range(1, len(bases)):
+        lookup = {s: i for i, s in enumerate(bases[k - 1])}.__getitem__
+        # combinations yields the faces without vertex k, k-1, ..., 0 in that order.
+        faces.append(tuple([tuple(map(lookup, combinations(s, k)))[::-1] for s in bases[k]]))
+    for k in range(2, len(faces)):
+        _check_composition_zero(faces[k - 1], faces[k])
+    return ChainComplex(bases, faces)
 
 
-def _check_composition_zero(lower: Mapping[tuple[int, int], int], upper: Mapping[tuple[int, int], int]) -> None:
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), v in upper.items():
-        by_col.setdefault(c, []).append((r, v))
-    lower_by_col: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), v in lower.items():
-        lower_by_col.setdefault(c, []).append((r, v))
-    for c, col in by_col.items():
-        acc: dict[int, int] = {}
-        for mid, v in col:
-            for r, w in lower_by_col.get(mid, ()):
-                acc[r] = acc.get(r, 0) + v * w
-        if any(acc.values()):
+def _check_composition_zero(lower: Sequence[Sequence[int]], upper: Sequence[Sequence[int]]) -> None:
+    """Raise AssertionError unless ∂∂ = 0: per simplex, faces of faces with even and odd i + j agree."""
+    for face_ids in upper:
+        even, odd = [], []
+        for i, f in enumerate(face_ids):
+            g = lower[f]
+            even += g[i % 2 :: 2]
+            odd += g[1 - i % 2 :: 2]
+        if sorted(even) != sorted(odd):
             raise AssertionError("boundary composition is nonzero")
 
 
@@ -381,6 +381,11 @@ class HomologySummary:
             raise ValueError("ranks and torsion must cover the same degrees")
         if self.ring.is_field and any(self.torsion):
             raise ValueError("field coefficients carry no torsion")
+        for i, (rank, tors) in enumerate(zip(self.ranks, self.torsion)):
+            if rank < 0:
+                raise ValueError(f"degree {i}: negative rank {rank}")
+            if any(t <= 1 for t in tors) or any(b % a for a, b in zip(tors, tors[1:])):
+                raise ValueError(f"degree {i}: torsion {list(tors)} is not a divisibility chain of integers > 1")
 
     @property
     def max_degree(self) -> int:
@@ -466,25 +471,16 @@ def reduced_homology(K: SimplicialComplex, R: RingSpec) -> HomologySummary:
     dim = cx.dimension
     if dim < 0:
         return HomologySummary(R, (), ())
-    counts = [len(b) for b in cx.bases]
     # Over Q the boundary ranks are the counts of nonzero integral factors.
     factors = [[] for _ in range(dim + 2)]
-    forest = _spanning_forest(cx.bases[1]) if dim >= 1 else set()
+    forest = _spanning_forest(cx.faces[1]) if dim >= 1 else set()
     factors[1] = [1] * len(forest)
     for k in range(2, dim + 1):
-        entries = cx.boundaries[k]
-        if k == 2:
-            entries = {(r, c): v for (r, c), v in entries.items() if r not in forest}
-        factors[k] = _sparse_invariant_factors(entries, R.p)
-    ranks = []
-    torsion = []
-    for k in range(dim + 1):
-        free = counts[k] - len(factors[k]) - len(factors[k + 1])
-        if k == 0:
-            free -= 1
-        ranks.append(free)
-        torsion.append(tuple(d for d in factors[k + 1] if d > 1) if R.tag == "Z" else ())
-    return HomologySummary(R, tuple(ranks), tuple(torsion))
+        factors[k] = _sparse_invariant_factors(_boundary_entries(cx.faces[k], forest if k == 2 else ()), R.p)
+    # Reduced homology: degree 0 loses one rank to the augmentation.
+    ranks = tuple(len(cx.bases[k]) - len(factors[k]) - len(factors[k + 1]) - (k == 0) for k in range(dim + 1))
+    torsion = tuple(tuple(d for d in factors[k + 1] if d > 1) if R.tag == "Z" else () for k in range(dim + 1))
+    return HomologySummary(R, ranks, torsion)
 
 
 def field_summary_from_integral(z_summary: HomologySummary, R: RingSpec) -> HomologySummary:

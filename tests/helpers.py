@@ -127,6 +127,30 @@ def field_betti_numbers(K: SimplicialComplex, p: int | None) -> list[int]:
     return betti
 
 
+def reference_boundaries(K: SimplicialComplex) -> list[dict[tuple[int, int], int]]:
+    """Boundary matrices as {(row, col): sign}, one dict entry per face lookup."""
+    dim = K.dimension
+    bases = [sorted(s for s in K.simplices if len(s) == k + 1) for k in range(dim + 1)]
+    index = [{s: i for i, s in enumerate(b)} for b in bases]
+    boundaries: list[dict[tuple[int, int], int]] = [{} for _ in range(dim + 1)]
+    for k in range(1, dim + 1):
+        for c, s in enumerate(bases[k]):
+            for i in range(len(s)):
+                boundaries[k][(index[k - 1][s[:i] + s[i + 1 :]], c)] = -1 if i % 2 else 1
+    return boundaries
+
+
+def boundary_dense(cx, k: int) -> list[list[int]]:
+    """The k-th boundary matrix of a chain complex as a dense list of rows."""
+    rows = len(cx.bases[k - 1]) if k >= 1 else 0
+    cols = len(cx.bases[k]) if k <= cx.dimension else 0
+    out = [[0] * cols for _ in range(rows)]
+    if 1 <= k <= cx.dimension:
+        for (r, c), v in cx.boundaries[k].items():
+            out[r][c] = v
+    return out
+
+
 def minor_gcd_invariants(A: list[list[int]]) -> list[int]:
     """Invariant factors via gcds of k-by-k minors (the determinantal divisors).
 

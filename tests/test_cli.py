@@ -174,6 +174,18 @@ class TestDecide:
         assert verdict["verdict"] == "NO"
         assert verdict["witness_entry"] == "T5" and verdict["witness_degree"] == 1
 
+    @pytest.mark.parametrize("degree", [{"rank": -3}, {"torsion": [0, 4, 6, -1]}])
+    def test_registry_with_impossible_homology_is_domain_error(self, tmp_path, capsys, degree):
+        spec_path = tmp_path / "field.json"
+        assert main(["sigma", "--builder", "field-example", "--out", str(spec_path)]) == 0
+        spec = json.loads(spec_path.read_text())
+        spec["registry"]["entries"][0]["homology"][0]["degrees"][1].update(degree)
+        bad = write(tmp_path / "bad.json", json.dumps(spec))
+        capsys.readouterr()
+        assert main(["decide", "--sigma", bad, "--ring", "Z", "--k", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fpforge: degree 1: ") and "Traceback" not in err
+
     def test_finitely_presented_flag(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         main(["sigma", "--builder", "prime-set", "--primes", "2,3", "--out", str(spec_path)])

@@ -159,6 +159,10 @@ class TestCofaceIndex:
         monkeypatch.setattr(complex_core, "validate", lambda K: calls.append(K) or real(K))
         K = full_simplex(3)
         is_flag(K)
+        closed_star(K, 0)
+        assert calls == []  # from_facets records that its output is valid
+        K = SimplicialComplex(K.vertices, K.simplices)
+        is_flag(K)
         is_flag(K)
         closed_star(K, 0)
         assert len(calls) == 1
@@ -172,6 +176,15 @@ class TestCofaceIndex:
 class TestValidate:
     def test_full_2_simplex_is_valid(self):
         assert validate(full_simplex(3)) == []
+
+    @given(
+        st.lists(st.lists(st.integers(-4, 9), min_size=1, max_size=5), max_size=8),
+        st.lists(st.integers(-4, 12), max_size=4),
+    )
+    def test_from_facets_output_is_valid(self, facets, vertices):
+        K = SimplicialComplex.from_facets(facets, vertices)
+        assert validate(K) == []
+        assert K.vertices == {v for f in facets for v in f} | set(vertices)
 
     def test_missing_face_reported(self):
         broken = SimplicialComplex([1, 2, 3], [(1,), (2,), (3,), (1, 2, 3)])

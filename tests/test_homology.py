@@ -5,12 +5,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from fpforge import homology
 from fpforge.complex_core import (
-    GroupPresentationInput, SimplicialComplex, barycentric_subdivision, flagify_presentation_complex,
+    ComplexError, GroupPresentationInput, SimplicialComplex, barycentric_subdivision, flagify_presentation_complex,
+    validate,
 )
 from fpforge.homology import (
     HomologySummary,
     RingSpec,
+    _check_composition_zero,
     _is_prime,
     _spanning_forest,
     _sparse_invariant_factors,
@@ -23,7 +26,9 @@ from fpforge.homology import (
     snf_diagonal,
 )
 
-from helpers import RP2_FACETS, determinant, field_betti_numbers, matmul, minor_gcd_invariants
+from helpers import (
+    RP2_FACETS, boundary_dense, determinant, field_betti_numbers, matmul, minor_gcd_invariants, reference_boundaries,
+)
 
 
 def cycle_complex(n):
@@ -58,6 +63,24 @@ def complexes(draw):
     n = draw(st.integers(0, 9))
     facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=8)) if n else []
     return SimplicialComplex.from_facets(facets, vertices=range(n))
+
+
+@st.composite
+def corrupted_complexes(draw):
+    """A valid complex with one face deleted, one simplex stored out of order, or one 0-simplex dropped."""
+    K = draw(complexes().filter(lambda K: K.dimension >= 1))
+    simplices = set(K.simplices)
+    kind = draw(st.sampled_from(["deleted face", "out of order", "no 0-simplex"]))
+    if kind == "deleted face":
+        proper_faces = sorted({s[:i] + s[i + 1 :] for s in simplices if len(s) > 1 for i in range(len(s))})
+        simplices.discard(draw(st.sampled_from(proper_faces)))
+    elif kind == "out of order":
+        s = draw(st.sampled_from(sorted(s for s in simplices if len(s) > 1)))
+        simplices.discard(s)
+        simplices.add(s[::-1])
+    else:
+        simplices.discard((draw(st.sampled_from(sorted(K.vertices))),))
+    return SimplicialComplex(K.vertices, simplices)
 
 
 def full_kernel_homology(K, R):
@@ -112,7 +135,7 @@ class TestRingSpec:
 class TestChainComplex:
     def test_triangle_boundary_signs(self):
         cx = chain_complex(SimplicialComplex.from_facets([[0, 1, 2]]))
-        dense = cx.boundary_dense(2)
+        dense = boundary_dense(cx, 2)
         # edges sorted (0,1), (0,2), (1,2); faces of (0,1,2) get signs +,-,+
         assert [row[0] for row in dense] == [1, -1, 1]
 
@@ -123,8 +146,44 @@ class TestChainComplex:
 
     def test_4_cycle_boundary_rank(self):
         cx = chain_complex(cycle_complex(4))
-        dense = cx.boundary_dense(1)
+        dense = boundary_dense(cx, 1)
         assert len(invariant_factors(dense)) == 3
+
+    @given(complexes())
+    @example(SimplicialComplex.from_facets([]))
+    @example(SimplicialComplex.from_facets([[0, 1, 2, 3], [2, 3, 4, 5], [6, 7]], vertices=[8]))
+    def test_boundaries_match_reference(self, K):
+        assert chain_complex(K).boundaries == reference_boundaries(K)
+
+    @given(st.data())
+    def test_composition_check_rejects_corrupted_face_tuple(self, data):
+        cx = chain_complex(SimplicialComplex.from_facets([[0, 1, 2, 3, 4]]))
+        k = data.draw(st.integers(2, 4))
+        c = data.draw(st.integers(0, len(cx.faces[k]) - 1))
+        i = data.draw(st.integers(0, k))
+        face_ids = list(cx.faces[k][c])
+        face_ids[i] = data.draw(st.integers(0, len(cx.bases[k - 1]) - 1).filter(lambda f: f != face_ids[i]))
+        corrupted = cx.faces[k][:c] + (tuple(face_ids),) + cx.faces[k][c + 1 :]
+        _check_composition_zero(cx.faces[k - 1], cx.faces[k])
+        with pytest.raises(AssertionError, match="boundary composition is nonzero"):
+            _check_composition_zero(cx.faces[k - 1], corrupted)
+
+    @given(corrupted_complexes())
+    @example(SimplicialComplex([1, 2, 3], [(1,), (2,), (3,), (1, 2), (1, 3), (1, 2, 3)]))
+    @example(SimplicialComplex([1, 2], [(1,), (2,), (2, 1)]))
+    @example(SimplicialComplex([1, 2], [(1,), (1, 2)]))
+    def test_invalid_raw_complex_refused_before_elimination(self, K):
+        report = validate(K)
+        assert report
+
+        def eliminate(*args):
+            raise AssertionError("elimination reached on an invalid complex")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "_sparse_invariant_factors", eliminate)
+            with pytest.raises(ComplexError) as raised:
+                reduced_homology(K, RingSpec.Z())
+        assert str(raised.value) == "invalid complex: " + "; ".join(report[:3])
 
 
 class TestSmithNormalForm:
@@ -255,3 +314,21 @@ class TestSummaryJson:
     def test_field_summary_carries_no_torsion(self):
         with pytest.raises(ValueError):
             HomologySummary(RingSpec.Q(), (0, 1), ((), (2,)))
+
+    @pytest.mark.parametrize(
+        "ranks, torsion, message",
+        [
+            ((0, -3), ((), ()), "degree 1: negative rank -3"),
+            ((0, 0), ((), (0, 4, 6, -1)), r"degree 1: torsion \[0, 4, 6, -1\] is not a divisibility chain"),
+            ((0, 0), ((), (1, 2)), "is not a divisibility chain"),
+            ((0, 0), ((), (4, 6)), "is not a divisibility chain"),
+            ((0, 0), ((), (-2,)), "is not a divisibility chain"),
+        ],
+    )
+    def test_impossible_summary_rejected(self, ranks, torsion, message):
+        with pytest.raises(ValueError, match=message):
+            HomologySummary(RingSpec.Z(), ranks, torsion)
+
+    def test_divisibility_chains_accepted(self):
+        summary = HomologySummary(RingSpec.Z(), (1, 0, 2), ((), (2, 2, 6), (3, 15)))
+        assert HomologySummary.from_json_dict(json.loads(dump_summary(summary))) == summary
