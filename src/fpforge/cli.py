@@ -62,13 +62,13 @@ def _cmd_double(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    rings = [RingSpec.parse(r) for r in (args.ring or ["Z"])]
     voltage = covers.load_voltage(args.voltage)
     cover = covers.build_cover(voltage)
     if not covers.verify_covering(cover):
         raise covers.CoverError("built complex fails the covering verification")
     if args.out:
         _atomic_write(args.out, complex_core.dump_complex(cover.total))
-    rings = [RingSpec.parse(r) for r in (args.ring or ["Z"])]
     certificates = [homology.reduced_homology(cover.total, r).to_json_dict() for r in rings]
     report = {
         "degree": voltage.degree,

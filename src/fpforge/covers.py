@@ -11,7 +11,9 @@ Covers built this way are exactly the ones induced by homomorphisms from the
 fundamental group of the base to a symmetric group; connectivity of the
 total space is equivalent to transitivity of the voltage image and is not
 assumed.  Pullback covers (of the spherical double) carry no voltage data of
-their own; sheet tracing falls back to the covering property.
+their own.  Walk lifting, the covering check and the deck group read only
+the total space, its projection and its sheet labels, so they treat every
+cover alike.
 """
 
 from __future__ import annotations
@@ -359,69 +361,22 @@ def lift_loop(c: CoverComplex, loop: Sequence[int], start_sheet: int) -> tuple[b
     return end == start_sheet, end
 
 
-def _voltage_group(v: VoltageAssignment) -> list[tuple[int, ...]]:
-    """Closure of the non-tree voltages inside the symmetric group on sheets."""
-    gens = sorted(set(v.nontree_voltages().values()))
-    seen = {perm_identity(v.degree)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = perm_compose(g, h)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return sorted(seen)
-
-
 def deck_group(c: CoverComplex) -> tuple[bool, list[tuple[int, ...]] | None]:
     """Whether the cover is regular, and its deck group when it is.
 
-    For voltage-built covers the image group of the voltages acts on sheets;
-    the cover is regular exactly when that action is regular, and the deck
-    group is then isomorphic to the image group.  Covers without voltage data
-    are analyzed by extending each fiber point over the basepoint to a
-    projection-commuting automorphism (unique lifting).
+    Each point of the fibre through the least total vertex t0 is tried as the
+    image of t0; unique lifting extends the choice to at most one
+    projection-commuting simplicial automorphism.  The cover is regular when
+    all ``degree`` choices extend, and the group is the sorted sheet
+    permutations these deck transformations induce over the least base vertex.
+    For a voltage cover they are the permutations that commute with every
+    voltage, which agree with the voltage image only when it is abelian.
     """
     _connected_tree(c.total, "deck group requires a connected cover")
-    if c.assignment is not None:
-        group = _voltage_group(c.assignment)
-        d = c.assignment.degree
-        orbit = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for s in frontier:
-                for g in group:
-                    if g[s] not in orbit:
-                        orbit.add(g[s])
-                        nxt.append(g[s])
-            frontier = nxt
-        if len(orbit) != d:
-            raise CoverError("voltage group is not transitive despite connectivity")
-        regular = len(group) == d
-        return (True, group) if regular else (False, None)
-
-    transforms = _deck_transformations(c)
-    regular = len(transforms) == c.degree
-    if not regular:
-        return False, None
-    base_vertex = min(c.base.vertices)
-    fiber = c.fibers()[base_vertex]
-    perms = []
-    for f in transforms:
-        perms.append(tuple(c.sheet[f[fiber[s]]] for s in range(len(fiber))))
-    return True, sorted(perms)
-
-
-def _deck_transformations(c: CoverComplex) -> list[dict[int, int]]:
     step = _total_adjacency(c)
     t0 = min(c.total.vertices)
-    fiber = sorted(t for t in c.total.vertices if c.projection[t] == c.projection[t0])
     found = []
-    for target in fiber:
+    for target in sorted(t for t in c.total.vertices if c.projection[t] == c.projection[t0]):
         f = {t0: target}
         stack = [t0]
         ok = True
@@ -429,23 +384,23 @@ def _deck_transformations(c: CoverComplex) -> list[dict[int, int]]:
             x = stack.pop()
             for w, y in step[x].items():
                 img = step[f[x]].get(w)
-                if img is None:
-                    ok = False
-                    break
-                if y in f:
-                    if f[y] != img:
-                        ok = False
-                        break
-                else:
+                if img is not None and y not in f:
                     f[y] = img
                     stack.append(y)
-        if not ok or len(f) != len(c.total.vertices):
-            continue
-        if len(set(f.values())) != len(f):
-            continue
-        if all(tuple(sorted(f[x] for x in s)) in c.total.simplices for s in c.total.simplices):
+                elif img is None or f[y] != img:
+                    ok = False
+                    break
+        if (
+            ok
+            and len(f) == len(c.total.vertices)
+            and len(set(f.values())) == len(f)
+            and all(tuple(sorted(f[x] for x in s)) in c.total.simplices for s in c.total.simplices)
+        ):
             found.append(f)
-    return found
+    if len(found) != c.degree:
+        return False, None
+    fiber = c.fibers()[min(c.base.vertices)]
+    return True, sorted(tuple(c.sheet[f[fiber[s]]] for s in range(len(fiber))) for f in found)
 
 
 def normal_generators(c: CoverComplex) -> list[list[int]]:

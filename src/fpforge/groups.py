@@ -455,8 +455,6 @@ class _CosetTable:
         self.budget = budget
         self.table: list[list[int | None]] = [[None] * self.width]
         self.parent = [0]
-        self.defined = 1
-        self.dead = 0
 
     def index(self) -> int:
         """Number of live cosets; the subgroup index once the table is complete."""
@@ -471,12 +469,11 @@ class _CosetTable:
         return root
 
     def define(self, a: int, g: int) -> int:
-        if self.defined >= self.budget:
-            raise _BudgetExceeded
         b = len(self.table)
+        if b >= self.budget:
+            raise _BudgetExceeded
         self.table.append([None] * self.width)
         self.parent.append(b)
-        self.defined += 1
         self.table[a][g] = b
         self.table[b][g ^ 1] = a
         return b
@@ -491,7 +488,6 @@ class _CosetTable:
             if y < x:
                 x, y = y, x
             self.parent[y] = x
-            self.dead += 1
             for g in range(self.width):
                 yv = self.table[y][g]
                 if yv is None:
@@ -588,8 +584,8 @@ def enumerate_table(
                     T.define(idx, g)
             idx += 1
     except _BudgetExceeded:
-        return None, T.defined
-    return T, T.defined
+        return None, len(T.table)
+    return T, len(T.table)
 
 
 def trace_word(table: _CosetTable, word: Word) -> int:

@@ -79,6 +79,17 @@ class TestCover:
         assert report["degree"] == 2 and report["verified_covering"] is True
         assert report["total_f_vector"] == [8, 8]
 
+    @pytest.mark.parametrize("ring", ["F4", "Fx"])
+    def test_bad_ring_writes_nothing(self, tmp_path, capsys, ring):
+        base = SimplicialComplex.from_facets([[i, (i + 1) % 4] for i in range(4)])
+        vpath = write(tmp_path / "v.json", dump_voltage(VoltageAssignment(base, 2, {(2, 3): (1, 0)})))
+        out = tmp_path / "total.json"
+        cert = tmp_path / "cert.json"
+        argv = ["cover", "--voltage", vpath, "--out", str(out), "--certificate", str(cert)]
+        assert main(argv + ["--ring", "Z", "--ring", ring]) == 1
+        assert not out.exists() and not cert.exists()
+        assert "cover:" not in capsys.readouterr().out
+
 
 class TestHomology:
     def test_projective_plane_certificate(self, tmp_path):

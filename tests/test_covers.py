@@ -1,3 +1,4 @@
+import itertools
 import random
 from types import MappingProxyType
 
@@ -114,6 +115,31 @@ def brute_deck_transformations(cover):
         ):
             results.append(mapping)
     return results
+
+
+def deck_permutations(cover, transformations):
+    """The sheet permutations that maps of the total space induce over the least base vertex."""
+    fiber = cover.fibers()[min(cover.base.vertices)]
+    return sorted(tuple(cover.sheet[f[fiber[s]]] for s in range(len(fiber))) for f in transformations)
+
+
+def wedge_of_two_triangles():
+    """Two hollow triangles at vertex 0; (1, 2) and (3, 4) are the non-tree edges."""
+    return SimplicialComplex.from_facets([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]])
+
+
+S3 = sorted(itertools.permutations(range(3)))
+
+
+def left_multiplication(g):
+    """Sheet permutation h -> g.h of the six sheets, indexed by the elements of S3."""
+    return tuple(S3.index(perm_compose(h, g)) for h in S3)
+
+
+def s3_left_regular_cover():
+    """Degree-6 cover of the wedge: a transposition and a 3-cycle of S3 acting on S3 by left multiplication."""
+    voltages = {(1, 2): left_multiplication((1, 0, 2)), (3, 4): left_multiplication((1, 2, 0))}
+    return build_cover(VoltageAssignment(wedge_of_two_triangles(), 6, voltages))
 
 
 class TestBuildCover:
@@ -359,6 +385,24 @@ class TestDeckGroup:
         assert regular and len(group) == 2
         assert len(brute_deck_transformations(cover)) == 2
 
+    def test_s3_left_regular_cover_returns_deck_transformations(self):
+        cover = s3_left_regular_cover()
+        regular, group = deck_group(cover)
+        oracle = brute_deck_transformations(cover)
+        assert regular and len(group) == len(oracle) == 6
+        assert group == deck_permutations(cover, oracle)
+        voltages = cover.assignment.nontree_voltages().values()
+        assert all(perm_compose(g, p) == perm_compose(p, g) for g in group for p in voltages)
+        # the voltage image (left multiplications) shares only the identity with the deck group
+        assert set(group) & {left_multiplication(g) for g in S3} == {perm_identity(6)}
+
+    def test_symmetric_voltages_of_degree_12_are_irregular(self):
+        cycle = tuple((s + 1) % 12 for s in range(12))
+        swap = (1, 0) + tuple(range(2, 12))
+        cover = build_cover(VoltageAssignment(wedge_of_two_triangles(), 12, {(1, 2): cycle, (3, 4): swap}))
+        assert cover.total.is_connected()
+        assert deck_group(cover) == (False, None)
+
     def test_pullback_uses_search_path(self):
         base = cycle_complex(4)
         doubled = double_of_cover(base, c4_double_cover())
@@ -603,11 +647,11 @@ def verdict(check, c):
         return type(exc)
 
 
-def random_voltage_cover(draw, base):
-    """A voltage cover of degree 1-3: random sheet permutations on the non-tree
-    edges, kept when the triangle condition holds and otherwise only on the
-    edges that lie in no triangle, where it holds for any choice."""
-    degree = draw(st.integers(1, 3))
+def random_voltage_cover(draw, base, max_degree=3):
+    """A voltage cover of degree 1 to max_degree: random sheet permutations on
+    the non-tree edges, kept when the triangle condition holds and otherwise
+    only on the edges that lie in no triangle, where it holds for any choice."""
+    degree = draw(st.integers(1, max_degree))
     nontree = SpanningTreeWords(base).nontree
     perms = st.permutations(range(degree)).map(tuple)
     voltages = {e: draw(perms) for e in nontree}
@@ -656,6 +700,50 @@ def perturbed_covers(draw):
     c = random_voltage_cover(draw, draw(connected_2_complexes()))
     choice = (draw(st.sampled_from(PERTURBATIONS)),) + tuple(draw(st.integers(0, 99)) for _ in range(3))
     return perturb(choice, c)
+
+
+@st.composite
+def graph_covers(draw):
+    """Voltage covers of degree 1-4 over connected graphs, with arbitrary voltages on the non-tree edges."""
+    K = draw(connected_2_complexes())
+    graph = SimplicialComplex.from_facets(K.edges(), vertices=K.vertices)
+    return random_voltage_cover(draw, graph, max_degree=4)
+
+
+class TestDeckGroupMatchesOracle:
+    @settings(max_examples=300)
+    @given(graph_covers())
+    def test_random_graph_covers(self, cover):
+        """On a connected voltage cover the deck group is the centralizer of the voltages."""
+        if not cover.total.is_connected():
+            with pytest.raises(CoverError, match=r"^deck group requires a connected cover$"):
+                deck_group(cover)
+            return
+        d = cover.degree
+        oracle = brute_deck_transformations(cover)
+        voltages = cover.assignment.voltage.values()
+        centralizer = [
+            p for p in itertools.permutations(range(d)) if all(perm_compose(p, v) == perm_compose(v, p) for v in voltages)
+        ]
+        regular, group = deck_group(cover)
+        assert regular == (len(oracle) == d) == (len(centralizer) == d)
+        if regular:
+            assert group == deck_permutations(cover, oracle) == centralizer
+        else:
+            assert group is None
+
+    @settings(max_examples=300)
+    @given(perturbed_covers())
+    def test_damaged_covers(self, cover):
+        """Off valid covers the lifting, bijection and simplex checks decide what is a deck transformation."""
+        if not cover.total.is_connected() or len({len(f) for f in cover.fibers().values()}) != 1:
+            with pytest.raises(CoverError):
+                deck_group(cover)
+            return
+        oracle = brute_deck_transformations(cover)
+        regular, group = deck_group(cover)
+        assert regular == (len(oracle) == cover.degree)
+        assert group == (deck_permutations(cover, oracle) if regular else None)
 
 
 class TestVerifyCoveringMatchesStarScan:
