@@ -8,12 +8,19 @@ flag, which is how an infinite family of spread relators is represented by a
 finite artifact.
 
 The coset enumerator is a deterministic relator-first filling procedure with
-an explicit row budget; exhausting the budget is a result, never an error,
-and a completed table always reports the true index.
+an explicit row budget.  ``enumerate_table`` alone decides whether a run can
+finish: it Tietze-reduces the presentation (``simplify``), returns None
+without a row when the reduced exponent vectors prove the index infinite,
+and otherwise enumerates the reduced presentation, falling back to the
+original one if that run exhausts its budget.  None therefore means "index
+proven infinite, or budget exhausted"; it is a result, never an error, and a
+completed table always reports the true index.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from types import NoneType
 from typing import Iterable, Mapping, Sequence
@@ -542,25 +549,120 @@ def _encode(word: Word) -> tuple[int, ...]:
 def coset_enumerate(
     p: Presentation, subgroup_generators: Sequence[Word] = (), budget: int = 10_000
 ) -> int | None:
-    """Index of the subgroup, or None when the row budget is exhausted.
+    """Index of the subgroup, or None when it is proven infinite or the row
+    budget is exhausted (see :func:`enumerate_table`).
 
-    Relator-first filling with deterministic scan order; a completed table is
-    a genuine coset table, so a returned index is always correct.
+    A completed table is a genuine coset table, so a returned index is
+    always correct.
     """
     table, _ = enumerate_table(p, subgroup_generators, budget)
     return None if table is None else table.index()
 
 
-def enumerate_table(
-    p: Presentation, subgroup_generators: Sequence[Word] = (), budget: int = 10_000
-) -> tuple[_CosetTable | None, int]:
-    """Run the enumeration and hand back the completed table, or None on budget.
+Record = tuple[tuple[int, tuple[int, ...]], ...]
 
-    The completed table is the action on cosets; callers can trace words
-    through it (see trace_word).
+
+def _substitute(letters: Iterable[int], g: int, forward: tuple[int, ...], inverse: tuple[int, ...]) -> list[int]:
+    """The freely reduced word with each g replaced by ``forward`` and each
+    g^-1 by ``inverse``."""
+    stack: list[int] = []
+    for x in letters:
+        for y in (x,) if x != g and x != -g else forward if x > 0 else inverse:
+            if stack and stack[-1] == -y:
+                stack.pop()
+            else:
+                stack.append(y)
+    return stack
+
+
+def simplify(p: Presentation) -> tuple[Presentation, Record]:
+    """Tietze-reduce a presentation by eliminating generators.
+
+    Repeatedly takes the shortest relator in which some generator occurs
+    once, solves it for that generator (of those, the one in the fewest
+    relators), substitutes the solution into every other relator and drops
+    the relator.  An elimination that would make the total relator length
+    exceed its starting value is skipped, so the reduction never grows the
+    presentation and its cost stays bounded.
+
+    Returns the presented group on the surviving generators, in their
+    original order, with the relators that remain, and the elimination
+    record: pairs (g, letters) in elimination order, saying that generator g
+    (a 1-based index into ``p.generators``) equals that word in p's letters,
+    which uses only generators still alive at that step.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    rels: list[tuple[int, ...]] = [w.letters for w in cyclic_relators(p.relators)]
+    occurs: list[set[int]] = [set() for _ in range(len(p.generators) + 1)]
+    for i, r in enumerate(rels):
+        for x in r:
+            occurs[abs(x)].add(i)
+    heap = [(len(r), i) for i, r in enumerate(rels)]
+    heapq.heapify(heap)
+    total = limit = sum(len(r) for r in rels)
+    record: list[tuple[int, tuple[int, ...]]] = []
+    while heap:
+        length, i = heapq.heappop(heap)
+        r = rels[i]
+        if len(r) != length or not r:
+            continue  # stale entry (the relator changed or was used), or an empty relator
+        gens = [abs(x) for x in r]
+        if length == 1:
+            g, forward, inverse = gens[0], (), ()
+        else:
+            once = [h for h, c in Counter(gens).items() if c == 1]
+            if not once:
+                continue  # pushed again if a substitution changes it
+            g = min(once, key=lambda h: (len(occurs[h]), h))
+            k = gens.index(g)
+            rest = r[k + 1 :] + r[:k]  # r is conjugate to g^(+-1) rest
+            inverse = tuple(-x for x in reversed(rest))
+            forward, inverse = (inverse, rest) if r[k] > 0 else (rest, inverse)
+        news: dict[int, tuple[int, ...]] = {}
+        for j in occurs[g]:
+            if j != i:
+                new = _substitute(rels[j], g, forward, inverse)
+                a, b = 0, len(new)
+                while b - a >= 2 and new[a] == -new[b - 1]:
+                    a, b = a + 1, b - 1
+                news[j] = tuple(new[a:b])
+        grown = total - length + sum(len(new) - len(rels[j]) for j, new in news.items())
+        if grown > limit:
+            continue  # tried again only if a later substitution changes it
+        total = grown
+        record.append((g, forward))
+        for h in gens:
+            occurs[h].discard(i)
+        rels[i] = ()
+        for j, new in news.items():
+            for x in rels[j]:
+                occurs[abs(x)].discard(j)
+            rels[j] = new
+            for x in new:
+                occurs[abs(x)].add(j)
+            heapq.heappush(heap, (len(new), j))
+    eliminated = {g for g, _ in record}
+    survivors = [g for g in range(1, len(p.generators) + 1) if g not in eliminated]
+    renumber = {g: i + 1 for i, g in enumerate(survivors)}
+    relators = cyclic_relators(Word(renumber[x] if x > 0 else -renumber[-x] for x in r) for r in rels if r)
+    reduced = Presentation([p.generators[g - 1] for g in survivors], relators, [OTHER] * len(relators))
+    return reduced, tuple(record)
+
+
+def _rewrite(record: Record, word: Word, survivors: Sequence[int]) -> Word:
+    """The word with each eliminated generator substituted, in record order,
+    and spelled in the reduced presentation's letters."""
+    letters = list(word.letters)
+    for g, forward in record:
+        if g in letters or -g in letters:
+            letters = _substitute(letters, g, forward, tuple(-x for x in reversed(forward)))
+    renumber = {g: i + 1 for i, g in enumerate(survivors)}
+    return Word(renumber[x] if x > 0 else -renumber[-x] for x in letters)
+
+
+def _enumerate(
+    p: Presentation, subgroup_generators: Sequence[Word], budget: int
+) -> tuple[_CosetTable | None, int]:
+    """Relator-first filling of the coset table within ``budget`` rows."""
     relators = [_encode(w) for w in cyclic_relators(p.relators)]
     subs = [_encode(w) for w in subgroup_generators if w.letters]
     T = _CosetTable(len(p.generators), budget)
@@ -586,6 +688,69 @@ def enumerate_table(
     except _BudgetExceeded:
         return None, len(T.table)
     return T, len(T.table)
+
+
+def _extend(T: _CosetTable, record: Record, survivors: Sequence[int], ngens: int) -> _CosetTable:
+    """The completed table of a reduced presentation, restricted to its live
+    cosets and extended to every original generator by evaluating the
+    record's words in reverse order."""
+    live = [a for a in range(len(T.table)) if T.rep(a) == a]
+    number = {a: i for i, a in enumerate(live)}
+    columns: list[list[int]] = [[] for _ in range(2 * ngens)]
+    for i, g in enumerate(survivors):
+        for s in (0, 1):
+            columns[2 * (g - 1) + s] = [number[T.lookup(a, 2 * i + s)] for a in live]
+    identity = list(range(len(live)))
+    for g, value in reversed(record):
+        image = inverse = identity
+        for x in value:
+            column = columns[2 * x - 2 if x > 0 else -2 * x - 1]
+            image = [column[c] for c in image]
+        if value:
+            inverse = [0] * len(live)
+            for c, d in enumerate(image):
+                inverse[d] = c
+        columns[2 * g - 2], columns[2 * g - 1] = image, inverse
+    E = _CosetTable(ngens, T.budget)
+    E.table = [[column[c] for column in columns] for c in range(len(live))]
+    E.parent = list(range(len(live)))
+    return E
+
+
+def enumerate_table(
+    p: Presentation, subgroup_generators: Sequence[Word] = (), budget: int = 10_000
+) -> tuple[_CosetTable | None, int]:
+    """The completed coset table and the rows spent, or None when the index
+    is proven infinite or the budget is exhausted.
+
+    The presentation is first Tietze-reduced (:func:`simplify`) and the
+    subgroup generators rewritten through the record.  When the exponent
+    vectors of the reduced relators and rewritten subgroup generators span
+    less than the surviving generators' lattice, G maps onto an infinite
+    abelian group in which H has infinite index, so no table could complete
+    and ``(None, 0)`` is returned at once.  Otherwise the reduced
+    presentation is enumerated; a completed table is extended to every
+    original generator, so callers trace words in ``p``'s letters through it
+    (see trace_word).  If the reduced run exhausts its budget after some
+    elimination, ``p`` itself is enumerated with the same budget, since an
+    elimination can lengthen relators enough to cost an index; the rows of
+    both runs are reported.
+    """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    reduced, record = simplify(p)
+    eliminated = {g for g, _ in record}
+    survivors = [g for g in range(1, len(p.generators) + 1) if g not in eliminated]
+    subs = [_rewrite(record, w, survivors) for w in subgroup_generators]
+    if abelianization(Presentation(reduced.generators, [*reduced.relators, *subs])).free_rank:
+        return None, 0
+    T, rows = _enumerate(reduced, subs, budget)
+    if T is not None:
+        return _extend(T, record, survivors, len(p.generators)), rows
+    if not record:
+        return None, rows
+    T, more = _enumerate(p, subgroup_generators, budget)
+    return T, rows + more
 
 
 def trace_word(table: _CosetTable, word: Word) -> int:

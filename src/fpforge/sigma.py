@@ -182,6 +182,14 @@ def _simply_connected(K: SimplicialComplex) -> bool:
     return coset_enumerate(SpanningTreeWords(K).presentation(), (), SIMPLE_CONNECTIVITY_BUDGET) == 1
 
 
+def _simple_connectivity(K: SimplicialComplex, summary: HomologySummary) -> bool | None:
+    """A nonzero first homology (``summary``, over Z) certifies False, coset
+    enumeration completing at index one certifies True; otherwise None."""
+    if not summary.is_trivial_in(1):
+        return False
+    return True if _simply_connected(K) else None
+
+
 def constructed_entry(id: str, voltage: VoltageAssignment, *, note: str = "") -> CoverRegistryEntry:
     """Build a cover, compute its integral certificate, and wrap it as an entry.
 
@@ -192,18 +200,13 @@ def constructed_entry(id: str, voltage: VoltageAssignment, *, note: str = "") ->
     """
     cover = build_cover(voltage)
     summary = reduced_homology(cover.total, RingSpec.Z())
-    simply_connected: bool | None
-    if not summary.is_trivial_in(1):
-        simply_connected = False
-    else:
-        simply_connected = True if _simply_connected(cover.total) else None
     return CoverRegistryEntry(
         id=id,
         kind="constructed",
         degree=voltage.degree,
         homology={"Z": summary},
         certified_up_to="all",
-        simply_connected=simply_connected,
+        simply_connected=_simple_connectivity(cover.total, summary),
         quotient_is_finite=True,
         note=note,
         voltage=voltage,
@@ -239,7 +242,8 @@ def declared_entry(
 
 
 def validate_registry(registry: Mapping[str, CoverRegistryEntry]) -> list[str]:
-    """Recompute constructed certificates and sanity-check declared ones."""
+    """Recompute constructed certificates, simple connectivity included, and
+    sanity-check declared ones."""
     problems = []
     for eid, entry in sorted(registry.items()):
         if entry.id != eid:
@@ -254,6 +258,8 @@ def validate_registry(registry: Mapping[str, CoverRegistryEntry]) -> list[str]:
             stored = entry.homology.get("Z")
             if stored != fresh:
                 problems.append(f"{eid}: stored integral certificate disagrees with recomputation")
+            if entry.simply_connected != _simple_connectivity(cover.total, fresh):
+                problems.append(f"{eid}: stored simple connectivity disagrees with recomputation")
             for key, summary in entry.homology.items():
                 if key == "Z":
                     continue

@@ -9,11 +9,13 @@ quotient) in which it survives, or certified filled by a bounded derivation
 search.  Anything else is reported unknown rather than guessed.
 
 Enumerating the cosets of the trivial subgroup finishes only when the level
-quotient is finite, and a positive free rank of its abelianization proves it
-infinite.  So enumeration runs only at levels of free rank zero; the other
-levels go straight to the fallbacks, and the reported ``budget_used`` counts
-coset rows only of enumerations that can finish.  This skips no certificate:
-at those levels the enumeration could only run out of budget.
+quotient is finite.  ``groups.enumerate_table`` Tietze-reduces each level
+presentation and returns None without a row when the reduced relators'
+exponent vectors prove the quotient infinite (positive free rank), so such
+levels go straight to the fallbacks and ``budget_used`` counts coset rows
+only of enumerations that can finish.  The fallbacks still read the
+unreduced level presentation, so their certificates do not depend on the
+reduction.
 
 Once a level's table completes with order 1, every later level quotient is
 trivial too, so a later length is filled exactly when it has a loop: when
@@ -46,7 +48,6 @@ from .groups import (
     Presentation,
     SpanningTreeWords,
     Word,
-    abelianization,
     cyclic_relators,
     enumerate_table,
     free_reduce,
@@ -178,6 +179,21 @@ def _abelian_survival(smith: tuple[list[int], list[list[int]]], vector: list[int
     return None
 
 
+def _splice(left: tuple[int, ...], move: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """free_reduce(left + move + right) for freely reduced left, move and
+    right: only the junctions can cancel, left|move, then move|right, then
+    left|right once move is used up."""
+    i, j, k, r = len(left), 0, len(move), 0
+    while i and j < k and left[i - 1] == -move[j]:
+        i, j = i - 1, j + 1
+    while j < k and r < len(right) and move[k - 1] == -right[r]:
+        k, r = k - 1, r + 1
+    if j == k:
+        while i and r < len(right) and left[i - 1] == -right[r]:
+            i, r = i - 1, r + 1
+    return left[:i] + move[j:k] + right[r:]
+
+
 def _derivation_search(word: Word, relators: Sequence[Word], max_nodes: int) -> int | None:
     """Breadth-first search for a null-homotopy derivation; returns step count."""
     if word.is_identity():
@@ -188,7 +204,7 @@ def _derivation_search(word: Word, relators: Sequence[Word], max_nodes: int) -> 
         for base in (rel, rel.inverse()):
             ls = base.letters
             for r in range(len(ls)):
-                rot = ls[r:] + ls[:r]
+                rot = free_reduce(ls[r:] + ls[:r])
                 if rot not in seen_moves:
                     seen_moves.add(rot)
                     moves.append(rot)
@@ -202,7 +218,7 @@ def _derivation_search(word: Word, relators: Sequence[Word], max_nodes: int) -> 
         for current in frontier:
             for move in moves:
                 for pos in range(len(current) + 1):
-                    candidate = free_reduce(current[:pos] + move + current[pos:])
+                    candidate = _splice(current[:pos], move, current[pos:])
                     if len(candidate) > max_len or candidate in seen:
                         continue
                     if not candidate:
@@ -263,9 +279,8 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
     taut and to derivation search for filled.  Certified statuses never flip
     under a larger budget; only unknowns can resolve.
 
-    Coset enumeration runs only once the level quotient's free rank is 0
-    (it then stays 0, since relators only accumulate): a positive free rank
-    makes the quotient infinite, so no table could complete.  Once a table
+    At a level of positive free rank ``enumerate_table`` returns None
+    without a row, since no table could complete.  Once a table
     completes with order 1, no later level is enumerated or listed: each
     later length is filled (``finite-quotient``, order 1) when
     :func:`closed_walk_lengths` has it and ``no-loops`` otherwise.
@@ -290,7 +305,6 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
     statuses: dict[int, LengthStatus] = {}
     relators: dict[Word, None] = {}  # words of all shorter cycles, in first-seen order
     shorter: list[Word] = []  # words of the cycles of length l - 1
-    infinite = True  # until the level quotient's free rank reaches 0
     for l in range(1, l_max + 1):
         relators.update(dict.fromkeys(cyclic_relators(shorter)))
         shorter = []
@@ -299,12 +313,8 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
             continue
 
         presentation = Presentation([f"g{i}" for i in range(ngens)], list(relators))
-        if infinite:
-            infinite = abelianization(presentation).free_rank > 0
-        table = None
-        if not infinite:
-            table, rows = enumerate_table(presentation, (), budget)
-            budget_used += rows
+        table, rows = enumerate_table(presentation, (), budget)
+        budget_used += rows
         if table is not None and table.index() == 1:
             # later level quotients are trivial too: a length is filled, by
             # this table, exactly when it has loops

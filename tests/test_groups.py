@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpforge.complex_core import SimplicialComplex, spanning_tree
-from fpforge.covers import VoltageAssignment, build_cover, lift_loop, normal_generators
+from fpforge import groups
+from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree
+from fpforge.covers import VoltageAssignment, build_cover, double_cover_voltages, lift_loop, normal_generators
 from fpforge.groups import (
     LoopWord,
     Presentation,
@@ -22,6 +23,7 @@ from fpforge.groups import (
     presentation_to_json,
     quotient_relators,
     raag_presentation,
+    simplify,
     subpresentation_select,
     tagged_family_presentation,
     trace_word,
@@ -29,7 +31,7 @@ from fpforge.groups import (
 from fpforge.homology import invariant_factors, smith_normal_form, snf_diagonal
 from fpforge.sigma import example_registry
 
-from helpers import matmul
+from helpers import RP2_FACETS, matmul
 
 
 def full_simplex(n):
@@ -226,10 +228,16 @@ class TestCosetEnumeration:
         p = Presentation(["a", "b"], [Word([1, 1]), Word([2, 2]), Word([1, 2] * 3)])
         assert coset_enumerate(p, [Word([1])], 2000) == 3  # S3 over <a>
 
-    def test_infinite_group_exhausts(self):
+    def test_infinite_group_is_refused_without_a_row(self):
         p = deck_group_presentation(full_simplex(3), {})  # abelianizes to Z^2
         assert abelianization(p).free_rank == 2
         assert coset_enumerate(p, (), 10_000) is None
+        assert enumerate_table(p, (), 10_000) == (None, 0)
+
+    def test_subgroup_of_infinite_index_in_z2_is_refused(self):
+        p = Presentation(["a", "b"], [Word([1, 2, -1, -2])])
+        assert enumerate_table(p, [Word([1, 2]), Word([1, 1, 2, 2])], 10_000) == (None, 0)
+        assert coset_enumerate(p, [Word([1]), Word([2, 2])], 10_000) == 2
 
     def test_trivial_presentation(self):
         p = Presentation(["x"], [Word([1])])
@@ -244,6 +252,80 @@ class TestCosetEnumeration:
         p = Presentation(["a", "b"], [Word([1, 1]), Word([2, 2, 2]), Word([1, 2] * 3)])
         runs = {coset_enumerate(p, (), 2000) for _ in range(3)}
         assert runs == {12}
+
+
+def _fixes(table, start, word):
+    """Whether the word leads from coset ``start`` back to it in a completed table."""
+    cur = start
+    for x in word.letters:
+        cur = table.lookup(cur, 2 * x - 2 if x > 0 else -2 * x - 1)
+    return cur == table.rep(start)
+
+
+class TestTietzeReduction:
+    @settings(max_examples=300)
+    @given(
+        p=presentations(),
+        subgroup=st.lists(st.lists(st.integers(-4, 4).filter(bool), max_size=4), max_size=2),
+        budget=st.integers(1, 60),
+    )
+    def test_never_loses_an_index_and_extends_to_every_generator(self, p, subgroup, budget):
+        n = len(p.generators)
+        subgroup = [Word(x for x in w if abs(x) <= n) for w in subgroup]
+        reference, _ = groups._enumerate(p, subgroup, budget)
+        table, _ = enumerate_table(p, subgroup, budget)
+        if reference is not None:
+            assert table is not None and table.index() == reference.index()
+        if table is not None:
+            live = [c for c in range(len(table.table)) if table.rep(c) == c]
+            assert len(live) == table.index()
+            assert all(_fixes(table, c, w) for c in live for w in p.relators)
+            assert all(trace_word(table, w) == table.rep(0) for w in subgroup)
+
+    @settings(max_examples=200)
+    @given(presentations())
+    def test_record_solves_each_eliminated_generator(self, p):
+        reduced, record = simplify(p)
+        eliminated = [g for g, _ in record]
+        assert len(set(eliminated)) == len(eliminated)
+        assert len(reduced.generators) + len(eliminated) == len(p.generators)
+        assert sum(len(w) for w in reduced.relators) <= sum(len(w) for w in cyclic_relators(p.relators))
+        for k, (g, value) in enumerate(record):
+            assert not set(map(abs, value)) & set(eliminated[: k + 1])
+        assert abelianization(reduced) == abelianization(p)
+
+    def test_known_groups_reduce_to_their_orders(self):
+        for _, gens, rels, order in KNOWN_GROUPS:
+            p = Presentation(gens, [Word(r) for r in rels])
+            reduced, _ = simplify(p)
+            assert coset_enumerate(reduced, (), 2000) == order
+
+    def test_an_elimination_that_lengthens_the_relators_still_gives_index_five(self):
+        p = Presentation(
+            ["g1", "g2", "g3"], [Word([-1, -3, -2, -2]), Word([2, -1, -2, -1, 3]), Word([-1, -2, 1, 2, 1, -2])]
+        )
+        assert coset_enumerate(p, (), 50) == 5
+
+    def test_unreduced_run_follows_an_exhausted_reduced_run(self):
+        p = Presentation(
+            ["g1", "g2", "g3"],
+            [Word([-1, 3, -2, -2, -1, 3, -2]), Word([3, 2, 3, 3]), Word([-3, 2, -1]), Word([1, 3, 2])],
+        )
+        reduced, record = simplify(p)
+        assert record and groups._enumerate(reduced, (), 30) == (None, 30)
+        unreduced, rows = groups._enumerate(p, (), 30)
+        table, both = enumerate_table(p, (), 30)
+        assert table.index() == unreduced.index() == 1
+        assert both == 30 + rows
+
+    def test_spanning_tree_presentation_of_a_large_sphere_needs_one_row(self):
+        K = SimplicialComplex.from_facets(RP2_FACETS)
+        for _ in range(3):
+            K = barycentric_subdivision(K)
+        p = SpanningTreeWords(build_cover(double_cover_voltages(K)[0]).total).presentation()
+        assert len(p.generators) == 4319
+        table, rows = enumerate_table(p, (), 4000)
+        assert table.index() == 1 and rows <= 10
 
 
 class TestQuotientRelators:

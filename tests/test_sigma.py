@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -158,6 +159,17 @@ class TestRegistry:
     def test_constructed_simple_connectivity_flags(self, registry):
         assert registry["sphere"].simply_connected is True
         assert registry["cycle8"].simply_connected is False
+
+    def test_flipped_simple_connectivity_is_reported(self, registry):
+        flipped = {
+            "sphere": dataclasses.replace(registry["sphere"], simply_connected=False),
+            "cycle8": dataclasses.replace(registry["cycle8"], simply_connected=None),
+            "cone": registry["cone"],
+        }
+        assert validate_registry(flipped) == [
+            "cycle8: stored simple connectivity disagrees with recomputation",
+            "sphere: stored simple connectivity disagrees with recomputation",
+        ]
 
     def test_declared_needs_note(self):
         with pytest.raises(SigmaError):

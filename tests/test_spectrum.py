@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fpforge import spectrum
 from fpforge.complex_core import ComplexError, SimplicialComplex
-from fpforge.groups import Presentation, SpanningTreeWords, cyclic_relators, enumerate_table, trace_word
+from fpforge.groups import Presentation, SpanningTreeWords, cyclic_relators, enumerate_table, free_reduce, trace_word
 from fpforge.spectrum import (
     CeilingError,
     LengthStatus,
@@ -19,6 +19,7 @@ from fpforge.spectrum import (
     _abelian_survival,
     _derivation_search,
     _lattice_smith,
+    _splice,
     closed_walk_lengths,
     dump_graph,
     enumerate_cycles,
@@ -179,8 +180,9 @@ class TestTautSpectrum:
 
 
 def always_enumerate_reference(graph, l_max, budget):
-    """The spectrum loop that runs coset enumeration at every level with loops,
-    kept as the reference for the free-rank gate in taut_spectrum."""
+    """The spectrum loop that lists every length and calls enumerate_table at
+    every level with loops, kept as the reference for taut_spectrum's lazy
+    listing and its cut after a trivial level quotient."""
     words = SpanningTreeWords(graph)
     ngens = len(words.generator_names)
     cycles = enumerate_cycles(graph, l_max)
@@ -221,6 +223,16 @@ def always_enumerate_reference(graph, l_max, budget):
         else:
             statuses[l] = LengthStatus("filled", {"method": "derivation"})
     return budget_used, statuses
+
+
+reduced_words = st.lists(st.integers(-3, 3).filter(bool), max_size=8).map(free_reduce)
+
+
+class TestSplice:
+    @settings(max_examples=500)
+    @given(left=reduced_words, move=reduced_words, right=reduced_words)
+    def test_equals_free_reduction_of_the_concatenation(self, left, move, right):
+        assert _splice(left, move, right) == free_reduce(left + move + right)
 
 
 @st.composite
