@@ -6,13 +6,14 @@ realization is ever built.  Values are immutable after construction and safe
 to share between threads.
 
 Because a complex never changes, derived tables are built lazily, once, into
-its ``_cache``: simplices by dimension, the 1-skeleton adjacency, the facet
-list, the coface index (vertex -> stored simplices containing it) and the
-canonical spanning tree.  They are handed out as tuples, frozensets,
-read-only mappings or copies, so no caller can change a later answer.  The
-index is built in one pass over the simplices, so facets, closed stars, links
-and the flag and local-cut-point tests cost O(N·d) for N simplices of
-dimension d instead of a scan of every simplex per vertex.  A passing
+its ``_cache``: simplices by dimension (every dimension in one pass, which
+also gives the dimension), the 1-skeleton adjacency, the facet list, the
+coface index (vertex -> stored simplices containing it) and the canonical
+spanning tree.  They are handed out as tuples, frozensets, read-only
+mappings or copies, so no caller can change a later answer.  The index is
+built in one pass over the simplices, so facets, closed stars, links and the
+flag and local-cut-point tests cost O(N·d) for N simplices of dimension d
+instead of a scan of every simplex per vertex.  A passing
 :func:`validate` is cached the same way, so the checks that guard the
 constructions below validate each complex once; ``from_facets`` records it
 at construction, since its output is valid by construction.
@@ -150,18 +151,22 @@ class SimplicialComplex:
         complex._cache["valid"] = True  # sorted, deduplicated, closed downward, every vertex a 0-simplex
         return complex
 
+    def _by_dim(self) -> Mapping[int, tuple[tuple[int, ...], ...]]:
+        """Cardinality -> the sorted stored simplices of that cardinality, bucketed in one pass."""
+        if "by_dim" not in self._cache:
+            buckets: dict[int, list[tuple[int, ...]]] = {}
+            for s in self.simplices:
+                buckets.setdefault(len(s), []).append(s)
+            self._cache["by_dim"] = MappingProxyType({n: tuple(sorted(b)) for n, b in buckets.items()})
+        return self._cache["by_dim"]
+
     @property
     def dimension(self) -> int:
         """Max simplex cardinality minus one; -1 for the empty complex."""
-        if not self.simplices:
-            return -1
-        return max(len(s) for s in self.simplices) - 1
+        return max(self._by_dim(), default=0) - 1
 
     def simplices_of_dim(self, k: int) -> tuple[tuple[int, ...], ...]:
-        key = ("dim", k)
-        if key not in self._cache:
-            self._cache[key] = tuple(sorted(s for s in self.simplices if len(s) == k + 1))
-        return self._cache[key]
+        return self._by_dim().get(k + 1, ())
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(self.simplices_of_dim(k)) for k in range(self.dimension + 1))

@@ -372,11 +372,25 @@ def deck_group(c: CoverComplex) -> tuple[bool, list[tuple[int, ...]] | None]:
     For a voltage cover they are the permutations that commute with every
     voltage, which agree with the voltage image only when it is abelian.
     """
-    _connected_tree(c.total, "deck group requires a connected cover")
+    total = c.total
+    _connected_tree(total, "deck group requires a connected cover")
     step = _total_adjacency(c)
-    t0 = min(c.total.vertices)
+    # Lifting maps each edge that the step table holds to an edge, and the
+    # vertex bijection maps vertices to vertices.  So when the step table holds
+    # every edge from both ends, every edge is stored sorted and the
+    # 0-simplices are exactly the vertices, only the simplices of dimension
+    # >= 2 are left to check.
+    edges = total.edges()
+    checked = total.simplices
+    if (
+        sum(map(len, step.values())) == 2 * len(edges)
+        and all(u < w for u, w in edges)
+        and total.simplices_of_dim(0) == tuple((t,) for t in sorted(total.vertices))
+    ):
+        checked = [s for k in range(2, total.dimension + 1) for s in total.simplices_of_dim(k)]
+    t0 = min(total.vertices)
     found = []
-    for target in sorted(t for t in c.total.vertices if c.projection[t] == c.projection[t0]):
+    for target in sorted(t for t in total.vertices if c.projection[t] == c.projection[t0]):
         f = {t0: target}
         stack = [t0]
         ok = True
@@ -392,9 +406,9 @@ def deck_group(c: CoverComplex) -> tuple[bool, list[tuple[int, ...]] | None]:
                     break
         if (
             ok
-            and len(f) == len(c.total.vertices)
+            and len(f) == len(total.vertices)
             and len(set(f.values())) == len(f)
-            and all(tuple(sorted(f[x] for x in s)) in c.total.simplices for s in c.total.simplices)
+            and all(tuple(sorted(f[x] for x in s)) in total.simplices for s in checked)
         ):
             found.append(f)
     if len(found) != c.degree:

@@ -90,10 +90,12 @@ class Word:
         return row
 
     def cyclically_reduced(self) -> "Word":
-        ls = list(self.letters)
-        while len(ls) >= 2 and ls[0] == -ls[-1]:
-            ls = ls[1:-1]
-        return Word(ls)
+        """The word without its cancelling first/last letter pairs; ``self`` when none cancel."""
+        ls = self.letters
+        k = 0
+        while len(ls) - 2 * k >= 2 and ls[k] == -ls[-1 - k]:
+            k += 1
+        return Word(ls[k : len(ls) - k]) if k else self
 
     def __repr__(self) -> str:
         return f"Word({list(self.letters)})"

@@ -1,9 +1,15 @@
 """Exact simplicial chain complexes and reduced homology.
 
-One sparse elimination kernel serves every coefficient ring.  Over Z it
-peels unit pivots (+-1 entries) first, sparsest row and column first, and
-hands any non-unit remainder to the dense Smith normal form; the split
-preserves invariant factors because a cleared unit pivot splits off as a
+One sparse elimination kernel serves every coefficient ring, in two phases.
+Phase 1 visits each row once, shortest first, and reads it through a signed
+union-find on columns: a row of two unit entries links one column to a
+signed multiple of the other, a row of one unit entry clears its column, and
+other rows are kept.  On a 2-complex this merges triangles across shared
+edges (the tree-cotree reduction); going around a dual cycle leaves an entry
+0 or +-2, which is where RP^2's Z/2 comes from.  Phase 2 peels the unit
+pivots (+-1 entries) of the kept rows, sparsest row and column first, and
+hands any non-unit remainder to the dense Smith normal form.  Both phases
+preserve invariant factors because a cleared unit pivot splits off as a
 diag(1, rest) block.  Over F_p the same kernel runs on entries reduced mod p,
 where every nonzero entry is a unit.  Over Q no separate path is needed: the
 rank of a boundary matrix is the number of its nonzero integral invariant
@@ -239,16 +245,83 @@ def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | N
     """Invariant factors of a sparse integer matrix given as {(row, col): value}.
 
     With a prime p the matrix is reduced mod p first; every nonzero entry is
-    then a unit, so the result is rank-many 1s.  Rows holding a unit wait in
-    a heap keyed by (length, row) and are revalidated lazily when popped.
+    then a unit, so the result is rank-many 1s.
+
+    Phase 1 visits the rows once, in (length, row) order, and reads each one
+    through a signed union-find on columns, in which a linked column stands
+    for a factor times its parent.  A row that reads as two unit entries
+    e_a, e_b pivots on e_a and links column a to b with factor -e_b/e_a; one
+    unit entry clears its column; other rows are kept.  Exactness: the column
+    operation that clears e_b and the row operations that clear column a are
+    invertible over Z and F_p, and leave every other row reading column a as
+    -e_b/e_a times column b, so each step splits off one factor 1.  The kept
+    rows, read through the final links, go to :func:`_unit_heap_factors`.
     """
     rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
     for (r, c), v in entries.items():
         if p is not None:
             v %= p
         if v:
             rows.setdefault(r, {})[c] = v
+    link: dict[int, tuple[int | None, int]] = {}  # column -> (parent, factor); parent None: cleared
+
+    def find(c: int) -> tuple[int | None, int]:
+        """(root, f): column c reads as f times column root, or is cleared when root is None."""
+        path = []
+        while c in link:
+            path.append(c)
+            c = link[c][0]
+        f = 1
+        for x in reversed(path):  # compress: each column on the path links to the root directly
+            f *= link[x][1]
+            if p is not None:
+                f %= p
+            link[x] = (c, f)
+        return c, f
+
+    def read(row: dict[int, int]) -> dict[int, int]:
+        if not link.keys() & row.keys():
+            return row  # no column of the row is linked
+        out: dict[int, int] = {}
+        for c, v in row.items():
+            if c in link:
+                c, f = find(c)
+                if c is None:
+                    continue
+                v *= f
+            out[c] = out.get(c, 0) + v
+        if p is not None:
+            return {c: v % p for c, v in out.items() if v % p}
+        return {c: v for c, v in out.items() if v}
+
+    units = 0
+    kept = []
+    for r in sorted(rows, key=lambda r: (len(rows[r]), r)):
+        row = read(rows[r])
+        if 0 < len(row) <= 2 and (p is not None or all(v == 1 or v == -1 for v in row.values())):
+            (a, ea), *other = row.items()
+            if other:  # ea = +-1 is its own inverse over Z
+                ((b, eb),) = other
+                link[a] = (b, -eb * ea if p is None else -eb * pow(ea, -1, p) % p)
+            else:
+                link[a] = (None, 0)
+            units += 1
+        else:
+            kept.append(r)
+    rest = {r: row for r in kept if (row := read(rows[r]))}
+    return [1] * units + _unit_heap_factors(rest, p)
+
+
+def _unit_heap_factors(rows: dict[int, dict[int, int]], p: int | None) -> list[int]:
+    """Invariant factors of {row: {col: value}}, nonzero entries only (reduced mod p when p is given).
+
+    Rows holding a unit wait in a heap keyed by (length, row) and are
+    revalidated lazily when popped; the non-unit remainder goes to the dense
+    Smith normal form.  ``rows`` is consumed.
+    """
+    cols: dict[int, set[int]] = {}
+    for r, row in rows.items():
+        for c in row:
             cols.setdefault(c, set()).add(r)
 
     def has_unit(row: dict[int, int]) -> bool:

@@ -403,6 +403,23 @@ class TestDeckGroup:
         assert cover.total.is_connected()
         assert deck_group(cover) == (False, None)
 
+    def test_cover_missing_a_triangle_on_one_sheet_is_irregular(self):
+        cover = orientation_cover()
+        (swap,) = [f for f in brute_deck_transformations(cover) if any(f[t] != t for t in f)]
+        gone = next(s for s in sorted(cover.total.simplices) if len(s) == 3 and cover.sheet[s[0]] == 1)
+        kept = tuple(sorted(swap[t] for t in gone))
+        total = SimplicialComplex.from_facets(
+            [s for s in cover.total.facets() if s != gone], vertices=cover.total.vertices
+        )
+        damaged = CoverComplex(total, cover.base, cover.projection, cover.sheet)
+        # The swap still maps every vertex and edge onto a vertex and an edge...
+        assert total.simplices == cover.total.simplices - {gone}
+        assert all(tuple(sorted(swap[t] for t in s)) in total.simplices for s in total.simplices if len(s) < 3)
+        # ...but takes the kept triangle over the same base triangle onto the missing one.
+        assert kept in total.simplices and tuple(sorted(swap[t] for t in kept)) == gone
+        assert deck_group(damaged) == (False, None)
+        assert len(brute_deck_transformations(damaged)) == 1
+
     def test_pullback_uses_search_path(self):
         base = cycle_complex(4)
         doubled = double_of_cover(base, c4_double_cover())

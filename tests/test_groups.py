@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpforge import groups
@@ -66,6 +66,19 @@ class TestWord:
 
     def test_cyclic_reduction(self):
         assert Word([1, 2, 3, -1]).cyclically_reduced().letters == (2, 3)
+
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=14).map(Word))
+    @example(Word([1, 2, -1]))
+    @example(Word([1, 2, 3, -2, -1]))
+    def test_cyclic_reduction_matches_pair_loop(self, w):
+        """Against the loop that stripped one cancelling pair per step."""
+        ls = list(w.letters)
+        while len(ls) >= 2 and ls[0] == -ls[-1]:
+            ls = ls[1:-1]
+        cw = w.cyclically_reduced()
+        assert cw == Word(ls) and cw.letters == tuple(ls)
+        if cw.letters == w.letters:
+            assert cw is w
 
     def test_cyclic_relators_drop_empty_words_and_repeats(self):
         words = [Word([1, 2, -1]), Word([2]), Word([1, -1]), Word([-2, 1, 2]), Word([1])]

@@ -58,6 +58,50 @@ def sparse_matrices(draw):
 
 
 @st.composite
+def dual_graph_matrices(draw):
+    """Rows of one to three entries in {+-1, +-2} on at most six columns, as (entries, dense).
+
+    Most rows have two entries, so phase 1 of the sparse kernel links columns
+    along long chains, and with so few columns many rows read through one
+    union-find class (a dual cycle) and cancel to 0 or +-2.
+    """
+    m = draw(st.integers(1, 14))
+    n = draw(st.integers(1, 6))
+    dense = [[0] * n for _ in range(m)]
+    for row in dense:
+        size = draw(st.sampled_from([1, 2, 2, 2, 2, 3]))
+        for j in draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=size)):
+            row[j] = draw(st.sampled_from([1, -1, 1, -1, 2, -2]))
+    entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+    return entries, dense
+
+
+def klein_bottle():
+    """The 3x3 grid with its ends glued straight and its sides glued with a flip."""
+
+    def v(i, j):
+        if i == 3:
+            i, j = 0, -j
+        return 3 * i + j % 3
+
+    squares = [(v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)) for i in range(3) for j in range(3)]
+    return SimplicialComplex.from_facets([t for a, b, c, d in squares for t in ((a, b, d), (a, c, d))])
+
+
+def heap_inputs(monkeypatch):
+    """Record the rows each call of the heap phase receives."""
+    seen = []
+    heap = homology._unit_heap_factors
+
+    def spy(rows, p):
+        seen.append({r: dict(row) for r, row in rows.items()})
+        return heap(rows, p)
+
+    monkeypatch.setattr(homology, "_unit_heap_factors", spy)
+    return seen
+
+
+@st.composite
 def complexes(draw):
     """Complexes of dimension up to 3 on up to 9 vertices, often disconnected, with isolated vertices."""
     n = draw(st.integers(0, 9))
@@ -229,6 +273,51 @@ class TestSparseKernel:
         factors = _sparse_invariant_factors(entries, p)
         assert set(factors) <= {1}
         assert len(factors) == sum(1 for d in invariant_factors(dense) if d % p)
+
+
+class TestDualForestPhase:
+    @given(dual_graph_matrices())
+    @example(({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}, [[1, 1], [1, -1]]))
+    @example(({(0, 0): 1, (1, 0): 1, (1, 1): 2}, [[1, 0], [1, 2]]))
+    @example(({(0, 0): 1, (0, 1): 1, (1, 1): 1, (1, 2): 1, (2, 0): 1, (2, 3): 1, (3, 0): 1, (3, 2): 1, (3, 3): 2},
+              [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 1, 2]]))  # column 0 read twice through a chain
+    def test_matches_dense_smith_form(self, matrix):
+        entries, dense = matrix
+        assert _sparse_invariant_factors(entries) == invariant_factors(dense)
+        for p in (2, 3, 5):
+            assert _sparse_invariant_factors(entries, p) == [1] * sum(1 for d in invariant_factors(dense) if d % p)
+
+    @pytest.mark.parametrize("space", ["rp2", "klein"])
+    def test_torsion_comes_from_a_two_entry(self, space, monkeypatch):
+        K = SimplicialComplex.from_facets(RP2_FACETS) if space == "rp2" else klein_bottle()
+        cx = chain_complex(K)
+        cut = homology._boundary_entries(cx.faces[2], _spanning_forest(cx.faces[1]))
+        seen = heap_inputs(monkeypatch)
+        assert _sparse_invariant_factors(cut) == invariant_factors(boundary_dense(cx, 2)) == [1] * (len(cx.faces[2]) - 1) + [2]
+        assert [sorted(map(abs, row.values())) for row in seen[0].values()] == [[2]]
+        z = reduced_homology(K, RingSpec.Z())
+        assert z.torsion_in(1) == (2,) and z.rank(1) == (1 if space == "klein" else 0)
+
+    def test_one_entry_row_clears_a_column_of_a_later_row(self, monkeypatch):
+        # Row 0 clears column 0, so row 1 reads as {1: 2} and reaches the heap.
+        seen = heap_inputs(monkeypatch)
+        assert _sparse_invariant_factors({(0, 0): 1, (1, 0): 1, (1, 1): 2}) == [1, 2]
+        assert seen == [{1: {1: 2}}]
+        assert _sparse_invariant_factors({(0, 0): 1, (1, 0): 1, (1, 1): 2}, 3) == [1, 1]
+        assert _sparse_invariant_factors({(0, 0): 1, (1, 0): 1, (1, 1): 2}, 2) == [1]
+
+    def test_dual_cycle_leaves_a_two_for_the_heap(self, monkeypatch):
+        # Row 0 links column 0 to -1 times column 1; row 1 then reads as {1: -2}.
+        seen = heap_inputs(monkeypatch)
+        assert _sparse_invariant_factors({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}) == [1, 2]
+        assert seen == [{1: {1: -2}}]
+
+    def test_sd2_rp2_leaves_at_most_one_heap_row(self, monkeypatch):
+        K = barycentric_subdivision(barycentric_subdivision(SimplicialComplex.from_facets(RP2_FACETS)))
+        seen = heap_inputs(monkeypatch)
+        z = reduced_homology(K, RingSpec.Z())
+        assert z.torsion_in(1) == (2,) and z.ranks == (0, 0, 0)
+        assert len(seen) == 1 and len(seen[0]) <= 1
 
 
 class TestReducedHomology:
