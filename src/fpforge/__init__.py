@@ -33,7 +33,6 @@ from .groups import (
     power_spread,
     quotient_relators,
     raag_presentation,
-    subpresentation_select,
 )
 from .homology import (
     ChainComplex,
@@ -56,6 +55,7 @@ from .sigma import (
     sigma_field_example,
     sigma_power_tower,
     sigma_prime_set,
+    subpresentation_select,
 )
 from .spectrum import TautSpectrumReport, k_related, separation_ratio_check, taut_spectrum
 from .spherical_double import DoubledComplex, retract_word, spherical_double

@@ -186,7 +186,7 @@ def _cmd_subpres(args) -> int:
         if not 0 <= i < len(full.relators):
             raise ValueError(f"retained relator index {i} out of range")
     T = [full.relators[i] for i in t_indices]
-    selection = groups.subpresentation_select(full, T, registry, args.base_id, args.cover_id)
+    selection = sigma_mod.subpresentation_select(full, T, registry, args.base_id, args.cover_id)
     if args.out:
         _atomic_write(args.out, groups.presentation_to_json(selection.presentation))
     if args.sigma_out:

@@ -13,8 +13,11 @@ finish: it Tietze-reduces the presentation (``simplify``), returns None
 without a row when the reduced exponent vectors prove the index infinite,
 and otherwise enumerates the reduced presentation, falling back to the
 original one if that run exhausts its budget.  None therefore means "index
-proven infinite, or budget exhausted"; it is a result, never an error, and a
-completed table always reports the true index.
+proven infinite, or budget exhausted"; it is a result, never an error.
+
+A completed table (``CosetTable``) is the permutation action of the original
+generators on the cosets: row c holds the images of coset c under g1, g1^-1,
+g2, ...; coset 0 is the subgroup and the number of rows its index.
 """
 
 from __future__ import annotations
@@ -465,10 +468,6 @@ class _CosetTable:
         self.table: list[list[int | None]] = [[None] * self.width]
         self.parent = [0]
 
-    def index(self) -> int:
-        """Number of live cosets; the subgroup index once the table is complete."""
-        return sum(1 for a in range(len(self.table)) if self.rep(a) == a)
-
     def rep(self, a: int) -> int:
         root = a
         while self.parent[root] != root:
@@ -554,14 +553,15 @@ def coset_enumerate(
     """Index of the subgroup, or None when it is proven infinite or the row
     budget is exhausted (see :func:`enumerate_table`).
 
-    A completed table is a genuine coset table, so a returned index is
-    always correct.
+    The index is the number of rows of the completed table, a genuine coset
+    table, so a returned index is always correct.
     """
     table, _ = enumerate_table(p, subgroup_generators, budget)
-    return None if table is None else table.index()
+    return None if table is None else len(table)
 
 
 Record = tuple[tuple[int, tuple[int, ...]], ...]
+CosetTable = tuple[tuple[int, ...], ...]
 
 
 def _substitute(letters: Iterable[int], g: int, forward: tuple[int, ...], inverse: tuple[int, ...]) -> list[int]:
@@ -692,10 +692,11 @@ def _enumerate(
     return T, len(T.table)
 
 
-def _extend(T: _CosetTable, record: Record, survivors: Sequence[int], ngens: int) -> _CosetTable:
-    """The completed table of a reduced presentation, restricted to its live
-    cosets and extended to every original generator by evaluating the
-    record's words in reverse order."""
+def _extend(T: _CosetTable, record: Record, survivors: Sequence[int], ngens: int) -> CosetTable:
+    """The rows of a completed working table on its live cosets, numbered in
+    order, with a column for every original generator: a survivor's is read
+    off T, an eliminated one's by evaluating the record's words in reverse
+    order."""
     live = [a for a in range(len(T.table)) if T.rep(a) == a]
     number = {a: i for i, a in enumerate(live)}
     columns: list[list[int]] = [[] for _ in range(2 * ngens)]
@@ -713,17 +714,18 @@ def _extend(T: _CosetTable, record: Record, survivors: Sequence[int], ngens: int
             for c, d in enumerate(image):
                 inverse[d] = c
         columns[2 * g - 2], columns[2 * g - 1] = image, inverse
-    E = _CosetTable(ngens, T.budget)
-    E.table = [[column[c] for column in columns] for c in range(len(live))]
-    E.parent = list(range(len(live)))
-    return E
+    return tuple(tuple(column[c] for column in columns) for c in identity)
 
 
 def enumerate_table(
     p: Presentation, subgroup_generators: Sequence[Word] = (), budget: int = 10_000
-) -> tuple[_CosetTable | None, int]:
+) -> tuple[CosetTable | None, int]:
     """The completed coset table and the rows spent, or None when the index
     is proven infinite or the budget is exhausted.
+
+    The table's row c holds the images of coset c under g1, g1^-1, g2, ...
+    of ``p``'s generators; coset 0 is the subgroup and ``len(table)`` its
+    index.
 
     The presentation is first Tietze-reduced (:func:`simplify`) and the
     subgroup generators rewritten through the record.  When the exponent
@@ -731,9 +733,8 @@ def enumerate_table(
     less than the surviving generators' lattice, G maps onto an infinite
     abelian group in which H has infinite index, so no table could complete
     and ``(None, 0)`` is returned at once.  Otherwise the reduced
-    presentation is enumerated; a completed table is extended to every
-    original generator, so callers trace words in ``p``'s letters through it
-    (see trace_word).  If the reduced run exhausts its budget after some
+    presentation is enumerated, and a completed table is extended to every
+    original generator.  If the reduced run exhausts its budget after some
     elimination, ``p`` itself is enumerated with the same budget, since an
     elimination can lengthen relators enough to cost an index; the rows of
     both runs are reported.
@@ -747,27 +748,23 @@ def enumerate_table(
     if abelianization(Presentation(reduced.generators, [*reduced.relators, *subs])).free_rank:
         return None, 0
     T, rows = _enumerate(reduced, subs, budget)
-    if T is not None:
-        return _extend(T, record, survivors, len(p.generators)), rows
-    if not record:
-        return None, rows
-    T, more = _enumerate(p, subgroup_generators, budget)
-    return T, rows + more
+    if T is None and record:
+        record, survivors = (), range(1, len(p.generators) + 1)
+        T, more = _enumerate(p, subgroup_generators, budget)
+        rows += more
+    return (None if T is None else _extend(T, record, survivors, len(p.generators))), rows
 
 
-def trace_word(table: _CosetTable, word: Word) -> int:
-    """Image of the origin coset under a word, in a completed table."""
-    cur = table.rep(0)
+def trace_word(table: CosetTable, word: Word) -> int:
+    """The coset that coset 0 reaches along a word in the table's generators."""
+    cur = 0
     for g in _encode(word):
-        nxt = table.lookup(cur, g)
-        if nxt is None:
-            raise ValueError("incomplete table during trace")
-        cur = nxt
+        cur = table[cur][g]
     return cur
 
 
 # ---------------------------------------------------------------------------
-# Surjections and subpresentations
+# Surjections
 
 
 def quotient_relators(
@@ -792,65 +789,6 @@ def quotient_relators(
             if lw.letters not in small_keys:
                 out.append((_signed_spread(lw, n), RelatorTag("spread", n, i)))
     return out
-
-
-@dataclass(frozen=True)
-class SubpresentationSelection:
-    presentation: Presentation
-    sigma: "object"  # SigmaSpec; typed loosely to keep module layering one-way
-    retained_heights: frozenset[int]
-
-
-def subpresentation_select(
-    full: Presentation,
-    T: Sequence[Word],
-    registry: Mapping[str, "object"],
-    base_id: str,
-    cover_id: str,
-) -> SubpresentationSelection:
-    """Select the kernel-protecting subpresentation determined by a finite set T.
-
-    Keeps T itself, every triangle relator, the complete first ("alpha") spread
-    family, and the second ("beta") family exactly at the heights F where some
-    member appears in T.  Also returns the height assignment this pins down:
-    the designated cover everywhere off F, the base on F.
-    """
-    from .sigma import SigmaSpec, Tail  # local import: sigma sits above groups
-
-    matched: set[int] = set()
-    for t in T:
-        hits = [i for i, w in enumerate(full.relators) if w == t]
-        if not hits:
-            raise ValueError(f"relator {t!r} is absent from the full presentation")
-        matched.update(hits)
-    heights_f = frozenset(
-        full.tags[i].height for i in matched if full.tags[i].family == "beta" and full.tags[i].height is not None
-    )
-    keep = []
-    for i, tag in enumerate(full.tags):
-        if i in matched or tag.family in ("triangle", "alpha"):
-            keep.append(i)
-        elif tag.family == "beta" and tag.height in heights_f:
-            keep.append(i)
-    keep = sorted(set(keep))
-    sub = Presentation(
-        full.generators,
-        [full.relators[i] for i in keep],
-        [full.tags[i] for i in keep],
-        full.height_window,
-        full.extends_all_heights,
-    )
-    exceptions = {int(n): base_id for n in heights_f}
-    if 0 not in heights_f:
-        exceptions[0] = cover_id
-    sigma = SigmaSpec(
-        registry=registry,
-        base_id=base_id,
-        exceptions=exceptions,
-        positive_tail=Tail.constant(cover_id),
-        negative_tail=Tail.constant(cover_id),
-    )
-    return SubpresentationSelection(sub, sigma, heights_f)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .complex_core import (
     SimplicialComplex, _tree_parents,
 )
 from .covers import CoverComplex, VoltageAssignment, build_cover, normal_generators
-from .groups import SpanningTreeWords, coset_enumerate
+from .groups import Presentation, SpanningTreeWords, Word, coset_enumerate
 from .homology import (
     HomologySummary,
     RingSpec,
@@ -793,6 +793,61 @@ def sigma_power_tower(
     )
 
 
+@dataclass(frozen=True)
+class SubpresentationSelection:
+    presentation: Presentation
+    sigma: SigmaSpec
+    retained_heights: frozenset[int]
+
+
+def subpresentation_select(
+    full: Presentation,
+    T: Sequence[Word],
+    registry: Mapping[str, CoverRegistryEntry],
+    base_id: str,
+    cover_id: str,
+) -> SubpresentationSelection:
+    """Select the kernel-protecting subpresentation determined by a finite set T.
+
+    Keeps T itself, every triangle relator, the complete first ("alpha") spread
+    family, and the second ("beta") family exactly at the heights F where some
+    member appears in T.  Also returns the height assignment this pins down:
+    the designated cover everywhere off F, the base on F.
+    """
+    matched: set[int] = set()
+    for t in T:
+        hits = [i for i, w in enumerate(full.relators) if w == t]
+        if not hits:
+            raise ValueError(f"relator {t!r} is absent from the full presentation")
+        matched.update(hits)
+    heights_f = frozenset(
+        full.tags[i].height for i in matched if full.tags[i].family == "beta" and full.tags[i].height is not None
+    )
+    keep = [
+        i
+        for i, tag in enumerate(full.tags)
+        if i in matched or tag.family in ("triangle", "alpha") or (tag.family == "beta" and tag.height in heights_f)
+    ]
+    sub = Presentation(
+        full.generators,
+        [full.relators[i] for i in keep],
+        [full.tags[i] for i in keep],
+        full.height_window,
+        full.extends_all_heights,
+    )
+    exceptions = {int(n): base_id for n in heights_f}
+    if 0 not in heights_f:
+        exceptions[0] = cover_id
+    sigma = SigmaSpec(
+        registry=registry,
+        base_id=base_id,
+        exceptions=exceptions,
+        positive_tail=Tail.constant(cover_id),
+        negative_tail=Tail.constant(cover_id),
+    )
+    return SubpresentationSelection(sub, sigma, heights_f)
+
+
 # ---------------------------------------------------------------------------
 # Quantities for the spectrum arguments
 
@@ -815,11 +870,16 @@ def normal_generating_length_bound(c: CoverComplex) -> int:
 
 
 def min_kernel_length_bound(M: int | float, d: int) -> float:
-    """M * sqrt(2/(d+1)), exact when the radicand is a perfect square."""
+    """M * sqrt(2/(d+1)), exact when the radicand is a perfect square; ``math.inf``
+    for M = inf, the height :func:`min_disagreement_height` gives equal specs."""
     if M < 0:
         raise SigmaError("M must be nonnegative")
     if d < 1:
         raise SigmaError("dimension must be positive")
+    if M == math.inf:
+        return math.inf
+    if isinstance(M, float) and not M.is_integer():
+        raise SigmaError(f"M must be an integer or infinity, got {M}")
     M = int(M)
     num = 2 * M * M
     den = d + 1

@@ -1,0 +1,33 @@
+"""The package's module layering: imports sit at module level and form no cycle."""
+
+import ast
+from graphlib import TopologicalSorter
+from pathlib import Path
+
+import fpforge
+
+PACKAGE = Path(fpforge.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_import_inside_a_function():
+    found = [
+        f"{name}.py:{node.lineno} in {func.name}"
+        for name, tree in MODULES.items()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not found
+
+
+def test_module_imports_are_acyclic():
+    graph = {}
+    for name, tree in MODULES.items():
+        graph[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[name].update([node.module] if node.module else [alias.name for alias in node.names])
+    assert set().union(*graph.values()) <= set(MODULES)
+    tuple(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle

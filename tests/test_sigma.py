@@ -557,6 +557,18 @@ class TestBounds:
         for M in (0, 1, 5, 123):
             assert min_kernel_length_bound(M, 1) == float(M)
 
+    def test_kernel_length_refuses_a_non_integral_length(self):
+        assert min_kernel_length_bound(2.0, 2) == min_kernel_length_bound(2, 2)
+        with pytest.raises(SigmaError, match="integer or infinity"):
+            min_kernel_length_bound(2.5, 2)
+        with pytest.raises(SigmaError):
+            min_kernel_length_bound(math.nan, 2)
+
+    def test_kernel_length_of_equal_specs_is_infinite(self, registry):
+        assert min_kernel_length_bound(math.inf, 2) == math.inf
+        a = sigma_prime_set([2, 3], registry, member_ids=MEMBERS)
+        assert min_kernel_length_bound(min_disagreement_height(a, a), 2) == math.inf
+
     def test_normal_generating_length_bounds(self, registry):
         assert normal_generating_length_bound(materialize(registry["cycle8"])) == 8
         assert normal_generating_length_bound(materialize(registry["sphere"])) == 0

@@ -204,8 +204,8 @@ def always_enumerate_reference(graph, l_max, budget):
         hit, unknown = None, False
         for walk, word in candidates:
             if table is not None:
-                if trace_word(table, word) != table.rep(0):
-                    hit = LengthStatus("taut", {"method": "finite-quotient", "order": table.index()}, walk)
+                if trace_word(table, word) != 0:
+                    hit = LengthStatus("taut", {"method": "finite-quotient", "order": len(table)}, walk)
                     break
                 continue
             cert = _abelian_survival(smith, word.exponent_row(ngens))
@@ -217,7 +217,7 @@ def always_enumerate_reference(graph, l_max, budget):
         if hit is not None:
             statuses[l] = hit
         elif table is not None:
-            statuses[l] = LengthStatus("filled", {"method": "finite-quotient", "order": table.index()})
+            statuses[l] = LengthStatus("filled", {"method": "finite-quotient", "order": len(table)})
         elif unknown:
             statuses[l] = LengthStatus("unknown", {"method": "budget-exhausted"})
         else:
