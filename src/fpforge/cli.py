@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+from typing import Sequence
 
 from . import complex_core, covers, groups, homology, sigma as sigma_mod, spectrum as spectrum_mod
 from .complex_core import _json_field, _json_int_arrays, _json_list, _json_object, _json_text, _read_json
@@ -202,89 +203,93 @@ def _cmd_subpres(args) -> int:
 # Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The ``fpforge`` parser, with arguments only for the subcommand that ``argv`` names.
+
+    That is its first token that is not an option; when there is none, every
+    subcommand gets its arguments.  Every subcommand's name, help and epilog
+    are always registered, so top-level help and errors do not depend on ``argv``.
+    """
     parser = argparse.ArgumentParser(
         prog="fpforge",
         description="Flag complexes, doubles, covers, homology, presentations, and finiteness decisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = next((a for a in argv if not a.startswith("-")), None)
 
-    p = sub.add_parser("double", help="spherical double of a complex", epilog=COMPLEX_FORMAT)
-    p.add_argument("--complex", required=True, help="input complex JSON path")
-    p.add_argument("--out", help="output complex JSON path")
-    p.add_argument("--report", help="f-vector report JSON path")
-    p.set_defaults(func=_cmd_double)
+    def add(name, func, **kwargs):  # the subcommand's parser, if its arguments are needed
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
+        return p if named in (None, name) else None
 
-    p = sub.add_parser("cover", help="build and certify a voltage cover", epilog=VOLTAGE_FORMAT)
-    p.add_argument("--voltage", required=True, help="voltage assignment JSON path")
-    p.add_argument("--out", help="total space complex JSON path")
-    p.add_argument("--certificate", help="covering + homology certificate JSON path")
-    p.add_argument("--ring", action="append", help="certificate ring (repeatable): Z, Q, or F<p>")
-    p.set_defaults(func=_cmd_cover)
+    if p := add("double", _cmd_double, help="spherical double of a complex", epilog=COMPLEX_FORMAT):
+        p.add_argument("--complex", required=True, help="input complex JSON path")
+        p.add_argument("--out", help="output complex JSON path")
+        p.add_argument("--report", help="f-vector report JSON path")
 
-    p = sub.add_parser("homology", help="reduced homology certificate", epilog=COMPLEX_FORMAT)
-    p.add_argument("--complex", required=True)
-    p.add_argument("--ring", required=True, help="Z, Q, or F<p>")
-    p.add_argument("--out", help="certificate JSON path")
-    p.set_defaults(func=_cmd_homology)
+    if p := add("cover", _cmd_cover, help="build and certify a voltage cover", epilog=VOLTAGE_FORMAT):
+        p.add_argument("--voltage", required=True, help="voltage assignment JSON path")
+        p.add_argument("--out", help="total space complex JSON path")
+        p.add_argument("--certificate", help="covering + homology certificate JSON path")
+        p.add_argument("--ring", action="append", help="certificate ring (repeatable): Z, Q, or F<p>")
 
-    p = sub.add_parser(
+    if p := add("homology", _cmd_homology, help="reduced homology certificate", epilog=COMPLEX_FORMAT):
+        p.add_argument("--complex", required=True)
+        p.add_argument("--ring", required=True, help="Z, Q, or F<p>")
+        p.add_argument("--out", help="certificate JSON path")
+
+    if p := add(
         "present",
+        _cmd_present,
         help="edge/triangle presentation with spread powers",
         epilog=COMPLEX_FORMAT + "; " + SPREADS_FORMAT,
-    )
-    p.add_argument("--complex", required=True)
-    p.add_argument("--spreads", help="spread loops JSON path")
-    p.add_argument("--out", help="presentation text path")
-    p.add_argument("--json", help="presentation JSON path (carries tags)")
-    p.set_defaults(func=_cmd_present)
+    ):
+        p.add_argument("--complex", required=True)
+        p.add_argument("--spreads", help="spread loops JSON path")
+        p.add_argument("--out", help="presentation text path")
+        p.add_argument("--json", help="presentation JSON path (carries tags)")
 
-    p = sub.add_parser("decide", help="finiteness-property decision", epilog=SIGMA_FORMAT)
-    p.add_argument("--sigma", required=True, help="sigma specification JSON path")
-    p.add_argument("--ring", help="Z, Q, or F<p>")
-    p.add_argument("--k", help="degree bound (integer) or FP")
-    p.add_argument("--finitely-presented", action="store_true", help="decide finite presentability instead")
-    p.add_argument("--out", help="verdict JSON path")
-    p.set_defaults(func=_cmd_decide)
+    if p := add("decide", _cmd_decide, help="finiteness-property decision", epilog=SIGMA_FORMAT):
+        p.add_argument("--sigma", required=True, help="sigma specification JSON path")
+        p.add_argument("--ring", help="Z, Q, or F<p>")
+        p.add_argument("--k", help="degree bound (integer) or FP")
+        p.add_argument("--finitely-presented", action="store_true", help="decide finite presentability instead")
+        p.add_argument("--out", help="verdict JSON path")
 
-    p = sub.add_parser("sigma", help="specification builders")
-    p.add_argument(
-        "--builder",
-        required=True,
-        choices=["field-example", "prime-set", "power-tower", "constants"],
-    )
-    p.add_argument("--registry", help="registry JSON path (defaults to the built-in desk registry)")
-    p.add_argument("--primes", help="comma-separated primes, e.g. 2,3")
-    p.add_argument("--f-set", help="comma-separated naturals for the power-tower builder")
-    p.add_argument("--d", type=int, default=2, help="complex dimension for the constants")
-    p.add_argument("--m", type=int, default=1, help="how many constants")
-    p.add_argument("--r-bounds", type=int, nargs="*", help="loop-length bounds per position")
-    p.add_argument("--out", help="specification (or constants) JSON path")
-    p.set_defaults(func=_cmd_sigma)
+    if p := add("sigma", _cmd_sigma, help="specification builders"):
+        p.add_argument(
+            "--builder",
+            required=True,
+            choices=["field-example", "prime-set", "power-tower", "constants"],
+        )
+        p.add_argument("--registry", help="registry JSON path (defaults to the built-in desk registry)")
+        p.add_argument("--primes", help="comma-separated primes, e.g. 2,3")
+        p.add_argument("--f-set", help="comma-separated naturals for the power-tower builder")
+        p.add_argument("--d", type=int, default=2, help="complex dimension for the constants")
+        p.add_argument("--m", type=int, default=1, help="how many constants")
+        p.add_argument("--r-bounds", type=int, nargs="*", help="loop-length bounds per position")
+        p.add_argument("--out", help="specification (or constants) JSON path")
 
-    p = sub.add_parser("spectrum", help="taut loop length spectrum", epilog=GRAPH_FORMAT)
-    p.add_argument("--graph", required=True, help="edge-list graph JSON path")
-    p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--out", help="report JSON path")
-    p.set_defaults(func=_cmd_spectrum)
+    if p := add("spectrum", _cmd_spectrum, help="taut loop length spectrum", epilog=GRAPH_FORMAT):
+        p.add_argument("--graph", required=True, help="edge-list graph JSON path")
+        p.add_argument("--lmax", type=int, required=True)
+        p.add_argument("--budget", type=int, default=100_000)
+        p.add_argument("--out", help="report JSON path")
 
-    p = sub.add_parser("subpres", help="kernel-protecting subpresentation selection")
-    p.add_argument("--presentation", required=True, help="full tagged presentation JSON path")
-    p.add_argument("--retain", help="comma-separated relator indices to retain")
-    p.add_argument("--registry", help="registry JSON path")
-    p.add_argument("--base-id", default=BASE_ID)
-    p.add_argument("--cover-id", default=SL_ID)
-    p.add_argument("--out", help="subpresentation JSON path")
-    p.add_argument("--sigma-out", help="induced sigma specification JSON path")
-    p.set_defaults(func=_cmd_subpres)
+    if p := add("subpres", _cmd_subpres, help="kernel-protecting subpresentation selection"):
+        p.add_argument("--presentation", required=True, help="full tagged presentation JSON path")
+        p.add_argument("--retain", help="comma-separated relator indices to retain")
+        p.add_argument("--registry", help="registry JSON path")
+        p.add_argument("--base-id", default=BASE_ID)
+        p.add_argument("--cover-id", default=SL_ID)
+        p.add_argument("--out", help="subpresentation JSON path")
+        p.add_argument("--sigma-out", help="induced sigma specification JSON path")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:
         code = args.func(args)
     except (OSError, json.JSONDecodeError) as exc:

@@ -15,21 +15,25 @@ built in one pass over the simplices, so facets, closed stars, links and the
 flag and local-cut-point tests cost O(N·d) for N simplices of dimension d
 instead of a scan of every simplex per vertex.  A passing
 :func:`validate` is cached the same way, so the checks that guard the
-constructions below validate each complex once; ``from_facets`` records it
-at construction, since its output is valid by construction.
+constructions below validate each complex once.  ``from_facets`` closes its
+facets downward layer by layer, taking the (n-1)-faces from the distinct
+n-simplices, and records validity at construction, since its output is valid
+by construction.
 
 The module provides the predicates and constructions the rest of the package
 leans on: flagness, links, barycentric subdivision, flag complexes realizing
 a given finite presentation, and a local-cut-point test for complexes of
 dimension at most two.  JSON is read and written only by :func:`_read_json`
-and :func:`_json_text`; input without the documented shape raises
-:class:`FormatError`, naming the JSON path that failed.
+and :func:`_json_text`; the writer is byte-identical to the standard
+library's indented encoder (a property test checks it against
+``json.dumps(data, sort_keys=True, indent=2)``).  Input without the
+documented shape raises :class:`FormatError`, naming the JSON path that failed.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import chain, combinations, compress, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -127,27 +131,26 @@ class SimplicialComplex:
 
     def __init__(self, vertices: Iterable[int], simplices: Iterable[Sequence[int]]):
         self.vertices = frozenset(vertices)
-        self.simplices = frozenset(tuple(s) for s in simplices)
+        self.simplices = frozenset(map(tuple, simplices))
         self._cache: dict = {}
 
     @classmethod
     def from_facets(cls, facets: Iterable[Sequence[int]], vertices: Iterable[int] = ()) -> "SimplicialComplex":
-        """Build a complex from maximal faces, closing downward.
+        """Build a complex from maximal faces, closing downward one layer at a time.
 
-        Extra isolated ``vertices`` may be supplied; every vertex is stored as
-        a 0-simplex.
+        The (n-1)-faces come from the distinct n-simplices, not from every
+        subset of every facet.  Extra isolated ``vertices`` may be supplied;
+        every vertex is stored as a 0-simplex.
         """
-        simplices: set[tuple[int, ...]] = set()
-        verts = set(int(v) for v in vertices)
-        for facet in facets:
-            f = _normalize_simplex(facet)
-            if not f:
-                raise ComplexError("empty facet")
-            verts.update(f)
-            for k in range(1, len(f) + 1):
-                simplices.update(combinations(f, k))
-        simplices.update((v,) for v in verts)
-        complex = cls(verts, simplices)
+        layers: dict[int, set[tuple[int, ...]]] = {}
+        for f in set(map(tuple, map(sorted, map(set, map(map, repeat(int), facets))))):
+            layers.setdefault(len(f), set()).add(f)
+        if 0 in layers:
+            raise ComplexError("empty facet")
+        for n in range(max(layers, default=1), 1, -1):
+            layers.setdefault(n - 1, set()).update(chain.from_iterable(map(combinations, layers[n], repeat(n - 1))))
+        verts = set(map(int, vertices)).union(chain.from_iterable(layers.get(1, ())))
+        complex = cls(verts, chain(zip(verts), *layers.values()))
         complex._cache["valid"] = True  # sorted, deduplicated, closed downward, every vertex a 0-simplex
         return complex
 
@@ -236,12 +239,13 @@ class SimplicialComplex:
         gives a stored simplex.
         """
         if "facets" not in self._cache:
-            verts = self.vertices
-            covered = set()
-            for t in self.simplices:
-                if tuple(sorted(set(t))) == t:
-                    covered.update(t[:i] + t[i + 1:] for i, v in enumerate(t) if v in verts)
-            self._cache["facets"] = sorted(s for s in self.simplices if tuple(sorted(set(s))) not in covered)
+            simplices = list(self.simplices)
+            normal = list(map(tuple, map(sorted, map(set, simplices))))
+            strict = list(self.simplices.intersection(normal).difference([()]))
+            faces = chain.from_iterable(map(combinations, strict, map(int.__sub__, map(len, strict), repeat(1))))
+            lacking = chain.from_iterable(map(reversed, strict))  # combinations drops t[-1] first, t[0] last
+            maximal = set(normal).difference(compress(faces, map(self.vertices.__contains__, lacking)))
+            self._cache["facets"] = sorted(compress(simplices, map(maximal.__contains__, normal)))
         return list(self._cache["facets"])  # a copy, so callers cannot alter the cache
 
     def __eq__(self, other) -> bool:
@@ -501,9 +505,37 @@ def _read_json(path):
         return json.load(fh)
 
 
+_SCALAR_TEXT = {  # json.dumps spells floats (NaN and the infinities too) as the indented encoder does
+    str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: json.dumps,
+    bool: ("false", "true").__getitem__, type(None): lambda _: "null",
+}
+
+
+def _json_chunk(value, nl: str) -> str:
+    """``value`` as JSON text whose line breaks are ``nl``, so nested lines carry its indent."""
+    kind = type(value)
+    if kind in _SCALAR_TEXT:
+        return _SCALAR_TEXT[kind](value)
+    inner = nl + "  "
+    if kind is list or kind is tuple:
+        kinds = set(map(type, value))
+        scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, value) if scalar else map(_json_chunk, value, repeat(inner))
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if value else "[]"
+    if kind is dict and set(map(type, value)) <= {str}:
+        items = (_SCALAR_TEXT[str](k) + ": " + _json_chunk(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if value else "{}"
+    # Other keys, subclasses and unknown types go to json itself, re-indented:
+    # exact, since JSON text never holds a raw newline inside a string.
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
+
+
 def _json_text(data) -> str:
-    """The package's one JSON text format: sorted keys, two-space indent, final newline."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """The package's one JSON text format: sorted keys, two-space indent, final newline.
+
+    Byte-identical to ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, with one ``str.join`` per container.
+    """
+    return _json_chunk(data, "\n") + "\n"
 
 
 def load_complex(path) -> SimplicialComplex:

@@ -341,12 +341,13 @@ def lift_loop(c: CoverComplex, loop: Sequence[int], start_sheet: int) -> tuple[b
     loop = list(loop)
     if len(loop) < 1 or loop[0] != loop[-1]:
         raise CoverError("loop must be a closed vertex path (first = last)")
-    adj = c.base.adjacency()
+    if "lift" not in c._cache:
+        c._cache["lift"] = (c.base.adjacency(), _total_adjacency(c), c.fibers(), c.sheet)
+    adj, step, fibers, sheet = c._cache["lift"]
     u = loop[0]
     if u not in adj:
         raise CoverError(f"{u} is not a vertex of the base")
-    step = _total_adjacency(c)
-    t = start = c.fibers()[u].get(start_sheet)
+    t = start = fibers[u].get(start_sheet)
     for w in loop[1:]:
         if w not in adj[u]:
             raise CoverError(f"({u}, {w}) is not an edge of the base")
@@ -357,7 +358,7 @@ def lift_loop(c: CoverComplex, loop: Sequence[int], start_sheet: int) -> tuple[b
         raise CoverError(f"sheet {start_sheet} out of range over vertex {loop[0]}")
     if t is None:
         raise CoverError("lift broke: not a covering complex")
-    end = c.sheet[t]
+    end = sheet[t]
     return end == start_sheet, end
 
 

@@ -12,7 +12,7 @@ the retraction is implicit in the encoding.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product, repeat, starmap
 from typing import Sequence
 
 from .complex_core import ComplexError, SimplicialComplex, _require_valid
@@ -55,14 +55,11 @@ def spherical_double(L: SimplicialComplex) -> DoubledComplex:
     copies of a vertex are never adjacent.
     """
     _require_valid(L)
-    simplices: set[tuple[int, ...]] = set()
-    for s in L.simplices:
-        for signs in product((0, 1), repeat=len(s)):
-            simplices.add(tuple(sorted(2 * v + sg for v, sg in zip(s, signs))))
-    vertices = set()
-    for v in L.vertices:
-        vertices.add(plus_vertex(v))
-        vertices.add(minus_vertex(v))
+    signs = {v: (plus_vertex(v), minus_vertex(v)) for v in L.vertices}
+    # L is valid, so each simplex is strictly sorted, and v < w gives
+    # 2v + 1 < 2w: every sign choice comes out of product already sorted.
+    simplices = chain.from_iterable(starmap(product, map(map, repeat(signs.__getitem__), L.simplices)))
+    vertices = chain.from_iterable(signs.values())
     return DoubledComplex(SimplicialComplex(vertices, simplices), L)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from fpforge.complex_core import SimplicialComplex
+from fpforge.complex_core import ComplexError, SimplicialComplex
 
 RP2_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
@@ -43,6 +43,31 @@ def brute_chain_count(K: SimplicialComplex) -> dict[int, int]:
     for s in simps:
         extend((s,))
     return counts
+
+
+def reference_from_facets(facets, vertices=()) -> SimplicialComplex:
+    """Downward closure that adds every nonempty subset of every normalized facet."""
+    simplices: set[tuple[int, ...]] = set()
+    verts = set(int(v) for v in vertices)
+    for facet in facets:
+        f = tuple(sorted(set(int(v) for v in facet)))
+        if not f:
+            raise ComplexError("empty facet")
+        verts.update(f)
+        for k in range(1, len(f) + 1):
+            simplices.update(combinations(f, k))
+    simplices.update((v,) for v in verts)
+    return SimplicialComplex(verts, simplices)
+
+
+def reference_facets(K: SimplicialComplex) -> list[tuple[int, ...]]:
+    """Stored simplices minus each face left by removing a vertex of the vertex set
+    from a strictly sorted stored simplex, one simplex at a time."""
+    covered = set()
+    for t in K.simplices:
+        if tuple(sorted(set(t))) == t:
+            covered.update(t[:i] + t[i + 1:] for i, v in enumerate(t) if v in K.vertices)
+    return sorted(s for s in K.simplices if tuple(sorted(set(s))) not in covered)
 
 
 def brute_join_double(K: SimplicialComplex) -> set[tuple[int, ...]]:

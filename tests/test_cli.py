@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpforge import sigma
-from fpforge.cli import main
+from fpforge.cli import build_parser, main
 from fpforge.complex_core import (
     GroupPresentationInput, SimplicialComplex, barycentric_subdivision, flagify_presentation_complex, spanning_tree,
 )
@@ -361,6 +361,21 @@ class TestExitCodes:
         bad = write(tmp_path / "bad.json", json.dumps(payload))
         assert main([a.format(delta2=delta2) for a in argv] + [bad]) == 2
         assert f"fpforge: format error: {path}: " in capsys.readouterr().err
+
+
+def _parse_outcome(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    return stop.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["double", "cover", "homology", "present", "decide", "sigma", "spectrum", "subpres"])
+def test_parser_for_one_subcommand_answers_as_the_full_parser(command):
+    """Help, a missing required flag and an unknown command: same text and exit code."""
+    for argv in ([command, "-h"], [command], ["-h", command], [command + "x", "-h"]):
+        assert _parse_outcome(build_parser(argv), argv) == _parse_outcome(build_parser(), argv)
+    assert _parse_outcome(build_parser([command]), [command])[0] == 2
 
 
 def _fuzz_documents():

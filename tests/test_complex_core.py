@@ -1,4 +1,7 @@
+import json
 import random
+from collections import OrderedDict
+from enum import IntEnum
 
 import pytest
 from hypothesis import given
@@ -10,6 +13,7 @@ from fpforge.complex_core import (
     FormatError,
     GroupPresentationInput,
     SimplicialComplex,
+    _json_text,
     barycentric_subdivision,
     closed_star,
     dump_complex,
@@ -22,7 +26,14 @@ from fpforge.complex_core import (
 )
 from fpforge.homology import RingSpec, reduced_homology
 
-from helpers import RP2_FACETS, brute_chain_count, brute_flag, brute_link
+from helpers import (
+    RP2_FACETS,
+    brute_chain_count,
+    brute_flag,
+    brute_link,
+    reference_facets,
+    reference_from_facets,
+)
 
 OCTAHEDRON = [[0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 3, 5], [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 5]]
 
@@ -392,3 +403,68 @@ class TestJsonAndTree:
         K = SimplicialComplex.from_facets([[0, 1], [2, 3]])
         with pytest.raises(ComplexError):
             spanning_tree(K)
+
+
+class TestLayeredClosure:
+    @given(
+        st.lists(st.lists(st.integers(-3, 8), max_size=5).map(tuple), max_size=10),
+        st.lists(st.integers(-3, 10), max_size=4),
+    )
+    def test_from_facets_matches_the_subset_closure(self, facets, vertices):
+        """Duplicate, unsorted, non-maximal and repeated-vertex facets; an empty one is refused."""
+        if () in facets:
+            for build in (SimplicialComplex.from_facets, reference_from_facets):
+                with pytest.raises(ComplexError, match="^empty facet$"):
+                    build(facets, vertices)
+            return
+        K = SimplicialComplex.from_facets(iter(facets), vertices)
+        R = reference_from_facets(facets, vertices)
+        assert (K.vertices, K.simplices) == (R.vertices, R.simplices)
+        assert validate(K) == [] and K._cache["valid"]
+        assert K.facets() == reference_facets(K)
+
+
+class Count(IntEnum):
+    ONE = 1
+
+
+class Name(str):
+    pass
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(10**30, 10**40),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+    st.sampled_from([Count.ONE, Name("x\ny")]),
+)
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(st.integers(-5, 5), children, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False), children, max_size=2),
+        st.dictionaries(st.text(max_size=2), children, max_size=2).map(OrderedDict),
+    )
+
+
+class TestJsonText:
+    @given(st.recursive(JSON_LEAVES, _json_containers, max_leaves=20))
+    def test_equals_the_stdlib_indented_encoder(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [{1: 2, "a": 3}, [{(1, 2): 0}], [1, {2, 3}]])
+    def test_unencodable_values_raise_as_in_json(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(value)
