@@ -171,42 +171,33 @@ def _json_optional(data: Mapping, key: str, load):
     return load(value, f"$.{key}") if value else None
 
 
-def materialize(entry: CoverRegistryEntry) -> CoverComplex:
-    if entry.voltage is None:
-        raise SigmaError(f"entry {entry.id!r} has no voltage data to build")
-    return build_cover(entry.voltage)
-
-
-def _simply_connected(K: SimplicialComplex) -> bool:
-    """True when coset enumeration of the edge-path group completes at index one."""
-    return coset_enumerate(SpanningTreeWords(K).presentation(), (), SIMPLE_CONNECTIVITY_BUDGET) == 1
-
-
-def _simple_connectivity(K: SimplicialComplex, summary: HomologySummary) -> bool | None:
-    """A nonzero first homology (``summary``, over Z) certifies False, coset
-    enumeration completing at index one certifies True; otherwise None."""
-    if not summary.is_trivial_in(1):
-        return False
-    return True if _simply_connected(K) else None
+def _fundamental_group_order(K: SimplicialComplex) -> int | None:
+    """Order of the edge-path group of a connected complex, by coset enumeration
+    of the trivial subgroup; None when the budget runs out or it is infinite."""
+    return coset_enumerate(SpanningTreeWords(K).presentation(), (), SIMPLE_CONNECTIVITY_BUDGET)
 
 
 def constructed_entry(id: str, voltage: VoltageAssignment, *, note: str = "") -> CoverRegistryEntry:
     """Build a cover, compute its integral certificate, and wrap it as an entry.
 
-    Simple connectivity is certified by coset enumeration when it completes at
-    index one; a nonzero first homology certifies the negative; otherwise the
-    field is left undetermined.  The deck quotient of a finite-degree cover is
-    finite.
+    A nonzero H~0 or H~1 certifies that the cover is not simply connected;
+    otherwise the connected d-sheeted cover is simply connected exactly when
+    the base's fundamental group has order d, which coset enumeration of the
+    base decides unless its budget runs out (None).  The deck quotient of a
+    finite-degree cover is finite.
     """
-    cover = build_cover(voltage)
-    summary = reduced_homology(cover.total, RingSpec.Z())
+    summary = reduced_homology(build_cover(voltage).total, RingSpec.Z())
+    simply_connected = False
+    if summary.is_trivial_in(0) and summary.is_trivial_in(1):
+        order = _fundamental_group_order(voltage.base)
+        simply_connected = None if order is None else order == voltage.degree
     return CoverRegistryEntry(
         id=id,
         kind="constructed",
         degree=voltage.degree,
         homology={"Z": summary},
         certified_up_to="all",
-        simply_connected=_simple_connectivity(cover.total, summary),
+        simply_connected=simply_connected,
         quotient_is_finite=True,
         note=note,
         voltage=voltage,
@@ -242,32 +233,28 @@ def declared_entry(
 
 
 def validate_registry(registry: Mapping[str, CoverRegistryEntry]) -> list[str]:
-    """Recompute constructed certificates, simple connectivity included, and
-    sanity-check declared ones."""
+    """Recompute each constructed entry through :func:`constructed_entry` and
+    compare fields, a field certificate with the universal-coefficient image of
+    the fresh integral one; sanity-check declared ones."""
     problems = []
     for eid, entry in sorted(registry.items()):
         if entry.id != eid:
             problems.append(f"{eid}: key does not match entry id {entry.id!r}")
         if entry.kind == "constructed":
-            cover = materialize(entry)
-            if not cover.total.is_connected():
+            fresh = constructed_entry(eid, entry.voltage)
+            if not fresh.homology["Z"].is_trivial_in(0):
                 problems.append(f"{eid}: constructed cover is disconnected")
-            if entry.degree != entry.voltage.degree:
+            if entry.degree != fresh.degree:
                 problems.append(f"{eid}: stored degree disagrees with voltage degree")
-            fresh = reduced_homology(cover.total, RingSpec.Z())
-            stored = entry.homology.get("Z")
-            if stored != fresh:
+            if entry.homology.get("Z") != fresh.homology["Z"]:
                 problems.append(f"{eid}: stored integral certificate disagrees with recomputation")
-            if entry.simply_connected != _simple_connectivity(cover.total, fresh):
+            if entry.simply_connected != fresh.simply_connected:
                 problems.append(f"{eid}: stored simple connectivity disagrees with recomputation")
             for key, summary in entry.homology.items():
-                if key == "Z":
-                    continue
-                if summary != reduced_homology(cover.total, RingSpec.parse(key)):
+                if key != "Z" and summary != fresh.homology_over(RingSpec.parse(key)):
                     problems.append(f"{eid}: stored {key} certificate disagrees with recomputation")
-        else:
-            if "Z" not in entry.homology and not entry.homology:
-                problems.append(f"{eid}: declared entry carries no homology data")
+        elif not entry.homology:
+            problems.append(f"{eid}: declared entry carries no homology data")
     return problems
 
 
@@ -863,7 +850,7 @@ def normal_generating_length_bound(c: CoverComplex) -> int:
         _tree_parents(c.total)  # cached for SpanningTreeWords; its walk proves connectivity
     except ComplexError:
         raise SigmaError("the bound needs a connected cover") from None
-    if _simply_connected(c.total):
+    if _fundamental_group_order(c.total) == 1:
         return 0
     loops = normal_generators(c)
     return max((len(p) - 1 for p in loops), default=0)

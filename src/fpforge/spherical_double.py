@@ -60,7 +60,9 @@ def spherical_double(L: SimplicialComplex) -> DoubledComplex:
     # 2v + 1 < 2w: every sign choice comes out of product already sorted.
     simplices = chain.from_iterable(starmap(product, map(map, repeat(signs.__getitem__), L.simplices)))
     vertices = chain.from_iterable(signs.values())
-    return DoubledComplex(SimplicialComplex(vertices, simplices), L)
+    double = SimplicialComplex(vertices, simplices)
+    double._cache["valid"] = True  # sorted as above, and every face of a sign choice is one
+    return DoubledComplex(double, L)
 
 
 def retract_word(d: DoubledComplex, path: Sequence[int]) -> list[int]:

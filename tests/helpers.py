@@ -1,20 +1,41 @@
-"""Independent oracles used to derive expected values in the tests.
+"""Independent oracles used to derive expected values in the tests, and the
+fixture complexes and covers that several test modules share.
 
-Everything here recomputes results by brute force or by a second, simpler
+Every oracle here recomputes results by brute force or by a second, simpler
 algorithm so that the library's own code paths never check themselves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from fpforge.complex_core import ComplexError, SimplicialComplex
+from fpforge.covers import VoltageAssignment, build_cover, perm_compose
 
 RP2_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
     (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
 ]
+
+
+def wedge_of_two_triangles():
+    """Two hollow triangles at vertex 0; (1, 2) and (3, 4) are the non-tree edges."""
+    return SimplicialComplex.from_facets([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]])
+
+
+S3 = sorted(permutations(range(3)))
+
+
+def left_multiplication(g):
+    """Sheet permutation h -> g.h of the six sheets, indexed by the elements of S3."""
+    return tuple(S3.index(perm_compose(h, g)) for h in S3)
+
+
+def s3_left_regular_cover():
+    """Degree-6 cover of the wedge: a transposition and a 3-cycle of S3 acting on S3 by left multiplication."""
+    voltages = {(1, 2): left_multiplication((1, 0, 2)), (3, 4): left_multiplication((1, 2, 0))}
+    return build_cover(VoltageAssignment(wedge_of_two_triangles(), 6, voltages))
 
 
 def brute_link(K: SimplicialComplex, simplex) -> set[tuple[int, ...]]:

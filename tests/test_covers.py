@@ -37,7 +37,7 @@ from fpforge.homology import RingSpec, reduced_homology
 from fpforge.sigma import SigmaError, normal_generating_length_bound
 from fpforge.spherical_double import spherical_double
 
-from helpers import RP2_FACETS
+from helpers import RP2_FACETS, S3, left_multiplication, s3_left_regular_cover, wedge_of_two_triangles
 
 
 def cycle_complex(n):
@@ -121,25 +121,6 @@ def deck_permutations(cover, transformations):
     """The sheet permutations that maps of the total space induce over the least base vertex."""
     fiber = cover.fibers()[min(cover.base.vertices)]
     return sorted(tuple(cover.sheet[f[fiber[s]]] for s in range(len(fiber))) for f in transformations)
-
-
-def wedge_of_two_triangles():
-    """Two hollow triangles at vertex 0; (1, 2) and (3, 4) are the non-tree edges."""
-    return SimplicialComplex.from_facets([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]])
-
-
-S3 = sorted(itertools.permutations(range(3)))
-
-
-def left_multiplication(g):
-    """Sheet permutation h -> g.h of the six sheets, indexed by the elements of S3."""
-    return tuple(S3.index(perm_compose(h, g)) for h in S3)
-
-
-def s3_left_regular_cover():
-    """Degree-6 cover of the wedge: a transposition and a 3-cycle of S3 acting on S3 by left multiplication."""
-    voltages = {(1, 2): left_multiplication((1, 0, 2)), (3, 4): left_multiplication((1, 2, 0))}
-    return build_cover(VoltageAssignment(wedge_of_two_triangles(), 6, voltages))
 
 
 class TestBuildCover:

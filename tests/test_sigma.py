@@ -5,15 +5,18 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpforge import sigma as sigma_mod
 from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree
-from fpforge.covers import VoltageAssignment, build_cover, double_cover_voltages
-from fpforge.homology import RingSpec, reduced_homology
+from fpforge.covers import VoltageAssignment, build_cover, double_cover_voltages, perm_compose
+from fpforge.groups import SpanningTreeWords, coset_enumerate
+from fpforge.homology import HomologySummary, RingSpec, reduced_homology
 from fpforge.sigma import (
+    SIMPLE_CONNECTIVITY_BUDGET,
     MissingCertificateError,
     PowerTowerRule,
     PrimeCongruenceRule,
@@ -30,7 +33,6 @@ from fpforge.sigma import (
     fp_decide,
     load_registry,
     load_sigma_spec,
-    materialize,
     min_disagreement_height,
     min_kernel_length_bound,
     normal_generating_length_bound,
@@ -40,9 +42,10 @@ from fpforge.sigma import (
     validate_registry,
 )
 
-from helpers import RP2_FACETS
+from helpers import RP2_FACETS, s3_left_regular_cover
 
 MEMBERS = {p: f"Lp{p}" for p in (3, 5, 7)}
+SPHERE_Z = HomologySummary(RingSpec.Z(), (0, 0, 1), ((), (), ()))
 
 
 def cycle_complex(n):
@@ -55,9 +58,54 @@ def c4_double_voltage():
     return VoltageAssignment(base, 2, {nontree[0]: (1, 0)})
 
 
-def orientation_voltage():
-    base = barycentric_subdivision(SimplicialComplex.from_facets(RP2_FACETS))
-    return double_cover_voltages(base)[0]
+def subdivided_rp2(times=1):
+    base = SimplicialComplex.from_facets(RP2_FACETS)
+    for _ in range(times):
+        base = barycentric_subdivision(base)
+    return base
+
+
+def orientation_voltage(times=1):
+    (voltage,) = double_cover_voltages(subdivided_rp2(times))
+    return voltage
+
+
+def total_simply_connected(voltage):
+    """The total-space oracle: the built cover's edge-path group enumerates to
+    order one (True), to a larger order (False), or not at all (None)."""
+    order = coset_enumerate(
+        SpanningTreeWords(build_cover(voltage).total).presentation(), (), SIMPLE_CONNECTIVITY_BUDGET
+    )
+    return None if order is None else order == 1
+
+
+@st.composite
+def voltage_assignments(draw):
+    """Permutation voltages of degree 1-4 on a connected base with at most 8
+    vertices: a drawn graph, plus drawn triangles of it as 2-simplices.
+
+    Of the drawn triangles, those that fail the triangle condition under the
+    drawn voltages are left out of the base; with no triangle kept the base
+    is a graph.
+    """
+    n = draw(st.integers(1, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree: the base is connected
+    if n > 1:
+        edges.update(draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=8)))
+    graph = SimplicialComplex.from_facets([*edges, (0,)])
+    degree = draw(st.integers(1, 4))
+    identity = tuple(range(degree))
+    perms = st.one_of(st.just(identity), st.sampled_from(list(permutations(range(degree)))))
+    tree = spanning_tree(graph)
+    voltages = {e: draw(perms) for e in graph.edges() if e not in tree}
+    full = VoltageAssignment(graph, degree, voltages).voltage
+    cliques = [t for t in combinations(range(n), 3) if all(e in edges for e in combinations(t, 2))]
+    drawn = draw(st.lists(st.sampled_from(cliques), max_size=6, unique=True)) if cliques else []
+    triangles = [
+        (u, v, w) for u, v, w in drawn
+        if perm_compose(perm_compose(full[(u, v)], full[(v, w)]), full[(w, u)]) == identity
+    ]
+    return VoltageAssignment(SimplicialComplex.from_facets([*edges, *triangles, (0,)]), degree, voltages)
 
 
 def capped_min_disagreement_height(a, b):
@@ -153,7 +201,7 @@ class TestRegistry:
     def test_constructed_certificates_recompute_bit_for_bit(self, registry):
         assert validate_registry(registry) == []
         entry = registry["sphere"]
-        fresh = reduced_homology(materialize(entry).total, RingSpec.Z())
+        fresh = reduced_homology(build_cover(entry.voltage).total, RingSpec.Z())
         assert entry.homology["Z"] == fresh
 
     def test_constructed_simple_connectivity_flags(self, registry):
@@ -170,6 +218,58 @@ class TestRegistry:
             "cycle8: stored simple connectivity disagrees with recomputation",
             "sphere: stored simple connectivity disagrees with recomputation",
         ]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"degree": 3}, "stored degree disagrees with voltage degree"),
+            ({"homology": {"Z": HomologySummary(RingSpec.Z(), (0, 1, 1), ((), (), ()))}},
+             "stored integral certificate disagrees with recomputation"),
+            ({"homology": {"Z": SPHERE_Z, "F3": HomologySummary(RingSpec.Fp(3), (0, 1, 1), ((), (), ()))}},
+             "stored F3 certificate disagrees with recomputation"),
+            ({"homology": {"Z": SPHERE_Z, "Q": HomologySummary(RingSpec.Q(), (0, 0, 0), ((), (), ()))}},
+             "stored Q certificate disagrees with recomputation"),
+            ({"simply_connected": None}, "stored simple connectivity disagrees with recomputation"),
+        ],
+        ids=["degree", "Z", "F3", "Q", "simply_connected"],
+    )
+    def test_each_corrupted_field_is_reported(self, registry, change, message):
+        assert registry["sphere"].homology["Z"] == SPHERE_Z
+        corrupted = dataclasses.replace(registry["sphere"], **change)
+        assert validate_registry({"sphere": corrupted}) == [f"sphere: {message}"]
+
+    def test_stored_field_certificates_pass_by_universal_coefficients(self):
+        entry = constructed_entry("rp2", VoltageAssignment(subdivided_rp2(), 1))
+        total = build_cover(entry.voltage).total
+        fields = {R.key: reduced_homology(total, R) for R in (RingSpec.Fp(2), RingSpec.Q())}
+        assert fields["F2"].ranks == (0, 1, 1) and fields["Q"].ranks == (0, 0, 0)
+        stored = dataclasses.replace(entry, homology={**entry.homology, **fields})
+        assert validate_registry({"rp2": stored}) == []
+
+    def test_declared_entry_without_homology_is_reported(self, registry):
+        bare = dataclasses.replace(registry["T5"], homology={})
+        assert validate_registry({"T5": bare}) == ["T5: declared entry carries no homology data"]
+
+    def test_disconnected_cover_is_not_simply_connected(self, tmp_path):
+        # Identity voltages on a contractible base: two disjoint triangles, so H~1 = 0 but H~0 = Z.
+        entry = constructed_entry("two", VoltageAssignment(SimplicialComplex.from_facets([[0, 1, 2]]), 2))
+        assert entry.simply_connected is False
+        assert entry.homology["Z"].rank(0) == 1
+        path = tmp_path / "registry.json"
+        path.write_text(dump_registry({"two": entry}), encoding="utf-8")
+        assert validate_registry(load_registry(path)) == ["two: constructed cover is disconnected"]
+        undetermined = {"two": dataclasses.replace(entry, simply_connected=None)}
+        assert validate_registry(undetermined) == [
+            "two: constructed cover is disconnected",
+            "two: stored simple connectivity disagrees with recomputation",
+        ]
+
+    def test_disconnected_cover_is_decided_before_the_base(self, monkeypatch):
+        # Identity voltages of degree 60 on a 2-complex with group A5 give 60 disjoint copies with
+        # H~1 = 0 and a base of order 60, too large to build here; stand in for its base order.
+        monkeypatch.setattr(sigma_mod, "_fundamental_group_order", lambda K: 2)
+        triangle = SimplicialComplex.from_facets([[0, 1, 2]])
+        assert constructed_entry("two", VoltageAssignment(triangle, 2)).simply_connected is False
 
     def test_declared_needs_note(self):
         with pytest.raises(SigmaError):
@@ -191,6 +291,31 @@ class TestRegistry:
         assert set(again) == set(registry)
         assert again["sphere"] == registry["sphere"]
         assert dump_registry(again) == dump_registry(registry)
+
+
+class TestSimpleConnectivityFromTheBase:
+    @settings(max_examples=150)
+    @given(voltage_assignments())
+    def test_matches_the_total_space_oracle(self, voltage):
+        verdict = constructed_entry("v", voltage).simply_connected
+        if not build_cover(voltage).total.is_connected():
+            assert verdict is False
+            return
+        oracle = total_simply_connected(voltage)
+        if oracle is not None:
+            assert verdict is oracle
+
+    @pytest.mark.parametrize("times", [1, 2, 3])
+    def test_orientation_covers_of_subdivided_rp2(self, times):
+        voltage = orientation_voltage(times)
+        assert constructed_entry("sphere", voltage).simply_connected is True
+        assert total_simply_connected(voltage) is True
+
+    @pytest.mark.parametrize("voltage", [c4_double_voltage(), s3_left_regular_cover().assignment], ids=["c4", "s3"])
+    def test_covers_of_graphs(self, voltage):
+        # A graph's group is free, so the total's is too: H~1 decides, and its infinite index ends the oracle.
+        assert constructed_entry("graph", voltage).simply_connected is False
+        assert total_simply_connected(voltage) is None
 
 
 class TestSigmaValue:
@@ -570,8 +695,8 @@ class TestBounds:
         assert min_kernel_length_bound(min_disagreement_height(a, a), 2) == math.inf
 
     def test_normal_generating_length_bounds(self, registry):
-        assert normal_generating_length_bound(materialize(registry["cycle8"])) == 8
-        assert normal_generating_length_bound(materialize(registry["sphere"])) == 0
+        assert normal_generating_length_bound(build_cover(registry["cycle8"].voltage)) == 8
+        assert normal_generating_length_bound(build_cover(registry["sphere"].voltage)) == 0
         degree1 = build_cover(VoltageAssignment(cycle_complex(4), 1))
         assert normal_generating_length_bound(degree1) == 4
 

@@ -1,6 +1,6 @@
 import pytest
 
-from fpforge.complex_core import ComplexError, SimplicialComplex, is_flag
+from fpforge.complex_core import ComplexError, SimplicialComplex, is_flag, validate
 from fpforge.spherical_double import retract_word, spherical_double
 
 from helpers import all_complexes_on, brute_join_double
@@ -34,6 +34,7 @@ class TestSphericalDouble:
             K = SimplicialComplex.from_facets(facets)
             d = spherical_double(K)
             assert d.complex.simplices == frozenset(brute_join_double(K))
+            assert validate(d.complex) == []  # recorded as valid without a scan, so check it here
 
     def test_simplex_counts_double_per_dimension(self):
         K = SimplicialComplex.from_facets([[0, 1, 2], [2, 3], [4]])
@@ -55,6 +56,7 @@ class TestSphericalDouble:
             )
             d = spherical_double(K)
             assert is_flag(d.complex) == is_flag(K)
+            assert validate(d.complex) == []
 
 
 class TestRetractWord:
