@@ -3,16 +3,18 @@
 All inputs are explicit flags (no environment configuration), reports are
 deterministic for fixed inputs, and files are written atomically.  Exit
 codes: 0 success, 1 domain error, 2 I/O, configuration or input format error.
+:func:`main` may be called repeatedly in one process: it builds its parser
+on the first call and reuses it; :func:`build_parser` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
-from typing import Sequence
 
 from . import complex_core, covers, groups, homology, sigma as sigma_mod, spectrum as spectrum_mod
 from .complex_core import _json_field, _json_int_arrays, _json_list, _json_object, _json_text, _read_json
@@ -52,13 +54,11 @@ def _cmd_double(args) -> int:
     doubled = spherical_double(L)
     if args.out:
         _atomic_write(args.out, complex_core.dump_complex(doubled.complex))
-    report = {
-        "base_f_vector": list(L.f_vector()),
-        "double_f_vector": list(doubled.complex.f_vector()),
-    }
+    f = doubled.complex.f_vector()
+    report = {"base_f_vector": list(L.f_vector()), "double_f_vector": list(f)}
     if args.report:
         _atomic_write(args.report, _json_text(report))
-    print(f"double: f-vector {tuple(doubled.complex.f_vector())}")
+    print(f"double: f-vector {f}")
     return 0
 
 
@@ -203,93 +203,84 @@ def _cmd_subpres(args) -> int:
 # Parser
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The ``fpforge`` parser, with arguments only for the subcommand that ``argv`` names.
-
-    That is its first token that is not an option; when there is none, every
-    subcommand gets its arguments.  Every subcommand's name, help and epilog
-    are always registered, so top-level help and errors do not depend on ``argv``.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh ``fpforge`` parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="fpforge",
         description="Flag complexes, doubles, covers, homology, presentations, and finiteness decisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = next((a for a in argv if not a.startswith("-")), None)
 
-    def add(name, func, **kwargs):  # the subcommand's parser, if its arguments are needed
+    def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        return p if named in (None, name) else None
+        return p
 
-    if p := add("double", _cmd_double, help="spherical double of a complex", epilog=COMPLEX_FORMAT):
-        p.add_argument("--complex", required=True, help="input complex JSON path")
-        p.add_argument("--out", help="output complex JSON path")
-        p.add_argument("--report", help="f-vector report JSON path")
+    p = add("double", _cmd_double, help="spherical double of a complex", epilog=COMPLEX_FORMAT)
+    p.add_argument("--complex", required=True, help="input complex JSON path")
+    p.add_argument("--out", help="output complex JSON path")
+    p.add_argument("--report", help="f-vector report JSON path")
 
-    if p := add("cover", _cmd_cover, help="build and certify a voltage cover", epilog=VOLTAGE_FORMAT):
-        p.add_argument("--voltage", required=True, help="voltage assignment JSON path")
-        p.add_argument("--out", help="total space complex JSON path")
-        p.add_argument("--certificate", help="covering + homology certificate JSON path")
-        p.add_argument("--ring", action="append", help="certificate ring (repeatable): Z, Q, or F<p>")
+    p = add("cover", _cmd_cover, help="build and certify a voltage cover", epilog=VOLTAGE_FORMAT)
+    p.add_argument("--voltage", required=True, help="voltage assignment JSON path")
+    p.add_argument("--out", help="total space complex JSON path")
+    p.add_argument("--certificate", help="covering + homology certificate JSON path")
+    p.add_argument("--ring", action="append", help="certificate ring (repeatable): Z, Q, or F<p>")
 
-    if p := add("homology", _cmd_homology, help="reduced homology certificate", epilog=COMPLEX_FORMAT):
-        p.add_argument("--complex", required=True)
-        p.add_argument("--ring", required=True, help="Z, Q, or F<p>")
-        p.add_argument("--out", help="certificate JSON path")
+    p = add("homology", _cmd_homology, help="reduced homology certificate", epilog=COMPLEX_FORMAT)
+    p.add_argument("--complex", required=True)
+    p.add_argument("--ring", required=True, help="Z, Q, or F<p>")
+    p.add_argument("--out", help="certificate JSON path")
 
-    if p := add(
-        "present",
-        _cmd_present,
-        help="edge/triangle presentation with spread powers",
-        epilog=COMPLEX_FORMAT + "; " + SPREADS_FORMAT,
-    ):
-        p.add_argument("--complex", required=True)
-        p.add_argument("--spreads", help="spread loops JSON path")
-        p.add_argument("--out", help="presentation text path")
-        p.add_argument("--json", help="presentation JSON path (carries tags)")
+    epilog = COMPLEX_FORMAT + "; " + SPREADS_FORMAT
+    p = add("present", _cmd_present, help="edge/triangle presentation with spread powers", epilog=epilog)
+    p.add_argument("--complex", required=True)
+    p.add_argument("--spreads", help="spread loops JSON path")
+    p.add_argument("--out", help="presentation text path")
+    p.add_argument("--json", help="presentation JSON path (carries tags)")
 
-    if p := add("decide", _cmd_decide, help="finiteness-property decision", epilog=SIGMA_FORMAT):
-        p.add_argument("--sigma", required=True, help="sigma specification JSON path")
-        p.add_argument("--ring", help="Z, Q, or F<p>")
-        p.add_argument("--k", help="degree bound (integer) or FP")
-        p.add_argument("--finitely-presented", action="store_true", help="decide finite presentability instead")
-        p.add_argument("--out", help="verdict JSON path")
+    p = add("decide", _cmd_decide, help="finiteness-property decision", epilog=SIGMA_FORMAT)
+    p.add_argument("--sigma", required=True, help="sigma specification JSON path")
+    p.add_argument("--ring", help="Z, Q, or F<p>")
+    p.add_argument("--k", help="degree bound (integer) or FP")
+    p.add_argument("--finitely-presented", action="store_true", help="decide finite presentability instead")
+    p.add_argument("--out", help="verdict JSON path")
 
-    if p := add("sigma", _cmd_sigma, help="specification builders"):
-        p.add_argument(
-            "--builder",
-            required=True,
-            choices=["field-example", "prime-set", "power-tower", "constants"],
-        )
-        p.add_argument("--registry", help="registry JSON path (defaults to the built-in desk registry)")
-        p.add_argument("--primes", help="comma-separated primes, e.g. 2,3")
-        p.add_argument("--f-set", help="comma-separated naturals for the power-tower builder")
-        p.add_argument("--d", type=int, default=2, help="complex dimension for the constants")
-        p.add_argument("--m", type=int, default=1, help="how many constants")
-        p.add_argument("--r-bounds", type=int, nargs="*", help="loop-length bounds per position")
-        p.add_argument("--out", help="specification (or constants) JSON path")
+    p = add("sigma", _cmd_sigma, help="specification builders")
+    p.add_argument("--builder", required=True, choices=["field-example", "prime-set", "power-tower", "constants"])
+    p.add_argument("--registry", help="registry JSON path (defaults to the built-in desk registry)")
+    p.add_argument("--primes", help="comma-separated primes, e.g. 2,3")
+    p.add_argument("--f-set", help="comma-separated naturals for the power-tower builder")
+    p.add_argument("--d", type=int, default=2, help="complex dimension for the constants")
+    p.add_argument("--m", type=int, default=1, help="how many constants")
+    p.add_argument("--r-bounds", type=int, nargs="*", help="loop-length bounds per position")
+    p.add_argument("--out", help="specification (or constants) JSON path")
 
-    if p := add("spectrum", _cmd_spectrum, help="taut loop length spectrum", epilog=GRAPH_FORMAT):
-        p.add_argument("--graph", required=True, help="edge-list graph JSON path")
-        p.add_argument("--lmax", type=int, required=True)
-        p.add_argument("--budget", type=int, default=100_000)
-        p.add_argument("--out", help="report JSON path")
+    p = add("spectrum", _cmd_spectrum, help="taut loop length spectrum", epilog=GRAPH_FORMAT)
+    p.add_argument("--graph", required=True, help="edge-list graph JSON path")
+    p.add_argument("--lmax", type=int, required=True)
+    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--out", help="report JSON path")
 
-    if p := add("subpres", _cmd_subpres, help="kernel-protecting subpresentation selection"):
-        p.add_argument("--presentation", required=True, help="full tagged presentation JSON path")
-        p.add_argument("--retain", help="comma-separated relator indices to retain")
-        p.add_argument("--registry", help="registry JSON path")
-        p.add_argument("--base-id", default=BASE_ID)
-        p.add_argument("--cover-id", default=SL_ID)
-        p.add_argument("--out", help="subpresentation JSON path")
-        p.add_argument("--sigma-out", help="induced sigma specification JSON path")
+    p = add("subpres", _cmd_subpres, help="kernel-protecting subpresentation selection")
+    p.add_argument("--presentation", required=True, help="full tagged presentation JSON path")
+    p.add_argument("--retain", help="comma-separated relator indices to retain")
+    p.add_argument("--registry", help="registry JSON path")
+    p.add_argument("--base-id", default=BASE_ID)
+    p.add_argument("--cover-id", default=SL_ID)
+    p.add_argument("--out", help="subpresentation JSON path")
+    p.add_argument("--sigma-out", help="induced sigma specification JSON path")
 
     return parser
 
 
+@functools.cache  # main's parser: built on the first call, kept for the process
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
     except (OSError, json.JSONDecodeError) as exc:

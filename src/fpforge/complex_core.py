@@ -33,6 +33,7 @@ documented shape raises :class:`FormatError`, naming the JSON path that failed.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import chain, combinations, compress, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -172,7 +173,8 @@ class SimplicialComplex:
         return self._by_dim().get(k + 1, ())
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self.simplices_of_dim(k)) for k in range(self.dimension + 1))
+        counts = Counter(map(len, self.simplices))  # counted, not sorted into dimensions
+        return tuple(map(counts.__getitem__, range(1, max(counts, default=0) + 1)))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
@@ -236,16 +238,21 @@ class SimplicialComplex:
         stored simplex.  Only strictly sorted stored tuples and faces left by
         removing a vertex of the vertex set count, so an unvalidated complex
         gets the same answer as asking, for every vertex v, whether adding v
-        gives a stored simplex.
+        gives a stored simplex.  A known-valid complex skips those checks.
         """
         if "facets" not in self._cache:
             simplices = list(self.simplices)
-            normal = list(map(tuple, map(sorted, map(set, simplices))))
-            strict = list(self.simplices.intersection(normal).difference([()]))
-            faces = chain.from_iterable(map(combinations, strict, map(int.__sub__, map(len, strict), repeat(1))))
-            lacking = chain.from_iterable(map(reversed, strict))  # combinations drops t[-1] first, t[0] last
-            maximal = set(normal).difference(compress(faces, map(self.vertices.__contains__, lacking)))
-            self._cache["facets"] = sorted(compress(simplices, map(maximal.__contains__, normal)))
+            if "valid" in self._cache:  # strictly sorted tuples on the vertex set: every face counts
+                sizes = map(int.__sub__, map(len, simplices), repeat(1))
+                facets = self.simplices.difference(chain.from_iterable(map(combinations, simplices, sizes)))
+            else:
+                normal = list(map(tuple, map(sorted, map(set, simplices))))
+                strict = list(self.simplices.intersection(normal).difference([()]))
+                faces = chain.from_iterable(map(combinations, strict, map(int.__sub__, map(len, strict), repeat(1))))
+                lacking = chain.from_iterable(map(reversed, strict))  # combinations drops t[-1] first, t[0] last
+                maximal = set(normal).difference(compress(faces, map(self.vertices.__contains__, lacking)))
+                facets = compress(simplices, map(maximal.__contains__, normal))
+            self._cache["facets"] = sorted(facets)
         return list(self._cache["facets"])  # a copy, so callers cannot alter the cache
 
     def __eq__(self, other) -> bool:

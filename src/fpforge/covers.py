@@ -232,7 +232,7 @@ def build_cover(v: VoltageAssignment) -> CoverComplex:
 
     A simplex lifts once per sheet: anchored at its least vertex, the other
     vertices ride the anchor's voltages.  The triangle condition makes the
-    lift independent of the anchor.
+    lift independent of the anchor and the total valid by construction.
     """
     base = v.base
     d = v.degree
@@ -251,6 +251,7 @@ def build_cover(v: VoltageAssignment) -> CoverComplex:
             simplices.add(lifted)
     vertices = {tid(b, s) for b in base.vertices for s in range(d)}
     total = SimplicialComplex(vertices, simplices)
+    total._cache["valid"] = True  # each face of a lift is the lift of a face (triangle condition)
     projection = {}
     sheet = {}
     for b in base.vertices:

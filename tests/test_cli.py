@@ -1,13 +1,18 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpforge import sigma
+import fpforge
+from fpforge import cli, sigma
 from fpforge.cli import build_parser, main
 from fpforge.complex_core import (
     GroupPresentationInput, SimplicialComplex, barycentric_subdivision, flagify_presentation_complex, spanning_tree,
@@ -24,6 +29,9 @@ from fpforge.sigma import (
 )
 
 from helpers import RP2_FACETS
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fpforge.__file__)))
 
 
 def write(path, text):
@@ -363,19 +371,76 @@ class TestExitCodes:
         assert f"fpforge: format error: {path}: " in capsys.readouterr().err
 
 
-def _parse_outcome(parser, argv):
+def _outcome(call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``, which may return a code or exit."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as stop:
-        parser.parse_args(argv)
-    return stop.value.code, out.getvalue(), err.getvalue()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("command", ["double", "cover", "homology", "present", "decide", "sigma", "spectrum", "subpres"])
-def test_parser_for_one_subcommand_answers_as_the_full_parser(command):
+def test_second_main_call_answers_as_the_first_and_a_fresh_parser(command):
     """Help, a missing required flag and an unknown command: same text and exit code."""
-    for argv in ([command, "-h"], [command], ["-h", command], [command + "x", "-h"]):
-        assert _parse_outcome(build_parser(argv), argv) == _parse_outcome(build_parser(), argv)
-    assert _parse_outcome(build_parser([command]), [command])[0] == 2
+    cli._parser.cache_clear()
+    for argv, code in (([command, "-h"], 0), ([command], 2), (["-h", command], 0), ([command + "x", "-h"], 2)):
+        first = _outcome(main, argv)
+        assert _outcome(main, argv) == first == _outcome(build_parser().parse_args, argv)
+        assert first[0] == code
+
+
+def test_valid_run_is_the_same_on_a_second_main_call(tmp_path, delta2):
+    cli._parser.cache_clear()
+    argv = ["homology", "--complex", delta2, "--ring", "Z", "--out", str(tmp_path / "h.json")]
+    first = _outcome(main, argv), (tmp_path / "h.json").read_text(encoding="utf-8")
+    assert (_outcome(main, argv), (tmp_path / "h.json").read_text(encoding="utf-8")) == first
+    assert first[0][0] == 0 and cli._parser().parse_args(argv) == build_parser().parse_args(argv)
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, delta2):
+    argv = ["homology", "--complex", delta2, "--ring", "Q"]
+    built = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(1) or real(self, *a, **k))
+    cli._parser.cache_clear()
+    assert _outcome(main, argv)[0] == 0 and len(built) == 9  # the top-level parser and eight subcommands
+    built.clear()
+    assert _outcome(main, argv)[0] == 0 and built == []
+    assert cli._parser() is cli._parser() is not build_parser()
+
+
+def _python(*args):
+    """A fresh interpreter on ``args`` that imports this checkout's ``fpforge``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "real = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or real(self, *a, **k)\n"
+        "import fpforge.cli\n"
+        "print(len(built))\n"
+    )
+    run = _python("-c", script)
+    assert (run.returncode, run.stdout) == (0, "0\n")
+
+
+def test_entry_point_in_a_fresh_process(tmp_path, delta2):
+    """``python -m fpforge.cli`` parses ``sys.argv`` and leaves through ``sys.exit`` with the documented codes."""
+    helped = _python("-m", "fpforge.cli", "--help")
+    assert helped.returncode == 0 and helped.stdout.startswith("usage: fpforge")
+    valid = _python("-m", "fpforge.cli", "homology", "--complex", delta2, "--ring", "Z")
+    assert (valid.returncode, valid.stdout, valid.stderr) == (0, "[Z] trivial\n", "")
+    domain = _python("-m", "fpforge.cli", "homology", "--complex", delta2, "--ring", "F6")
+    assert domain.returncode == 1 and domain.stderr.startswith("fpforge: ")
+    malformed = _python("-m", "fpforge.cli", "homology", "--complex", write(tmp_path / "bad.json", "{"), "--ring", "Z")
+    assert malformed.returncode == 2 and malformed.stderr.startswith("fpforge: i/o error: ")
 
 
 def _fuzz_documents():

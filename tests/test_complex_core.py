@@ -422,6 +422,12 @@ class TestLayeredClosure:
         assert (K.vertices, K.simplices) == (R.vertices, R.simplices)
         assert validate(K) == [] and K._cache["valid"]
         assert K.facets() == reference_facets(K)
+        unvalidated = SimplicialComplex(K.vertices, K.simplices)  # the same complex, not known valid
+        assert "valid" not in unvalidated._cache and unvalidated.facets() == reference_facets(K)
+
+    @given(st.one_of(raw_complexes(), facet_complexes()))
+    def test_f_vector_counts_as_the_sorted_dimensions(self, K):
+        assert K.f_vector() == tuple(len(K.simplices_of_dim(k)) for k in range(K.dimension + 1))
 
 
 class Count(IntEnum):

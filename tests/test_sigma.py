@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpforge import sigma as sigma_mod
-from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree
-from fpforge.covers import VoltageAssignment, build_cover, double_cover_voltages, perm_compose
+from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree, validate
+from fpforge.covers import VoltageAssignment, build_cover, double_cover_voltages, perm_compose, verify_covering
 from fpforge.groups import SpanningTreeWords, coset_enumerate
 from fpforge.homology import HomologySummary, RingSpec, reduced_homology
 from fpforge.sigma import (
@@ -42,7 +42,7 @@ from fpforge.sigma import (
     validate_registry,
 )
 
-from helpers import RP2_FACETS, s3_left_regular_cover
+from helpers import RP2_FACETS, reference_facets, s3_left_regular_cover
 
 MEMBERS = {p: f"Lp{p}" for p in (3, 5, 7)}
 SPHERE_Z = HomologySummary(RingSpec.Z(), (0, 0, 1), ((), (), ()))
@@ -291,6 +291,15 @@ class TestRegistry:
         assert set(again) == set(registry)
         assert again["sphere"] == registry["sphere"]
         assert dump_registry(again) == dump_registry(registry)
+
+
+@given(voltage_assignments())
+def test_cover_totals_are_valid_by_construction(voltage):
+    """``build_cover`` records its total as valid, so no check runs on it later: test it here."""
+    cover = build_cover(voltage)
+    assert cover.total._cache["valid"] and validate(cover.total) == []
+    assert verify_covering(cover)
+    assert cover.total.facets() == reference_facets(cover.total)
 
 
 class TestSimpleConnectivityFromTheBase:
