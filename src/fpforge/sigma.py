@@ -11,13 +11,16 @@ height-dependent torsion symbolically.
 
 The decision procedures only ever consult which entries occur at infinitely
 many heights, so verdicts are independent of the deterministic round-robin
-schedule that realizes recurrent tails.
+schedule that realizes recurrent tails.  Tower heights C^(2^i) are pairs (C, i)
+compared by bounded squaring, built only by ``PowerTowerRule.heights()`` or as an
+answer of :func:`min_disagreement_height`, and never past a fixed bit cap.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from itertools import count
 from math import isqrt
@@ -262,6 +265,32 @@ def validate_registry(registry: Mapping[str, CoverRegistryEntry]) -> list[str]:
 # Sigma specifications
 
 
+# A tower height C^(2^i) is kept as the pair (C, i) and built only up to this
+# many bits; a power of two, so that the test in _tower_height is exact.
+_TOWER_BIT_CAP = 2**20
+_Tower = tuple[int, int]
+
+
+def _tower_cmp(C: int, i: int, n: int | _Tower) -> int:
+    """Sign of C^(2^i) - n for C >= 1 and an integer or tower height n, squaring at
+    most i times and stopping once past n, so that nothing much larger than n is built."""
+    if isinstance(n, tuple):  # x -> x^(2^k) increases for x >= 1, so the common 2^min(i, j) drops out
+        D, j = n
+        return _tower_cmp(C, i - j, D) if i >= j else -_tower_cmp(D, j - i, C)
+    for _ in range(i):
+        if C > n:
+            return 1
+        C *= C
+    return (C > n) - (C < n)
+
+
+def _tower_height(C: int, i: int) -> int:
+    """C^(2^i), refused past the bit cap: it has more than cap bits exactly when C >= 2^(cap / 2^i)."""
+    if C > 1 and C.bit_length() > _TOWER_BIT_CAP >> i:
+        raise SigmaError(f"tower height C^(2^i) at (C, i) = ({C}, {i}) has more than {_TOWER_BIT_CAP} bits")
+    return C ** (1 << i)
+
+
 @dataclass(frozen=True)
 class Tail:
     """Eventually-periodic half-line rule: a constant entry or a recurrent set
@@ -281,9 +310,11 @@ class Tail:
             raise SigmaError("recurrent tail needs at least one entry")
         return cls("recurrent", ids)
 
-    def value_at(self, position: int) -> str:
+    def value_at(self, position: int | _Tower) -> str:
         if self.kind == "constant":
             return self.ids[0]
+        if isinstance(position, tuple):
+            position = pow(position[0], 1 << position[1], len(self.ids))
         return self.ids[(position - 1) % len(self.ids)]
 
     def period(self) -> int:
@@ -298,12 +329,6 @@ class Tail:
         if "constant" in data:
             return cls.constant(_json_field(data, "constant", path, str))
         return cls.recurrent(_json_items(_json_field(data, "recurrent", path), f"{path}.recurrent", str))
-
-
-@functools.lru_cache(maxsize=8)
-def _tower_heights(constants: tuple[int, ...]) -> tuple[int, ...]:
-    """The tower heights C_i^(2^i), i = 1..m, computed once per constant tuple."""
-    return tuple(c ** (2 ** (i + 1)) for i, c in enumerate(constants))
 
 
 @dataclass(frozen=True)
@@ -330,12 +355,11 @@ class PowerTowerRule:
                 raise SigmaError(f"assignment index {i} outside the constant window")
 
     def heights(self) -> dict[int, int]:
-        return dict(enumerate(_tower_heights(tuple(self.constants)), start=1))
+        return {i: _tower_height(c, i) for i, c in enumerate(self.constants, start=1)}
 
-    def value_at(self, n: int) -> str:
-        heights = _tower_heights(tuple(self.constants))
+    def value_at(self, n: int | _Tower) -> str:
         for i, entry in self.assignments.items():
-            if heights[i - 1] == n:
+            if _tower_cmp(self.constants[i - 1], i, n) == 0:
                 return entry
         return self.default
 
@@ -385,10 +409,10 @@ class PrimeCongruenceRule:
         if self.torsion_multiplicity < 1:
             raise SigmaError("family multiplicity must be at least one")
 
-    def applies_at(self, n: int) -> bool:
-        return n > 2 and _is_prime(n)
+    def applies_at(self, n: int | _Tower) -> bool:
+        return isinstance(n, int) and n > 2 and _is_prime(n)  # a tower height is 1 or a square
 
-    def value_at(self, n: int) -> str:
+    def value_at(self, n: int | _Tower) -> str:
         if self.applies_at(n):
             return self.members.get(n, f"{self.family_id}:{n}")
         return self.default
@@ -482,17 +506,22 @@ class SigmaSpec:
             out.add(self.prime_rule.default)
         return out
 
-    def value(self, n: int) -> str:
-        n = int(n)
-        if n in self.exceptions:
-            return self.exceptions[n]
+    def value(self, n: int | _Tower) -> str:
+        """Entry at height n; a tower height (C, i) is positive and is resolved unbuilt."""
+        if isinstance(n, tuple):
+            exception, sign = next((e for h, e in self.exceptions.items() if _tower_cmp(*n, h) == 0), None), 1
+        else:
+            n = int(n)
+            exception, sign = self.exceptions.get(n), (n > 0) - (n < 0)
+        if exception is not None:
+            return exception
         if self.prime_rule is not None:
             return self.prime_rule.value_at(n)
-        if n > 0 and self.power_rule is not None:
+        if sign > 0 and self.power_rule is not None:
             return self.power_rule.value_at(n)
-        if n == 0:
+        if sign == 0:
             return self.base_id
-        if n > 0:
+        if sign > 0:
             return self.positive_tail.value_at(n)
         return self.negative_tail.value_at(-n)
 
@@ -868,13 +897,13 @@ def min_kernel_length_bound(M: int | float, d: int) -> float:
     if isinstance(M, float) and not M.is_integer():
         raise SigmaError(f"M must be an integer or infinity, got {M}")
     M = int(M)
-    num = 2 * M * M
-    den = d + 1
-    if num % den == 0:
-        root = isqrt(num // den)
-        if root * root == num // den:
-            return float(root)
-    return math.sqrt(num / den)
+    num, den = 2 * M * M, d + 1
+    root = isqrt(num // den)  # the floor of the bound, exact when root^2 = num / den
+    if root * root * den != num and num // den <= sys.float_info.max:  # else num / den overflows
+        return math.sqrt(num / den)
+    if root > sys.float_info.max:
+        raise SigmaError(f"the bound for a {M.bit_length()}-bit M is past the float range")
+    return float(root)
 
 
 def _generic_value(spec: SigmaSpec, sign: int, residue: int, prime_above_2: bool):
@@ -903,27 +932,23 @@ def min_disagreement_height(a: SigmaSpec, b: SigmaSpec) -> int | float:
     many types (sign, residue modulo the joint tail period, primality), whose
     values are compared symbolically; a disagreeing type contributes its
     smallest non-explicit representative, found exactly with no scan cap.
-    Tower heights are never scanned, so astronomically large ones cost nothing.
+    Tower heights are never scanned, so astronomically large ones cost nothing:
+    they stay pairs (C, i) compared by bounded squaring, and only an answer is
+    built.  An answer of more than 2**20 bits is refused with ``SigmaError``.
     """
     if a.registry != b.registry:
         raise SigmaError("specs compare only over a common registry")
     explicit: set[int] = {0}
+    towers: set[_Tower] = set()
     for s in (a, b):
         explicit.update(s.exceptions)
         if s.power_rule:
-            explicit.update(s.power_rule.heights().values())
+            towers.update((c, i) for i, c in enumerate(s.power_rule.constants, start=1))
         if s.prime_rule:
             explicit.update(s.prime_rule.members.keys())
-    best: int | float = math.inf
-    for n in explicit:
-        if a.value(n) != b.value(n):
-            best = min(best, abs(n))
+    best: int | float = min((abs(n) for n in explicit if a.value(n) != b.value(n)), default=math.inf)
 
-    period = 1
-    for s in (a, b):
-        for tail in (s.positive_tail, s.negative_tail):
-            if tail:
-                period = math.lcm(period, tail.period())
+    period = math.lcm(*(t.period() for s in (a, b) for t in (s.positive_tail, s.negative_tail) if t))
     for sign in (1, -1):
         for residue in range(period):
             for prime_above_2 in ((False,) if sign < 0 else (False, True)):
@@ -936,9 +961,14 @@ def min_disagreement_height(a: SigmaSpec, b: SigmaSpec) -> int | float:
                 for magnitude in [g] if prime_above_2 and g > 1 else count(residue or period, period):
                     n = sign * magnitude
                     in_type = magnitude % period == residue and n not in explicit
+                    in_type = in_type and all(_tower_cmp(*t, n) for t in towers)  # n is no tower height
                     if in_type and (n > 2 and _is_prime(n)) == prime_above_2:
                         best = min(best, magnitude)
                         break
+    order = functools.cmp_to_key(lambda t, u: _tower_cmp(*t, u))
+    least = min((t for t in towers if a.value(t) != b.value(t)), key=order, default=None)
+    if least and (best == math.inf or _tower_cmp(*least, best) < 0):
+        best = _tower_height(*least)
     return best
 
 

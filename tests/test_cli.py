@@ -238,10 +238,10 @@ class TestSigmaBuilders:
 
     def test_power_tower_at_m_31_computes_no_tower_height(self, tmp_path, monkeypatch, capsys):
         # C_31^(2^31) has billions of digits; building and deciding read only ids and constants.
-        def refuse(constants):
+        def refuse(C, i):
             raise RuntimeError("a tower height was computed")
 
-        monkeypatch.setattr(sigma, "_tower_heights", refuse)
+        monkeypatch.setattr(sigma, "_tower_height", refuse)
         spec = str(tmp_path / "tower.json")
         argv = ["sigma", "--builder", "power-tower", "--f-set", "1,2", "--primes", "3", "--m", "31", "--out", spec]
         assert main(argv) == 0

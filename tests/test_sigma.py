@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,11 +152,33 @@ def linear_choose_constants(d, r_bounds, m):
         out.append(C)
     return tuple(out)
 
+
+# Constant tuples whose tower heights coincide at different indices: 16 = 4^2 = 2^4,
+# 256 = 16^2 = 4^4, 6561 = 9^4 = 3^8 and 2^32 = 16^8 = 4^16.
+COINCIDING_CONSTANTS = [(4, 9, 16), (1, 2, 3, 4), (16,), (2, 4)]
+SHARED_TOWER_HEIGHTS = [1, 4, 16, 81, 256, 6561, 2**32]
+
+
+def tower_heights(constants):
+    return [c ** 2**i for i, c in enumerate(constants, start=1)]
+
+
+@st.composite
+def tower_constants(draw):
+    """Strictly increasing constants, 1-4 of them, starting anywhere from 1 to 16, or a coinciding tuple."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(COINCIDING_CONSTANTS))
+    steps = draw(st.lists(st.integers(1, 4), max_size=3))
+    return tuple(accumulate(steps, initial=draw(st.integers(1, 16))))
+
+
 @st.composite
 def sigma_specs(draw, registry):
-    """Specs over the example ids: periodic tails, a prime rule, or a short power tower, with exceptions."""
+    """Specs over the example ids: periodic tails, a prime rule, or a short power tower, with exceptions,
+    some of them at tower heights."""
     ids = st.sampled_from(["Lsl", "Luniv"])  # two ids, so that specs often agree on whole classes
-    exceptions = draw(st.dictionaries(st.integers(-30, 30), ids, max_size=2))
+    heights = st.integers(-30, 30) | st.sampled_from(SHARED_TOWER_HEIGHTS)
+    exceptions = draw(st.dictionaries(heights, ids, max_size=2))
     kind = draw(st.sampled_from(["tails", "prime", "tower"]))
     if kind == "prime":
         members = draw(st.dictionaries(st.sampled_from([3, 5, 7]), st.sampled_from(["Lp3", "Lp5", "Lp7"])))
@@ -164,11 +186,36 @@ def sigma_specs(draw, registry):
         return SigmaSpec(registry, "Luniv", exceptions, prime_rule=rule)
     negative = Tail.recurrent(draw(st.lists(ids, min_size=1, max_size=3)))
     if kind == "tower":
-        fset = draw(st.lists(st.integers(1, 2), max_size=2))
-        tower = sigma_power_tower(fset, choose_constants(2, None, 3), registry, [3, 5], member_ids=MEMBERS)
-        return SigmaSpec(registry, "Luniv", exceptions, negative_tail=negative, power_rule=tower.power_rule)
+        constants = draw(tower_constants())
+        exceptions.update(draw(st.dictionaries(st.sampled_from(tower_heights(constants)), ids, max_size=1)))
+        assignments = draw(st.dictionaries(st.integers(1, len(constants)), ids | st.just("Lp3")))
+        rule = PowerTowerRule(constants, assignments, draw(ids))
+        return SigmaSpec(registry, "Luniv", exceptions, negative_tail=negative, power_rule=rule)
     positive = Tail.recurrent(draw(st.lists(ids, min_size=1, max_size=4)))
     return SigmaSpec(registry, "Luniv", exceptions, positive_tail=positive, negative_tail=negative)
+
+
+@st.composite
+def tower_spec_pairs(draw, registry):
+    """A tower spec against a tower spec with other constants or against a positive tail, both
+    alike off the towers and the exceptions drawn at tower heights, so that the towers decide."""
+    ids = st.sampled_from(["Lsl", "Luniv"])
+    shared = dict(negative_tail=Tail.constant("Luniv"))
+    exceptions = draw(st.dictionaries(st.integers(-30, 30), ids, max_size=2))
+    default = draw(ids)
+
+    def tower_spec():
+        constants = draw(tower_constants())
+        at_towers = st.sampled_from(tower_heights(constants) + SHARED_TOWER_HEIGHTS)
+        rule = PowerTowerRule(constants, draw(st.dictionaries(st.integers(1, len(constants)), ids)), default)
+        return SigmaSpec(registry, "Luniv", {**exceptions, **draw(st.dictionaries(at_towers, ids, max_size=2))},
+                         power_rule=rule, **shared)
+
+    a = tower_spec()
+    if draw(st.booleans()):
+        return a, tower_spec()
+    positive = Tail.recurrent(draw(st.lists(ids, min_size=1, max_size=3)))
+    return a, SigmaSpec(registry, "Luniv", exceptions, positive_tail=positive, **shared)
 
 
 @pytest.fixture(scope="module")
@@ -596,16 +643,40 @@ class TestPowerTower:
         assert spec.value(heights[1]) == "Lp3"
 
 
-    def test_heights_are_computed_once_and_lookups_match_the_definition(self):
+    def test_lookups_build_no_height_and_match_the_definition(self, monkeypatch):
         constants = choose_constants(2, None, 6)
         rule = PowerTowerRule(constants, {2: "a", 5: "b"}, "d")
-        sigma_mod._tower_heights.cache_clear()
         direct = {i + 1: c ** (2 ** (i + 1)) for i, c in enumerate(constants)}
         assert rule.heights() == direct
+
+        def refuse(C, i):
+            raise RuntimeError("a tower height was built")
+
+        monkeypatch.setattr(sigma_mod, "_tower_height", refuse)
         for i, h in direct.items():
-            assert rule.value_at(h) == {2: "a", 5: "b"}.get(i, "d")
+            assert rule.value_at(h) == rule.value_at((constants[i - 1], i)) == {2: "a", 5: "b"}.get(i, "d")
             assert rule.value_at(h + 1) == rule.value_at(h - 1) == "d"
-        assert sigma_mod._tower_heights.cache_info().misses == 1
+        with pytest.raises(RuntimeError):
+            rule.heights()
+
+    @given(C=st.integers(1, 40), i=st.integers(0, 6), D=st.integers(1, 40), j=st.integers(0, 6),
+           offset=st.integers(-2, 2), n=st.integers(-5, 10**12))
+    def test_tower_comparisons_match_the_integers(self, C, i, D, j, offset, n):
+        h, g = C ** 2**i, D ** 2**j
+        sign = lambda x: (x > 0) - (x < 0)
+        assert sigma_mod._tower_cmp(C, i, n) == sign(h - n)
+        assert sigma_mod._tower_cmp(C, i, h + offset) == sign(-offset)
+        assert sigma_mod._tower_cmp(C, i, (D, j)) == sign(h - g)
+
+    def test_heights_past_the_bit_cap_are_refused(self):
+        assert sigma_mod._TOWER_BIT_CAP == 2**20
+        assert sigma_mod._tower_height(1, 31) == 1
+        assert sigma_mod._tower_height(15, 18).bit_length() <= 2**20  # 15 < 2^(2^20 / 2^18)
+        with pytest.raises(SigmaError, match=r"\(16, 18\)"):
+            sigma_mod._tower_height(16, 18)  # 2^(2^20), one bit past the cap
+        rule = PowerTowerRule(choose_constants(2, None, 31), {}, "d")
+        with pytest.raises(SigmaError, match=r"\(21, 18\)"):
+            rule.heights()
 
 
 class TestDisagreementHeight:
@@ -652,6 +723,31 @@ class TestDisagreementHeight:
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) == 10**18 + 9
 
+    def test_m_31_towers_compare_in_bounded_memory(self):
+        # C_31^(2^31) has billions of digits: building any of the top heights would exhaust
+        # the child's address space or its timeout.
+        script = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+            from fpforge.sigma import SigmaError, choose_constants, example_registry, min_disagreement_height
+            from fpforge.sigma import sigma_power_tower
+            reg = example_registry()
+            C = choose_constants(2, None, 31)
+            tower = lambda F: sigma_power_tower(F, C, reg, [3], member_ids={3: "Lp3"})
+            assert min_disagreement_height(tower([1, 2]), tower([1])) == C[3] ** 16
+            try:
+                min_disagreement_height(tower([15]), tower([]))
+            except SigmaError as e:
+                print(e)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(sys.modules["fpforge"].__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20)
+        assert done.returncode == 0, done.stderr
+        assert "(C, i) = (33, 30)" in done.stdout
+
     def test_prime_rule_against_periodic_tail_tests_few_primes(self, registry, monkeypatch):
         # A scan capped at 10_000 * period + 10_000 made 46_676 primality tests here,
         # walking to the cap in the classes 0, 2, 3 and 4 mod 6, whose only primes are 2 and 3.
@@ -671,6 +767,12 @@ class TestDisagreementHeight:
     def test_matches_the_capped_scan(self, registry, data):
         a, b = data.draw(sigma_specs(registry)), data.draw(sigma_specs(registry))
         assert min_disagreement_height(a, b) == capped_min_disagreement_height(a, b)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_towers_match_the_capped_scan(self, registry, data):
+        a, b = data.draw(tower_spec_pairs(registry))
+        assert min_disagreement_height(a, b) == min_disagreement_height(b, a) == capped_min_disagreement_height(a, b)
 
     def test_different_registries_rejected(self, registry):
         other = example_registry()
@@ -697,6 +799,24 @@ class TestBounds:
             min_kernel_length_bound(2.5, 2)
         with pytest.raises(SigmaError):
             min_kernel_length_bound(math.nan, 2)
+
+    def test_kernel_length_past_the_float_range(self, registry):
+        # 2 * M^2 / 3 is past the float range, the bound itself is not.
+        constants = choose_constants(2, None, 8)
+        a = sigma_power_tower([1, 2, 3, 4], constants, registry, [3], member_ids=MEMBERS)
+        b = sigma_power_tower([1, 2, 3], constants, registry, [3], member_ids=MEMBERS)
+        M = min_disagreement_height(a, b)
+        assert M == 11**256
+        assert min_kernel_length_bound(M, 2) == pytest.approx(float(M) * math.sqrt(2 / 3), rel=1e-15)
+        for d in (1, 2):  # d = 1 has an exact root, d = 2 does not; both pass the float range
+            with pytest.raises(SigmaError, match="float range"):
+                min_kernel_length_bound(10**400, d)
+
+    @given(M=st.integers(0, 10**150) | st.integers(0, 1000), d=st.integers(1, 8))
+    def test_kernel_length_below_the_float_range_is_unchanged(self, M, d):
+        num, den = 2 * M * M, d + 1
+        exact = num % den == 0 and math.isqrt(num // den) ** 2 == num // den
+        assert min_kernel_length_bound(M, d) == (float(math.isqrt(num // den)) if exact else math.sqrt(num / den))
 
     def test_kernel_length_of_equal_specs_is_infinite(self, registry):
         assert min_kernel_length_bound(math.inf, 2) == math.inf
