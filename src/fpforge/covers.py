@@ -18,6 +18,8 @@ cover alike.
 
 from __future__ import annotations
 
+from itertools import compress, count, repeat
+from operator import add, getitem, itemgetter, ne
 from typing import Mapping, Sequence
 
 from .complex_core import (
@@ -121,11 +123,17 @@ class VoltageAssignment:
             full[(v, u)] = perm_inverse(p)
         self.voltage = full
 
-        for tri in base.simplices_of_dim(2):
-            u, v, w = tri
-            around = perm_compose(perm_compose(full[(u, v)], full[(v, w)]), full[(w, u)])
-            if around != ident:
-                raise CoverError(f"triangle condition fails on {tri}")
+        # Follow each sheet around every triangle at once; the least failing triangle is reported.
+        triangles = base.simplices_of_dim(2)
+        steps = [list(map(full.__getitem__, map(itemgetter(a, b), triangles))) for a, b in ((0, 1), (1, 2), (2, 0))]
+        first = len(triangles)
+        for s in range(self.degree):
+            end = repeat(s, len(triangles))
+            for step in steps:
+                end = map(getitem, step, end)
+            first = min(first, next(compress(count(), map(ne, end, repeat(s))), first))
+        if first < len(triangles):
+            raise CoverError(f"triangle condition fails on {triangles[first]}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VoltageAssignment):
@@ -233,31 +241,27 @@ def build_cover(v: VoltageAssignment) -> CoverComplex:
     A simplex lifts once per sheet: anchored at its least vertex, the other
     vertices ride the anchor's voltages.  The triangle condition makes the
     lift independent of the anchor and the total valid by construction.
+    Lifts are built one dimension at a time, a vertex column per simplex
+    position.  Total vertex order[b]·d + s grows with the base vertex b and
+    the sheet s < d, and base simplices are strictly sorted, so every lift is
+    already sorted.
     """
     base = v.base
     d = v.degree
-    order = {b: i for i, b in enumerate(sorted(base.vertices))}
-
-    def tid(b: int, s: int) -> int:
-        return order[b] * d + s
-
+    ordered = sorted(base.vertices)
+    order = {b: i for i, b in enumerate(ordered)}
     simplices = set()
-    for simplex in base.simplices:
-        anchor = simplex[0]
+    for k in range(base.dimension + 1):
+        anchors, *others = cols = list(zip(*base.simplices_of_dim(k)))
+        offsets = [[order[b] * d for b in col] for col in cols]
+        perms = [list(map(v.voltage.__getitem__, zip(anchors, col))) for col in others]
         for s in range(d):
-            lifted = tuple(
-                sorted(tid(b, v.voltage[(anchor, b)][s] if b != anchor else s) for b in simplex)
-            )
-            simplices.add(lifted)
-    vertices = {tid(b, s) for b in base.vertices for s in range(d)}
-    total = SimplicialComplex(vertices, simplices)
+            sheets = [repeat(s), *(map(itemgetter(s), p) for p in perms)]
+            simplices.update(zip(*[map(add, o, t) for o, t in zip(offsets, sheets)]))
+    total = SimplicialComplex(range(len(ordered) * d), simplices)
     total._cache["valid"] = True  # each face of a lift is the lift of a face (triangle condition)
-    projection = {}
-    sheet = {}
-    for b in base.vertices:
-        for s in range(d):
-            projection[tid(b, s)] = b
-            sheet[tid(b, s)] = s
+    projection = dict(enumerate(b for b in ordered for _ in range(d)))
+    sheet = dict(enumerate(s for _ in ordered for s in range(d)))
     return CoverComplex(total, base, projection, sheet, v)
 
 

@@ -18,8 +18,11 @@ intermediate entries can grow.
 
 A chain complex holds, per dimension, the sorted basis and one tuple of face
 indices per simplex: position i names the face without vertex i, which
-carries sign (-1)^i.  Each codimension-1 face is looked up once, ∂∂ = 0 is
-checked over the tuples, and sparse boundary dicts are built only on demand.
+carries sign (-1)^i.  Faces are looked up one vertex column at a time: the
+faces without vertex i of every k-simplex are the lookups of the other k
+columns zipped together, and the face tuples zip those k + 1 lookups.  ∂∂ = 0
+is checked per dimension the same way, one (face, vertex) column at a time,
+and sparse boundary dicts are built only on demand.
 
 Reduced homology eliminates neither the edge boundary nor the rows of the
 triangle boundary that belong to a spanning forest of the 1-skeleton: the
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
+from operator import ne
 from typing import Container, Mapping, Sequence
 
 from .complex_core import (
@@ -109,8 +112,9 @@ class RingSpec:
             return cls.Z()
         if text == "Q":
             return cls.Q()
-        if text.startswith("F"):
-            return cls.Fp(int(text[1:]))
+        digits = text[1:]
+        if text[:1] == "F" and digits.isascii() and digits.isdigit() and str(int(digits)) == digits:
+            return cls.Fp(int(digits))
         raise ValueError(f"cannot parse ring {text!r} (expected Z, Q, or F<p>)")
 
     @property
@@ -280,7 +284,7 @@ def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | N
         return c, f
 
     def read(row: dict[int, int]) -> dict[int, int]:
-        if not link.keys() & row.keys():
+        if link.keys().isdisjoint(row):
             return row  # no column of the row is linked
         out: dict[int, int] = {}
         for c, v in row.items():
@@ -296,9 +300,9 @@ def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | N
 
     units = 0
     kept = []
-    for r in sorted(rows, key=lambda r: (len(rows[r]), r)):
+    for _, r in sorted(zip(map(len, rows.values()), rows)):
         row = read(rows[r])
-        if 0 < len(row) <= 2 and (p is not None or all(v == 1 or v == -1 for v in row.values())):
+        if 0 < len(row) <= 2 and (p is not None or {1, -1}.issuperset(row.values())):
             (a, ea), *other = row.items()
             if other:  # ea = +-1 is its own inverse over Z
                 ((b, eb),) = other
@@ -411,29 +415,30 @@ def _boundary_entries(faces: Sequence[Sequence[int]], skip_rows: Container[int] 
 
 
 def chain_complex(K: SimplicialComplex) -> ChainComplex:
-    """Bases and face tuples of K; each codimension-1 face is looked up once."""
+    """Bases and face tuples of K; each codimension-1 face is looked up once, one vertex column at a time."""
     _require_valid(K)
     bases = [K.simplices_of_dim(k) for k in range(K.dimension + 1)]
     faces: list[tuple[tuple[int, ...], ...]] = [()] if bases else []  # 0-simplices have no faces
     for k in range(1, len(bases)):
         lookup = {s: i for i, s in enumerate(bases[k - 1])}.__getitem__
-        # combinations yields the faces without vertex k, k-1, ..., 0 in that order.
-        faces.append(tuple([tuple(map(lookup, combinations(s, k)))[::-1] for s in bases[k]]))
+        cols = list(zip(*bases[k]))
+        faces.append(tuple(zip(*[map(lookup, zip(*cols[:i], *cols[i + 1 :])) for i in range(k + 1)])))
     for k in range(2, len(faces)):
         _check_composition_zero(faces[k - 1], faces[k])
     return ChainComplex(bases, faces)
 
 
 def _check_composition_zero(lower: Sequence[Sequence[int]], upper: Sequence[Sequence[int]]) -> None:
-    """Raise AssertionError unless ∂∂ = 0: per simplex, faces of faces with even and odd i + j agree."""
-    for face_ids in upper:
-        even, odd = [], []
-        for i, f in enumerate(face_ids):
-            g = lower[f]
-            even += g[i % 2 :: 2]
-            odd += g[1 - i % 2 :: 2]
-        if sorted(even) != sorted(odd):
-            raise AssertionError("boundary composition is nonzero")
+    """Raise AssertionError unless ∂∂ = 0: per simplex, faces of faces with even and odd i + j agree.
+
+    Entry j of the face tuple of face i is read as one column, since every tuple in ``lower`` has the same length.
+    """
+    even, odd = [], []
+    for i, col in enumerate(zip(*upper)):
+        for j, entries in enumerate(zip(*map(lower.__getitem__, col))):
+            (odd if (i + j) % 2 else even).append(entries)
+    if any(map(ne, map(sorted, zip(*even)), map(sorted, zip(*odd)))):
+        raise AssertionError("boundary composition is nonzero")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from fpforge.complex_core import ComplexError, SimplicialComplex
-from fpforge.covers import VoltageAssignment, build_cover, perm_compose
+from hypothesis import strategies as st
+
+from fpforge.complex_core import ComplexError, SimplicialComplex, spanning_tree
+from fpforge.covers import CoverComplex, VoltageAssignment, build_cover, perm_compose, perm_inverse
 
 RP2_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
@@ -171,6 +173,98 @@ def field_betti_numbers(K: SimplicialComplex, p: int | None) -> list[int]:
             b -= 1
         betti.append(b)
     return betti
+
+
+def reference_faces(K: SimplicialComplex) -> list[tuple[tuple[int, ...], ...]]:
+    """Face tuples per dimension, one simplex at a time: position i is the index of the face without vertex i."""
+    bases = [sorted(s for s in K.simplices if len(s) == k + 1) for k in range(K.dimension + 1)]
+    faces = [()] if bases else []
+    for k in range(1, len(bases)):
+        lookup = {s: i for i, s in enumerate(bases[k - 1])}.__getitem__
+        # combinations yields the faces without vertex k, k-1, ..., 0 in that order.
+        faces.append(tuple([tuple(map(lookup, combinations(s, k)))[::-1] for s in bases[k]]))
+    return faces
+
+
+def reference_composition_zero(lower, upper) -> None:
+    """Raise AssertionError unless, per simplex, faces of faces with even and odd i + j agree."""
+    for face_ids in upper:
+        even, odd = [], []
+        for i, f in enumerate(face_ids):
+            g = lower[f]
+            even += g[i % 2 :: 2]
+            odd += g[1 - i % 2 :: 2]
+        if sorted(even) != sorted(odd):
+            raise AssertionError("boundary composition is nonzero")
+
+
+def reference_build_cover(v: VoltageAssignment) -> CoverComplex:
+    """Total space lifted one simplex and one sheet at a time, each lift sorted."""
+    base = v.base
+    d = v.degree
+    order = {b: i for i, b in enumerate(sorted(base.vertices))}
+
+    def tid(b: int, s: int) -> int:
+        return order[b] * d + s
+
+    simplices = set()
+    for simplex in base.simplices:
+        anchor = simplex[0]
+        for s in range(d):
+            simplices.add(tuple(sorted(tid(b, v.voltage[(anchor, b)][s] if b != anchor else s) for b in simplex)))
+    vertices = {tid(b, s) for b in base.vertices for s in range(d)}
+    projection = {tid(b, s): b for b in base.vertices for s in range(d)}
+    sheet = {tid(b, s): s for b in base.vertices for s in range(d)}
+    return CoverComplex(SimplicialComplex(vertices, simplices), base, projection, sheet, v)
+
+
+def reference_failing_triangle(base: SimplicialComplex, degree: int, voltages) -> tuple[int, int, int] | None:
+    """The first triangle in sorted order whose voltage product is not the identity, one triangle at a time."""
+    ident = tuple(range(degree))
+    full = {}
+    for u, v in base.edges():
+        full[(u, v)] = full[(v, u)] = ident
+    for (u, v), perm in voltages.items():
+        full[(u, v)] = tuple(perm)
+        full[(v, u)] = perm_inverse(perm)
+    for tri in sorted(s for s in base.simplices if len(s) == 3):
+        u, v, w = tri
+        if perm_compose(perm_compose(full[(u, v)], full[(v, w)]), full[(w, u)]) != ident:
+            return tri
+    return None
+
+
+@st.composite
+def voltage_assignments(draw):
+    """Permutation voltages of degree 1-4 on a connected base with at most 8
+    vertices: a drawn graph, plus drawn triangles of it as 2-simplices, and
+    optionally a 3-simplex on three fresh vertices and vertex 0.
+
+    Of the drawn triangles, those that fail the triangle condition under the
+    drawn voltages are left out of the base; with no triangle kept the base
+    is a graph.  The 3-simplex hangs off vertex 0, so the breadth-first tree
+    keeps its edges to vertex 0 and adds none elsewhere; its other edges are
+    non-tree edges with identity voltages.
+    """
+    n = draw(st.integers(1, 8))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree: the base is connected
+    if n > 1:
+        edges.update(draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=8)))
+    graph = SimplicialComplex.from_facets([*edges, (0,)])
+    degree = draw(st.integers(1, 4))
+    identity = tuple(range(degree))
+    perms = st.one_of(st.just(identity), st.sampled_from(list(permutations(range(degree)))))
+    tree = spanning_tree(graph)
+    voltages = {e: draw(perms) for e in graph.edges() if e not in tree}
+    full = VoltageAssignment(graph, degree, voltages).voltage
+    cliques = [t for t in combinations(range(n), 3) if all(e in edges for e in combinations(t, 2))]
+    drawn = draw(st.lists(st.sampled_from(cliques), max_size=6, unique=True)) if cliques else []
+    triangles = [
+        (u, v, w) for u, v, w in drawn
+        if perm_compose(perm_compose(full[(u, v)], full[(v, w)]), full[(w, u)]) == identity
+    ]
+    solid = [(0, n, n + 1, n + 2)] if draw(st.booleans()) else []
+    return VoltageAssignment(SimplicialComplex.from_facets([*edges, *triangles, *solid, (0,)]), degree, voltages)
 
 
 def reference_boundaries(K: SimplicialComplex) -> list[dict[tuple[int, int], int]]:

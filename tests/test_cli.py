@@ -325,6 +325,10 @@ class TestExitCodes:
     def test_success(self, tmp_path, delta2):
         assert main(["homology", "--complex", delta2, "--ring", "Q"]) == 0
 
+    def test_non_canonical_ring_is_a_domain_error(self, delta2, capsys):
+        assert main(["homology", "--complex", delta2, "--ring", "F 3"]) == 1
+        assert "cannot parse ring 'F 3'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv, payload, path",
         [

@@ -37,7 +37,10 @@ from fpforge.homology import RingSpec, reduced_homology
 from fpforge.sigma import SigmaError, normal_generating_length_bound
 from fpforge.spherical_double import spherical_double
 
-from helpers import RP2_FACETS, S3, left_multiplication, s3_left_regular_cover, wedge_of_two_triangles
+from helpers import (
+    RP2_FACETS, S3, left_multiplication, reference_build_cover, reference_failing_triangle, s3_left_regular_cover,
+    voltage_assignments, wedge_of_two_triangles,
+)
 
 
 def cycle_complex(n):
@@ -149,6 +152,37 @@ class TestBuildCover:
         nontree = [e for e in base.edges() if e not in tree][0]
         with pytest.raises(CoverError, match="triangle"):
             VoltageAssignment(base, 2, {nontree: (1, 0)})
+
+    def test_least_failing_triangle_over_all_sheets(self):
+        # Sheet 0 fails first on (0, 1, 2); sheet 2 passes it and fails first on (1, 2, 3).
+        base = SimplicialComplex.from_facets([[0, 1, 2], [1, 2, 3]])
+        voltages = {(1, 2): (1, 0, 2), (2, 3): (0, 2, 1)}
+        assert reference_failing_triangle(base, 3, voltages) == (0, 1, 2)
+        with pytest.raises(CoverError, match=r"^triangle condition fails on \(0, 1, 2\)$"):
+            VoltageAssignment(base, 3, voltages)
+
+    @given(voltage_assignments())
+    def test_matches_the_oracle(self, voltage):
+        cover, oracle = build_cover(voltage), reference_build_cover(voltage)
+        assert cover.total == oracle.total
+        assert cover.projection == oracle.projection and cover.sheet == oracle.sheet
+        assert complex_core.validate(cover.total) == []
+
+    @given(voltage_assignments(), st.data())
+    def test_triangle_failure_names_the_least_failing_triangle(self, voltage, data):
+        base, degree = voltage.base, voltage.degree
+        tree = spanning_tree(base)
+        edges = sorted({e for t in base.simplices_of_dim(2) for e in itertools.combinations(t, 2)} - tree)
+        assume(edges and degree > 1)
+        edge = data.draw(st.sampled_from(edges))
+        voltages = voltage.nontree_voltages()
+        others = sorted(set(itertools.permutations(range(degree))) - {voltage.voltage[edge]})
+        voltages[edge] = data.draw(st.sampled_from(others))
+        expected = reference_failing_triangle(base, degree, voltages)
+        assert expected is not None  # the triangles over the edge held before
+        with pytest.raises(CoverError) as raised:
+            VoltageAssignment(base, degree, voltages)
+        assert str(raised.value) == f"triangle condition fails on {expected}"
 
     def test_euler_characteristic_multiplies(self):
         for cover in (c4_double_cover(), orientation_cover()):

@@ -28,6 +28,7 @@ from fpforge.homology import (
 
 from helpers import (
     RP2_FACETS, boundary_dense, determinant, field_betti_numbers, matmul, minor_gcd_invariants, reference_boundaries,
+    reference_composition_zero, reference_faces,
 )
 
 
@@ -175,6 +176,30 @@ class TestRingSpec:
         with pytest.raises(ValueError):
             RingSpec.parse("F9")
 
+    @pytest.mark.parametrize(
+        "text", ["F\u0663", "F\uff13", "F\u00b2", "F 3", "F+3", "F03", "F-3", "Fx", "F", "F3.0", "f3"]
+    )
+    def test_non_canonical_primes_are_refused(self, text):
+        with pytest.raises(ValueError, match=r"cannot parse ring .* \(expected Z, Q, or F<p>\)"):
+            RingSpec.parse(text)
+
+    @pytest.mark.parametrize("text", ["F4", "F0", "F1"])
+    def test_canonical_non_primes_are_not_prime(self, text):
+        with pytest.raises(ValueError, match="is not prime"):
+            RingSpec.parse(text)
+
+    @given(st.one_of(
+        st.text(max_size=6),
+        st.lists(st.sampled_from(["F", "Z", "Q", " ", "\t", "0", "3", "7", "+", "-", "\u0663"]), max_size=5).map("".join),
+    ))
+    @example(" F3\n")
+    def test_parse_succeeds_only_on_canonical_keys(self, text):
+        try:
+            ring = RingSpec.parse(text)
+        except ValueError:
+            return
+        assert text.strip() == ring.key
+
 
 class TestChainComplex:
     def test_triangle_boundary_signs(self):
@@ -198,6 +223,42 @@ class TestChainComplex:
     @example(SimplicialComplex.from_facets([[0, 1, 2, 3], [2, 3, 4, 5], [6, 7]], vertices=[8]))
     def test_boundaries_match_reference(self, K):
         assert chain_complex(K).boundaries == reference_boundaries(K)
+
+    @given(complexes())
+    @example(SimplicialComplex.from_facets([]))
+    @example(SimplicialComplex.from_facets([[0, 1, 2, 3, 4]]))
+    @example(SimplicialComplex.from_facets([[0, 1, 2, 3, 4], [3, 4, 5, 6], [1, 7]], vertices=[8]))
+    def test_faces_match_the_oracle(self, K):
+        assert chain_complex(K).faces == reference_faces(K)
+
+    @given(st.data())
+    def test_composition_check_agrees_with_the_oracle_on_corrupted_face_tuples(self, data):
+        K = data.draw(st.sampled_from([
+            SimplicialComplex.from_facets([[0, 1, 2, 3, 4]]),
+            SimplicialComplex.from_facets([[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5], [0, 5]]),
+            SimplicialComplex.from_facets([[0, 1, 2, 3, 4], [0, 1, 2, 3, 5], [2, 3, 4, 5, 6]]),
+        ]))
+        cx = chain_complex(K)
+        k = data.draw(st.integers(2, cx.dimension))
+        corrupted = [list(ids) for ids in cx.faces[k]]
+        for _ in range(data.draw(st.integers(1, 2))):
+            ids = data.draw(st.sampled_from(corrupted))
+            if data.draw(st.booleans()):
+                ids[data.draw(st.integers(0, k))] = data.draw(st.integers(0, len(cx.bases[k - 1]) - 1))
+            else:
+                i, j = data.draw(st.lists(st.integers(0, k), min_size=2, max_size=2, unique=True))
+                ids[i], ids[j] = ids[j], ids[i]
+        corrupted = tuple(map(tuple, corrupted))
+
+        def raises(check):
+            try:
+                check(cx.faces[k - 1], corrupted)
+            except AssertionError as exc:
+                assert str(exc) == "boundary composition is nonzero"
+                return True
+            return False
+
+        assert raises(_check_composition_zero) == raises(reference_composition_zero)
 
     @given(st.data())
     def test_composition_check_rejects_corrupted_face_tuple(self, data):

@@ -5,14 +5,14 @@ import os
 import subprocess
 import sys
 import textwrap
-from itertools import accumulate, combinations, permutations
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpforge import sigma as sigma_mod
 from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree, validate
-from fpforge.covers import VoltageAssignment, build_cover, double_cover_voltages, perm_compose, verify_covering
+from fpforge.covers import VoltageAssignment, build_cover, double_cover_voltages, verify_covering
 from fpforge.groups import SpanningTreeWords, coset_enumerate
 from fpforge.homology import HomologySummary, RingSpec, reduced_homology
 from fpforge.sigma import (
@@ -42,7 +42,7 @@ from fpforge.sigma import (
     validate_registry,
 )
 
-from helpers import RP2_FACETS, reference_facets, s3_left_regular_cover
+from helpers import RP2_FACETS, reference_facets, s3_left_regular_cover, voltage_assignments
 
 MEMBERS = {p: f"Lp{p}" for p in (3, 5, 7)}
 SPHERE_Z = HomologySummary(RingSpec.Z(), (0, 0, 1), ((), (), ()))
@@ -77,35 +77,6 @@ def total_simply_connected(voltage):
         SpanningTreeWords(build_cover(voltage).total).presentation(), (), SIMPLE_CONNECTIVITY_BUDGET
     )
     return None if order is None else order == 1
-
-
-@st.composite
-def voltage_assignments(draw):
-    """Permutation voltages of degree 1-4 on a connected base with at most 8
-    vertices: a drawn graph, plus drawn triangles of it as 2-simplices.
-
-    Of the drawn triangles, those that fail the triangle condition under the
-    drawn voltages are left out of the base; with no triangle kept the base
-    is a graph.
-    """
-    n = draw(st.integers(1, 8))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree: the base is connected
-    if n > 1:
-        edges.update(draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=8)))
-    graph = SimplicialComplex.from_facets([*edges, (0,)])
-    degree = draw(st.integers(1, 4))
-    identity = tuple(range(degree))
-    perms = st.one_of(st.just(identity), st.sampled_from(list(permutations(range(degree)))))
-    tree = spanning_tree(graph)
-    voltages = {e: draw(perms) for e in graph.edges() if e not in tree}
-    full = VoltageAssignment(graph, degree, voltages).voltage
-    cliques = [t for t in combinations(range(n), 3) if all(e in edges for e in combinations(t, 2))]
-    drawn = draw(st.lists(st.sampled_from(cliques), max_size=6, unique=True)) if cliques else []
-    triangles = [
-        (u, v, w) for u, v, w in drawn
-        if perm_compose(perm_compose(full[(u, v)], full[(v, w)]), full[(w, u)]) == identity
-    ]
-    return VoltageAssignment(SimplicialComplex.from_facets([*edges, *triangles, (0,)]), degree, voltages)
 
 
 def capped_min_disagreement_height(a, b):
