@@ -129,12 +129,14 @@ def _cmd_present(args) -> int:
 def _cmd_decide(args) -> int:
     spec = sigma_mod.load_sigma_spec(args.sigma)
     if args.finitely_presented:
-        verdict = sigma_mod.finitely_presented_decide(spec)
+        decide = sigma_mod.finitely_presented_decide
     else:
         if not args.ring or not args.k:
             raise ValueError("decide needs --ring and --k (or --finitely-presented)")
         k = args.k if args.k == "FP" else int(args.k)
-        verdict = sigma_mod.fp_decide(spec, RingSpec.parse(args.ring), k)
+        decide = functools.partial(sigma_mod.fp_decide, R=RingSpec.parse(args.ring), k=k)
+    sigma_mod.check_referenced_entries(spec)
+    verdict = decide(spec)
     if args.out:
         _atomic_write(args.out, _json_text(verdict.to_json_dict()))
     print(str(verdict))

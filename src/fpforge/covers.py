@@ -11,14 +11,17 @@ Covers built this way are exactly the ones induced by homomorphisms from the
 fundamental group of the base to a symmetric group; connectivity of the
 total space is equivalent to transitivity of the voltage image and is not
 assumed.  Pullback covers (of the spherical double) carry no voltage data of
-their own.  Walk lifting, the covering check and the deck group read only
-the total space, its projection and its sheet labels, so they treat every
-cover alike.
+their own.  Walk lifting, the covering check and the deck group read the
+total space, its projection and its sheet labels, and compare them with the
+base; they never read voltages, so they treat every cover alike.  Lifting
+checks once per cover that every total edge lies over a base edge; where it
+does, a walk lifts with one step-table lookup per step.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count, repeat
+from collections import Counter
+from itertools import chain, compress, count, repeat
 from operator import add, getitem, itemgetter, ne
 from typing import Mapping, Sequence
 
@@ -290,8 +293,8 @@ def verify_covering(c: CoverComplex) -> bool:
         return False
     if sum(map(len, step.values())) != 2 * len(c.total.edges()):
         return False
-    base_cofaces = c.base.cofaces()
-    if sum(map(len, c.total.simplices)) != sum(len(base_cofaces[projection[t]]) for t in step):
+    base_cofaces = Counter(chain.from_iterable(c.base.simplices))
+    if sum(map(len, c.total.simplices)) != sum(base_cofaces[projection[t]] for t in step):
         return False
     base_simplices = c.base.simplices
     return all(
@@ -339,16 +342,36 @@ def lift_loop(c: CoverComplex, loop: Sequence[int], start_sheet: int) -> tuple[b
     """Trace a based loop of the base through the cover from a start sheet.
 
     Returns (closed, end_sheet).  The end sheet equals the image of the start
-    sheet under the product of edge voltages along the loop.  One pass checks
+    sheet under the product of edge voltages along the loop.  When every
+    step-table key at each total vertex t is a base neighbour of p(t), as on
+    every cover that :func:`build_cover`, :func:`double_of_cover` or
+    :func:`verify_covering` accepts, a lookup t = step[t][w] lies over w and so
+    proves (p(t), w) a base edge: the walk is one lookup per step.  Any failed
+    lookup, and every step on other covers, goes through one pass that checks
     each step against the base and lifts it, so a non-edge is reported before
     a bad start sheet, and both before a broken lift.
     """
-    loop = list(loop)
-    if len(loop) < 1 or loop[0] != loop[-1]:
+    if not isinstance(loop, tuple):
+        loop = tuple(loop)
+    if not loop or loop[0] != loop[-1]:
         raise CoverError("loop must be a closed vertex path (first = last)")
-    if "lift" not in c._cache:
-        c._cache["lift"] = (c.base.adjacency(), _total_adjacency(c), c.fibers(), c.sheet)
-    adj, step, fibers, sheet = c._cache["lift"]
+    cached = c._cache.get("lift")
+    if cached is None:
+        adj, step, projection = c.base.adjacency(), _total_adjacency(c), c.projection
+        over_edges = all(nbrs.keys() <= adj.get(projection[t], frozenset()) for t, nbrs in step.items())
+        cached = c._cache["lift"] = (adj, step, c.fibers(), c.sheet, over_edges)
+    adj, step, fibers, sheet, over_edges = cached
+    if over_edges:
+        steps = iter(loop)
+        try:
+            t = fibers[next(steps)][start_sheet]
+            for w in steps:
+                t = step[t][w]
+        except KeyError:
+            pass
+        else:
+            end = sheet[t]
+            return end == start_sheet, end
     u = loop[0]
     if u not in adj:
         raise CoverError(f"{u} is not a vertex of the base")

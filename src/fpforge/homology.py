@@ -113,7 +113,9 @@ class RingSpec:
         if text == "Q":
             return cls.Q()
         digits = text[1:]
-        if text[:1] == "F" and digits.isascii() and digits.isdigit() and str(int(digits)) == digits:
+        if text[:1] == "F" and digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
+            if len(digits) > len(str(_MR_LIMIT)):  # too long to read with int(), and above the limit
+                raise ValueError(f"primality of {digits} is not decided at or above {_MR_LIMIT}")
             return cls.Fp(int(digits))
         raise ValueError(f"cannot parse ring {text!r} (expected Z, Q, or F<p>)")
 

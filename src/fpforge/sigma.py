@@ -584,6 +584,15 @@ class FpVerdict:
         }
 
 
+def check_referenced_entries(s: SigmaSpec) -> None:
+    """Raise SigmaError listing every disagreement that :func:`validate_registry`
+    finds in the constructed entries the spec references; declared ones are read as given."""
+    referenced = {eid: s.registry[eid] for eid in s._referenced_ids()}
+    problems = validate_registry({eid: e for eid, e in referenced.items() if e.kind == "constructed"})
+    if problems:
+        raise SigmaError("constructed entries fail their recomputation: " + "; ".join(problems))
+
+
 def _check_quotients(s: SigmaSpec, certified: Callable[[CoverRegistryEntry], bool], missing: str) -> None:
     """Refuse the first referenced entry whose deck quotient is neither finite nor ``certified``."""
     for eid in sorted(s._referenced_ids()):

@@ -13,7 +13,9 @@ from itertools import combinations, permutations, product
 from hypothesis import strategies as st
 
 from fpforge.complex_core import ComplexError, SimplicialComplex, spanning_tree
-from fpforge.covers import CoverComplex, VoltageAssignment, build_cover, perm_compose, perm_inverse
+from fpforge.covers import (
+    CoverComplex, CoverError, VoltageAssignment, _total_adjacency, build_cover, perm_compose, perm_inverse,
+)
 
 RP2_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
@@ -232,6 +234,31 @@ def reference_failing_triangle(base: SimplicialComplex, degree: int, voltages) -
         if perm_compose(perm_compose(full[(u, v)], full[(v, w)]), full[(w, u)]) != ident:
             return tri
     return None
+
+
+def reference_lift_loop(c: CoverComplex, loop, start_sheet: int) -> tuple[bool, int]:
+    """Lift a based loop checking every step against the base adjacency: a
+    non-edge is reported before a bad start sheet, and both before a broken lift."""
+    loop = list(loop)
+    if len(loop) < 1 or loop[0] != loop[-1]:
+        raise CoverError("loop must be a closed vertex path (first = last)")
+    adj, step, fibers, sheet = c.base.adjacency(), _total_adjacency(c), c.fibers(), c.sheet
+    u = loop[0]
+    if u not in adj:
+        raise CoverError(f"{u} is not a vertex of the base")
+    t = start = fibers[u].get(start_sheet)
+    for w in loop[1:]:
+        if w not in adj[u]:
+            raise CoverError(f"({u}, {w}) is not an edge of the base")
+        if t is not None:
+            t = step[t].get(w)
+        u = w
+    if start is None:
+        raise CoverError(f"sheet {start_sheet} out of range over vertex {loop[0]}")
+    if t is None:
+        raise CoverError("lift broke: not a covering complex")
+    end = sheet[t]
+    return end == start_sheet, end
 
 
 @st.composite

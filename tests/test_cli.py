@@ -17,7 +17,7 @@ from fpforge.cli import build_parser, main
 from fpforge.complex_core import (
     GroupPresentationInput, SimplicialComplex, barycentric_subdivision, flagify_presentation_complex, spanning_tree,
 )
-from fpforge.covers import VoltageAssignment, dump_voltage
+from fpforge.covers import VoltageAssignment, double_cover_voltages, dump_voltage
 from fpforge.groups import LoopWord, presentation_to_json, tagged_family_presentation
 from fpforge.sigma import (
     choose_constants,
@@ -211,6 +211,62 @@ class TestDecide:
         out = tmp_path / "v.json"
         assert main(["decide", "--sigma", str(spec_path), "--finitely-presented", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["verdict"] == "NO"
+
+
+def sphere_entry_spec():
+    """A spec whose only entry is constructed: the orientation cover of sd RP^2, a 2-sphere, at every height."""
+    (voltage,) = double_cover_voltages(barycentric_subdivision(SimplicialComplex.from_facets(RP2_FACETS)))
+    registry = {"S": sigma.constructed_entry("S", voltage)}
+    tail = sigma.Tail.constant("S")
+    spec = sigma.SigmaSpec(registry, "S", positive_tail=tail, negative_tail=tail)
+    return json.loads(dump_sigma_spec(spec))
+
+
+class TestDecideChecksConstructedEntries:
+    def test_edited_sphere_homology_is_refused(self, tmp_path, capsys):
+        data = sphere_entry_spec()
+        honest = write(tmp_path / "honest.json", json.dumps(data))
+        assert main(["decide", "--sigma", honest, "--ring", "Q", "--k", "3"]) == 0
+        assert capsys.readouterr().out == "FP_3(Q): NO (entry S, degree 2)\n"
+        data["registry"]["entries"][0]["homology"][0]["degrees"][2]["rank"] = 0  # H~2 of the sphere: 1 -> 0
+        edited = write(tmp_path / "edited.json", json.dumps(data))
+        out = tmp_path / "verdict.json"
+        assert main(["decide", "--sigma", edited, "--ring", "Q", "--k", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            "fpforge: constructed entries fail their recomputation: "
+            "S: stored integral certificate disagrees with recomputation\n"
+        )
+
+    def test_edited_simple_connectivity_is_refused(self, tmp_path, capsys):
+        data = sphere_entry_spec()
+        honest = write(tmp_path / "honest.json", json.dumps(data))
+        assert main(["decide", "--sigma", honest, "--finitely-presented"]) == 0
+        assert capsys.readouterr().out == "finitely presented: YES\n"
+        data["registry"]["entries"][0]["simply_connected"] = False
+        edited = write(tmp_path / "edited.json", json.dumps(data))
+        assert main(["decide", "--sigma", edited, "--finitely-presented"]) == 1
+        assert capsys.readouterr().err == (
+            "fpforge: constructed entries fail their recomputation: "
+            "S: stored simple connectivity disagrees with recomputation\n"
+        )
+
+    def test_only_referenced_entries_are_checked(self, tmp_path, capsys):
+        data = sphere_entry_spec()
+        unused = copy.deepcopy(data["registry"]["entries"][0])
+        unused["id"] = "U"
+        unused["degree"] = 3
+        data["registry"]["entries"].append(unused)
+        spec = write(tmp_path / "spec.json", json.dumps(data))
+        assert main(["decide", "--sigma", spec, "--ring", "Q", "--k", "3"]) == 0
+        assert capsys.readouterr().out == "FP_3(Q): NO (entry S, degree 2)\n"
+        data["exceptions"] = [[5, "U"]]
+        spec = write(tmp_path / "spec.json", json.dumps(data))
+        assert main(["decide", "--sigma", spec, "--ring", "Q", "--k", "3"]) == 1
+        assert capsys.readouterr().err == (
+            "fpforge: constructed entries fail their recomputation: U: stored degree disagrees with voltage degree\n"
+        )
 
 
 class TestSigmaBuilders:

@@ -38,8 +38,8 @@ from fpforge.sigma import SigmaError, normal_generating_length_bound
 from fpforge.spherical_double import spherical_double
 
 from helpers import (
-    RP2_FACETS, S3, left_multiplication, reference_build_cover, reference_failing_triangle, s3_left_regular_cover,
-    voltage_assignments, wedge_of_two_triangles,
+    RP2_FACETS, S3, left_multiplication, reference_build_cover, reference_failing_triangle, reference_lift_loop,
+    s3_left_regular_cover, voltage_assignments, wedge_of_two_triangles,
 )
 
 
@@ -883,3 +883,107 @@ class TestConnectivityFromTheTree:
             normal_generators(cover)
         with pytest.raises(SigmaError, match=r"^the bound needs a connected cover$"):
             normal_generating_length_bound(cover)
+
+
+def lift_outcome(lift, c, loop, start_sheet):
+    """The lift's answer, or the type and message of the exception it raised."""
+    try:
+        return lift(c, loop, start_sheet)
+    except Exception as exc:  # any type: both lifts must raise the same one
+        return type(exc), str(exc)
+
+
+@st.composite
+def base_walks(draw, base):
+    """A walk in the base, mostly along edges, sometimes off them or starting off
+    the base: walked out and back (closed), closed with one more step, or left open."""
+    vertices = sorted(base.vertices)
+    stray = [vertices[0] - 1, vertices[-1] + 1]  # not vertices of the base
+    adj = base.adjacency()
+    walk = [draw(st.sampled_from(vertices + stray[:1]) if draw(st.integers(0, 9)) else st.sampled_from(stray))]
+    for _ in range(draw(st.integers(0, 7))):
+        nbrs = sorted(adj.get(walk[-1], ()))
+        anywhere = st.sampled_from(vertices + stray)
+        walk.append(draw(st.sampled_from(nbrs) if nbrs and draw(st.integers(0, 7)) else anywhere))
+    ending = draw(st.sampled_from(("out and back", "close", "open")))
+    if ending == "out and back":
+        return walk + walk[-2::-1]
+    return walk + [walk[0]] if ending == "close" else walk
+
+
+def edge_over_non_edge_cover():
+    """The total edge (0, 2) lies over the base non-edge (0, 2) of the path 0 - 1 - 2."""
+    total = SimplicialComplex.from_facets([[0, 1], [1, 2], [0, 2]])
+    base = SimplicialComplex.from_facets([[0, 1], [1, 2]])
+    return CoverComplex(total, base, {t: t for t in range(3)}, dict.fromkeys(range(3), 0))
+
+
+def edge_over_a_vertex_cover():
+    """The total edge (1, 2) lies over the single base vertex 1."""
+    total = SimplicialComplex.from_facets([[0, 1], [1, 2]])
+    return CoverComplex(total, SimplicialComplex.from_facets([[0, 1]]), {0: 0, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 1})
+
+
+def colliding_neighbours_cover():
+    """Total vertex 0 has two neighbours, 1 and 2, over the same base vertex 1."""
+    total = SimplicialComplex.from_facets([[0, 1], [0, 2]])
+    return CoverComplex(total, SimplicialComplex.from_facets([[0, 1]]), {0: 0, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 1})
+
+
+class TestLiftLoopMatchesOracle:
+    """``lift_loop`` against the step-by-step checked lift of ``reference_lift_loop``."""
+
+    @staticmethod
+    def check(c, loop):
+        for s in range(-1, max(c.sheet.values(), default=-1) + 2):  # every sheet, and one off each end
+            expected = lift_outcome(reference_lift_loop, c, loop, s)
+            assert lift_outcome(lift_loop, c, loop, s) == expected, (loop, s)
+            assert lift_outcome(lift_loop, c, list(loop), s) == expected, (loop, s)
+            assert lift_outcome(lift_loop, c, iter(loop), s) == expected, (loop, s)
+
+    @settings(max_examples=200)
+    @given(voltage_assignments(), st.data())
+    def test_voltage_covers(self, voltage, data):
+        cover = build_cover(voltage)
+        for _ in range(5):
+            self.check(cover, tuple(data.draw(base_walks(voltage.base))))
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(S3), st.sampled_from(S3), st.data())
+    def test_s3_voltage_covers(self, g, h, data):
+        wedge = wedge_of_two_triangles()
+        voltages = {(1, 2): left_multiplication(g), (3, 4): left_multiplication(h)}
+        cover = build_cover(VoltageAssignment(wedge, 6, voltages))
+        for _ in range(5):
+            self.check(cover, tuple(data.draw(base_walks(wedge))))
+
+    @settings(max_examples=200)
+    @given(perturbed_covers(), st.data())
+    def test_damaged_covers(self, cover, data):
+        for _ in range(5):
+            self.check(cover, tuple(data.draw(base_walks(cover.base))))
+
+    @pytest.mark.parametrize(
+        "make", [broken_square_cover, edge_over_non_edge_cover, edge_over_a_vertex_cover, colliding_neighbours_cover]
+    )
+    def test_hand_made_non_coverings_on_every_short_walk(self, make):
+        cover = make()
+        vertices = sorted(cover.base.vertices) + [9]
+        for n in range(1, 5):
+            for loop in itertools.product(vertices, repeat=n):
+                self.check(cover, loop)
+
+    def test_one_lookup_per_step_only_where_every_step_lies_over_a_base_edge(self):
+        """The precondition is read once per cover; covers that break it take the checked loop only."""
+        rp2 = subdivided_rp2()
+        built = [orientation_cover(), c4_double_cover(), s3_left_regular_cover()]
+        built.append(double_of_cover(rp2, built[0]))
+        for cover, expected in [
+            *((c, True) for c in built),
+            (broken_square_cover(), True),
+            (colliding_neighbours_cover(), True),
+            (edge_over_non_edge_cover(), False),
+            (edge_over_a_vertex_cover(), False),
+        ]:
+            lift_loop(cover, [min(cover.base.vertices)], 0)
+            assert cover._cache["lift"][-1] is expected, cover

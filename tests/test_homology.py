@@ -14,6 +14,7 @@ from fpforge.homology import (
     HomologySummary,
     RingSpec,
     _check_composition_zero,
+    _MR_LIMIT,
     _is_prime,
     _spanning_forest,
     _sparse_invariant_factors,
@@ -187,6 +188,23 @@ class TestRingSpec:
     def test_canonical_non_primes_are_not_prime(self, text):
         with pytest.raises(ValueError, match="is not prime"):
             RingSpec.parse(text)
+
+    def test_keys_past_the_primality_limit_are_not_decided(self):
+        # Every key of more than 25 digits is at or above the limit; 5000 digits would pass int()'s 4300-digit cap.
+        assert len(str(_MR_LIMIT)) == 25
+        for digits in ("1" * 26, str(10**25 + 13), "1" * 5000):
+            with pytest.raises(ValueError, match=rf"^primality of {digits} is not decided at or above {_MR_LIMIT}$"):
+                RingSpec.parse("F" + digits)
+        with pytest.raises(ValueError, match=rf"^primality of {_MR_LIMIT} is not decided"):
+            RingSpec.parse(f"F{_MR_LIMIT}")
+        with pytest.raises(ValueError, match=r"cannot parse ring"):
+            RingSpec.parse("F0" + "1" * 5000)
+
+    def test_25_digit_keys_below_the_limit_are_decided(self):
+        with pytest.raises(ValueError, match=rf"^{_MR_LIMIT - 1} is not prime$"):
+            RingSpec.parse(f"F{_MR_LIMIT - 1}")
+        p = next(n for n in range(_MR_LIMIT - 2, 0, -2) if _is_prime(n))
+        assert len(str(p)) == 25 and RingSpec.parse(f"F{p}") == RingSpec.Fp(p)
 
     @given(st.one_of(
         st.text(max_size=6),
