@@ -260,8 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", _cmd_spectrum, help="taut loop length spectrum", epilog=GRAPH_FORMAT)
     p.add_argument("--graph", required=True, help="edge-list graph JSON path")
-    p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--lmax", type=int, required=True, help="longest loop length to decide")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=100_000,
+        help="coset rows per level (default 100000); where no table completes and the level's Tietze "
+        "reduction keeps a relator, also max(budget // 10, 100) derivation-search nodes per candidate",
+    )
     p.add_argument("--out", help="report JSON path")
 
     p = add("subpres", _cmd_subpres, help="kernel-protecting subpresentation selection")

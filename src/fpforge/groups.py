@@ -642,12 +642,17 @@ def simplify(p: Presentation) -> tuple[Presentation, Record]:
             for x in new:
                 occurs[abs(x)].add(j)
             heapq.heappush(heap, (len(new), j))
-    eliminated = {g for g, _ in record}
-    survivors = [g for g in range(1, len(p.generators) + 1) if g not in eliminated]
+    survivors = _survivors(len(p.generators), record)
     renumber = {g: i + 1 for i, g in enumerate(survivors)}
     relators = cyclic_relators(Word(renumber[x] if x > 0 else -renumber[-x] for x in r) for r in rels if r)
     reduced = Presentation([p.generators[g - 1] for g in survivors], relators, [OTHER] * len(relators))
     return reduced, tuple(record)
+
+
+def _survivors(ngens: int, record: Record) -> list[int]:
+    """The generators, 1-based, that the record does not eliminate."""
+    eliminated = {g for g, _ in record}
+    return [g for g in range(1, ngens + 1) if g not in eliminated]
 
 
 def _rewrite(record: Record, word: Word, survivors: Sequence[int]) -> Word:
@@ -741,9 +746,14 @@ def enumerate_table(
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    reduced, record = simplify(p)
-    eliminated = {g for g, _ in record}
-    survivors = [g for g in range(1, len(p.generators) + 1) if g not in eliminated]
+    return _enumerate_reduction(p, *simplify(p), subgroup_generators, budget)
+
+
+def _enumerate_reduction(
+    p: Presentation, reduced: Presentation, record: Record, subgroup_generators: Sequence[Word], budget: int
+) -> tuple[CosetTable | None, int]:
+    """:func:`enumerate_table` on ``p``, given its reduction ``simplify(p)``."""
+    survivors = _survivors(len(p.generators), record)
     subs = [_rewrite(record, w, survivors) for w in subgroup_generators]
     if abelianization(Presentation(reduced.generators, [*reduced.relators, *subs])).free_rank:
         return None, 0

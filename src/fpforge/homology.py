@@ -51,10 +51,28 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+def _brief(text: str, unit: str = "characters", show=str) -> str:
+    """show(text), or show() of its first 20 characters and its length once
+    it is longer than 40, so that an error message stays short."""
+    return show(text) if len(text) <= 40 else f"{show(text[:20])}... ({len(text)} {unit})"
+
+
+def _brief_int(n: int) -> str:
+    """n in decimal, shortened as by :func:`_brief`; str() refuses integers
+    of more than 4300 digits, so a long one is quoted by its leading digits."""
+    m = abs(n)
+    digits = m.bit_length() * 1233 >> 12  # 1233 / 4096 < log10(2): never above the digit count
+    while 10**digits <= m:
+        digits += 1
+    if digits <= 40:
+        return str(n)
+    return f"{'-' * (n < 0)}{m // 10 ** (digits - 20)}... ({digits} digits)"
+
+
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; raises ValueError at or above _MR_LIMIT."""
     if n >= _MR_LIMIT:
-        raise ValueError(f"primality of {n} is not decided at or above {_MR_LIMIT}")
+        raise ValueError(f"primality of {_brief_int(n)} is not decided at or above {_MR_LIMIT}")
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -89,7 +107,7 @@ class RingSpec:
             raise ValueError(f"unknown ring tag {self.tag!r}")
         if self.tag == "Fp":
             if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"{self.p!r} is not prime")
+                raise ValueError(f"{_brief_int(self.p) if isinstance(self.p, int) else repr(self.p)} is not prime")
         elif self.p is not None:
             raise ValueError(f"ring {self.tag} takes no prime")
 
@@ -115,9 +133,9 @@ class RingSpec:
         digits = text[1:]
         if text[:1] == "F" and digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
             if len(digits) > len(str(_MR_LIMIT)):  # too long to read with int(), and above the limit
-                raise ValueError(f"primality of {digits} is not decided at or above {_MR_LIMIT}")
+                raise ValueError(f"primality of {_brief(digits, 'digits')} is not decided at or above {_MR_LIMIT}")
             return cls.Fp(int(digits))
-        raise ValueError(f"cannot parse ring {text!r} (expected Z, Q, or F<p>)")
+        raise ValueError(f"cannot parse ring {_brief(text, show=repr)} (expected Z, Q, or F<p>)")
 
     @property
     def key(self) -> str:

@@ -5,17 +5,23 @@ to every loop of length below l.  Null-homotopy in such a filled complex is
 semi-decided: when coset enumeration completes the level quotient, every
 candidate is settled outright; otherwise a candidate can still be certified
 taut by exhibiting a finite cyclic quotient (read off the abelianized level
-quotient) in which it survives, or certified filled by a bounded derivation
-search.  Anything else is reported unknown rather than guessed.
+quotient) in which it survives.  A level whose Tietze reduction
+(``groups.simplify``) keeps no relator presents a free group on the
+surviving generators, where free reduction solves the word problem: each
+remaining candidate is rewritten through the elimination record, and is
+taut when its image is non-empty and filled when it is empty
+(``free-quotient``).  Only at levels whose reduction keeps a relator is a
+candidate certified filled by a bounded derivation search.  Anything else is
+reported unknown rather than guessed.
 
 Enumerating the cosets of the trivial subgroup finishes only when the level
-quotient is finite.  ``groups.enumerate_table`` Tietze-reduces each level
-presentation and returns None without a row when the reduced relators'
-exponent vectors prove the quotient infinite (positive free rank), so such
-levels go straight to the fallbacks and ``budget_used`` counts coset rows
-only of enumerations that can finish.  The fallbacks still read the
-unreduced level presentation, so their certificates do not depend on the
-reduction.
+quotient is finite.  ``groups.enumerate_table`` returns None without a row
+when the reduced relators' exponent vectors prove the quotient infinite
+(positive free rank), which a free level of positive rank always is, so
+free levels are not enumerated and ``budget_used`` counts coset rows only
+of enumerations that can finish.  The cyclic-quotient and derivation
+certificates read the unreduced level presentation, so they do not depend
+on the reduction.
 
 Once a level's table completes with order 1, every later level quotient is
 trivial too, so a later length is filled exactly when it has a loop: when
@@ -48,9 +54,12 @@ from .groups import (
     Presentation,
     SpanningTreeWords,
     Word,
+    _enumerate_reduction,
+    _rewrite,
+    _survivors,
     cyclic_relators,
-    enumerate_table,
     free_reduce,
+    simplify,
     trace_word,
 )
 from .homology import smith_normal_form
@@ -275,11 +284,15 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
 
     Per length l, the level quotient is the free group on non-tree edges
     modulo the words of all shorter cycles.  A completed enumeration decides
-    every candidate; an incomplete one falls back to abelian survival for
-    taut and to derivation search for filled.  Certified statuses never flip
-    under a larger budget; only unknowns can resolve.
+    every candidate; otherwise abelian survival can certify one taut.  At a
+    level whose Tietze reduction keeps no relator, the rest are decided in
+    the free quotient (``free-quotient``, with its rank); elsewhere they fall
+    to derivation search for filled.  Certified statuses never flip under a
+    larger budget; only unknowns, which only derivation search leaves, can
+    resolve.
 
-    At a level of positive free rank ``enumerate_table`` returns None
+    Each level is reduced once.  A free level is not enumerated, and at
+    another level of positive free rank ``enumerate_table`` returns None
     without a row, since no table could complete.  Once a table
     completes with order 1, no later level is enumerated or listed: each
     later length is filled (``finite-quotient``, order 1) when
@@ -313,7 +326,11 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
             continue
 
         presentation = Presentation([f"g{i}" for i in range(ngens)], list(relators))
-        table, rows = enumerate_table(presentation, (), budget)
+        reduced, record = simplify(presentation)
+        # with no relator left the quotient is free on the survivors, where
+        # enumerate_table's free-rank gate would return (None, 0)
+        free = bool(reduced.generators) and not reduced.relators
+        table, rows = (None, 0) if free else _enumerate_reduction(presentation, reduced, record, (), budget)
         budget_used += rows
         if table is not None and len(table) == 1:
             # later level quotients are trivial too: a length is filled, by
@@ -329,6 +346,8 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
         else:
             # every candidate reaches the fallback, so the level's Smith form is needed once
             smith = _lattice_smith(presentation.exponent_matrix(), ngens)
+            survivors = _survivors(ngens, record)
+            free_cert = {"method": "free-quotient", "rank": len(survivors)}
 
         walks = next(cycles)[1]
         shorter = [words.word_for_path(w + (w[0],)) for w in walks]
@@ -346,13 +365,20 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
             if cert is not None:
                 taut_hit = LengthStatus("taut", cert, walk)
                 break
-            if _derivation_search(word, presentation.relators, max_nodes=max(budget // 10, 100)) is None:
+            if free:
+                # free reduction solves the word problem of a free group
+                if not _rewrite(record, word, survivors).is_identity():
+                    taut_hit = LengthStatus("taut", free_cert, walk)
+                    break
+            elif _derivation_search(word, presentation.relators, max_nodes=max(budget // 10, 100)) is None:
                 unknown = True
-            # a successful derivation confirms this candidate filled; keep going
+            # a trivial image or a successful derivation confirms this candidate filled; keep going
         if taut_hit is not None:
             statuses[l] = taut_hit
         elif table is not None:
             statuses[l] = LengthStatus("filled", {"method": "finite-quotient", "order": order})
+        elif free:
+            statuses[l] = LengthStatus("filled", free_cert)
         elif unknown:
             statuses[l] = LengthStatus("unknown", {"method": "budget-exhausted"})
         else:

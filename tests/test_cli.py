@@ -334,6 +334,23 @@ class TestSpectrum:
         main(["spectrum", "--graph", gpath, "--lmax", "8", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_wedge_of_3_4_and_15_cycles_has_no_unknown_at_budget_1(self, tmp_path, capsys):
+        # the console-script probe of the tier-1 workflow, run through main
+        ring = lambda vs: [[vs[i - 1], v] for i, v in enumerate(vs)]
+        edges = ring([0, 1, 2]) + ring([0, 3, 4, 5]) + ring([0, *range(6, 20)])
+        gpath = write(tmp_path / "wedge.json", json.dumps({"edges": edges}))
+        out = tmp_path / "report.json"
+        assert main(["spectrum", "--graph", gpath, "--lmax", "12", "--budget", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "spectrum: taut lengths [3, 4]\n"
+        assert "unknown" not in out.read_text(encoding="utf-8")
+
+    def test_help_says_what_the_budget_bounds(self):
+        code, out, _ = _outcome(main, ["spectrum", "-h"])
+        text = " ".join(out.split())
+        assert code == 0
+        assert "--lmax LMAX longest loop length to decide" in text
+        assert "coset rows per level" in text and "max(budget // 10, 100) derivation-search nodes per candidate" in text
+
 
 class TestSubpres:
     def test_selection_pipeline(self, tmp_path):

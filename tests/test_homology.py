@@ -192,13 +192,30 @@ class TestRingSpec:
     def test_keys_past_the_primality_limit_are_not_decided(self):
         # Every key of more than 25 digits is at or above the limit; 5000 digits would pass int()'s 4300-digit cap.
         assert len(str(_MR_LIMIT)) == 25
-        for digits in ("1" * 26, str(10**25 + 13), "1" * 5000):
+        for digits in ("1" * 26, str(10**25 + 13)):
             with pytest.raises(ValueError, match=rf"^primality of {digits} is not decided at or above {_MR_LIMIT}$"):
                 RingSpec.parse("F" + digits)
+        with pytest.raises(ValueError, match=rf"^primality of {'1' * 20}\.\.\. \(5000 digits\) is not decided"):
+            RingSpec.parse("F" + "1" * 5000)
         with pytest.raises(ValueError, match=rf"^primality of {_MR_LIMIT} is not decided"):
             RingSpec.parse(f"F{_MR_LIMIT}")
         with pytest.raises(ValueError, match=r"cannot parse ring"):
             RingSpec.parse("F0" + "1" * 5000)
+
+    @pytest.mark.parametrize(
+        "make, quoted",
+        [
+            (lambda: RingSpec.parse("F" + "1" * 5000), "11111111111111111111... (5000 digits)"),
+            (lambda: RingSpec.parse("G" + "1" * 5000), "'G1111111111111111111'... (5001 characters)"),
+            (lambda: RingSpec.Fp(10**5000), "10000000000000000000... (5001 digits)"),
+            (lambda: RingSpec.Fp(-(10**5000)), "-10000000000000000000... (5001 digits) is not prime"),
+        ],
+        ids=["long-prime-key", "long-unparsed-key", "huge-int", "huge-negative-int"],
+    )
+    def test_long_keys_and_numbers_are_quoted_briefly(self, make, quoted):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert quoted in str(info.value) and len(str(info.value)) <= 120
 
     def test_25_digit_keys_below_the_limit_are_decided(self):
         with pytest.raises(ValueError, match=rf"^{_MR_LIMIT - 1} is not prime$"):

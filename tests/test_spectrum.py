@@ -40,6 +40,16 @@ def wedge_graph():
     return SimplicialComplex.from_facets([[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [4, 5], [0, 5]])
 
 
+def wedge_of_cycles(*lengths):
+    """Cycles of the given lengths sharing vertex 0."""
+    edges, top = [], 0
+    for n in lengths:
+        ring = [0, *range(top + 1, top + n)]
+        top += n - 1
+        edges += [[ring[i - 1], v] for i, v in enumerate(ring)]
+    return SimplicialComplex.from_facets(edges)
+
+
 def complete_graph(n):
     return SimplicialComplex.from_facets([[a, b] for a in range(n) for b in range(a + 1, n)])
 
@@ -157,11 +167,18 @@ class TestTautSpectrum:
             for row in rows:
                 assert sum(row[i] * V[i][j] for i in range(ngens)) % modulus == 0
 
-    def test_budget_exhaustion_reports_unknown(self):
-        # two generators, no relators below l: quotient infinite, derivation
-        # search cannot fill an essential loop, tiny budget blocks everything
-        report = taut_spectrum(wedge_graph(), 7, 12)
-        assert all(st.status in ("taut", "filled", "unknown") for st in report.statuses.values())
+    def test_free_levels_are_decided_at_every_budget(self):
+        # levels 6-12 reduce to a free group on the 15-cycle's generator; the
+        # derivation search leaves level 12 unknown at budgets up to 1000
+        graph = wedge_of_cycles(3, 4, 15)
+        for budget in (1, 100, 1000, 20_000):
+            report = taut_spectrum(graph, 12, budget)
+            ref_used, ref_statuses = always_enumerate_reference(graph, 12, budget)
+            assert ref_statuses[12].status == ("filled" if budget > 1000 else "unknown")
+            assert report.spectrum == [3, 4]
+            for l in range(6, 13):
+                assert report.statuses[l] == LengthStatus("filled", {"method": "free-quotient", "rank": 1})
+            assert report.budget_used == ref_used == 0
 
     def test_disconnected_rejected(self):
         graph = SimplicialComplex.from_facets([[0, 1], [2, 3]])
@@ -245,6 +262,15 @@ def connected_graphs(draw):
     return SimplicialComplex.from_facets(sorted(edges))
 
 
+@st.composite
+def wedges_with_chords(draw):
+    """One to three cycles of length 3 to 9 at vertex 0, plus up to three chords."""
+    graph = wedge_of_cycles(*draw(st.lists(st.integers(3, 9), min_size=1, max_size=3)))
+    pairs = [(u, v) for u in sorted(graph.vertices) for v in sorted(graph.vertices) if u < v]
+    chords = draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return SimplicialComplex.from_facets([*graph.edges(), *chords])
+
+
 class TestFreeRankGate:
     @settings(max_examples=150)
     @given(graph=connected_graphs(), l_max=st.integers(1, 7), budget=st.integers(50, 2000))
@@ -253,6 +279,37 @@ class TestFreeRankGate:
         ref_used, ref_statuses = always_enumerate_reference(graph, l_max, budget)
         assert report.statuses == ref_statuses
         assert report.budget_used <= ref_used
+
+    @settings(max_examples=150)
+    @given(graph=wedges_with_chords(), l_max=st.integers(1, 10), budget=st.integers(50, 2000))
+    def test_free_levels_match_the_derivation_reference(self, graph, l_max, budget):
+        report = taut_spectrum(graph, l_max, budget)
+        ref_used, ref_statuses = always_enumerate_reference(graph, l_max, budget)
+        for l, ref in ref_statuses.items():
+            status = report.statuses[l]
+            if ref.certificate["method"] not in ("derivation", "budget-exhausted"):
+                assert status == ref
+            elif status.status == "taut":
+                assert ref.status == "unknown" and status.certificate["method"] == "free-quotient"
+            else:
+                assert status.status == "filled" and status.certificate["method"] == "free-quotient"
+        # the reference also enumerates the levels past the first trivial one, which taut_spectrum decides unlisted
+        cut = min((l for l, st in report.statuses.items() if st.certificate.get("order") == 1), default=l_max)
+        if cut < l_max:
+            ref_used = always_enumerate_reference(graph, cut, budget)[0]
+        assert report.budget_used == ref_used
+
+    @settings(max_examples=100)
+    @given(
+        graph=st.one_of(connected_graphs(), wedges_with_chords()),
+        l_max=st.integers(1, 10),
+        budgets=st.lists(st.integers(1, 3000), min_size=2, max_size=2, unique=True).map(sorted),
+    )
+    def test_certified_statuses_never_change_as_the_budget_grows(self, graph, l_max, budgets):
+        small, big = (taut_spectrum(graph, l_max, b) for b in budgets)
+        for l, status in small.statuses.items():
+            if status.status != "unknown":
+                assert big.statuses[l].status == status.status
 
     def test_cycle_graph_never_enumerates(self):
         # the only relators are multiples of the 5-cycle, so the free rank stays 1
