@@ -22,10 +22,14 @@ from .homology import RingSpec
 from .sigma import BASE_ID, FAMILY_ID, SL_ID, example_registry
 from .spherical_double import spherical_double
 
-COMPLEX_FORMAT = 'complex JSON: {"vertices": [0, 1, 2], "facets": [[0, 1, 2]]}'
+_CLOSURE_NOTE = (
+    f"a complex whose facets could close to more than {complex_core._CLOSURE_CAP} simplices "
+    "(the sum of 2^|facet| - 1) is refused with exit code 1"
+)
+COMPLEX_FORMAT = 'complex JSON: {"vertices": [0, 1, 2], "facets": [[0, 1, 2]]}; ' + _CLOSURE_NOTE
 VOLTAGE_FORMAT = (
     'voltage JSON: {"base": <complex>, "degree": 2, '
-    '"voltages": [{"edge": [2, 3], "perm": [2, 1]}]} (tree edges implied identity)'
+    '"voltages": [{"edge": [2, 3], "perm": [2, 1]}]} (tree edges implied identity); ' + _CLOSURE_NOTE
 )
 GRAPH_FORMAT = 'graph JSON: {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [0, 2]]}'
 SPREADS_FORMAT = 'spreads JSON: {"spreads": [{"height": 2, "loops": [[0, 1, 2, 0]]}]}'
@@ -71,16 +75,17 @@ def _cmd_cover(args) -> int:
     if args.out:
         _atomic_write(args.out, complex_core.dump_complex(cover.total))
     certificates = [homology.reduced_homology(cover.total, r).to_json_dict() for r in rings]
+    f = cover.total.f_vector()
     report = {
         "degree": voltage.degree,
-        "total_f_vector": list(cover.total.f_vector()),
+        "total_f_vector": list(f),
         "base_f_vector": list(voltage.base.f_vector()),
         "verified_covering": True,
         "homology": certificates,
     }
     if args.certificate:
         _atomic_write(args.certificate, _json_text(report))
-    print(f"cover: degree {voltage.degree}, total f-vector {tuple(cover.total.f_vector())}")
+    print(f"cover: degree {voltage.degree}, total f-vector {f}")
     for cert in certificates:
         print(f"cover: certificate over {cert['ring']} written")
     return 0

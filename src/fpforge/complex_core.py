@@ -18,7 +18,13 @@ instead of a scan of every simplex per vertex.  A passing
 constructions below validate each complex once.  ``from_facets`` closes its
 facets downward layer by layer, taking the (n-1)-faces from the distinct
 n-simplices, and records validity at construction, since its output is valid
-by construction.
+by construction.  It also records purity (``"pure"``, the facet cardinality)
+when its distinct facets have one size and cover every extra vertex; the
+spherical double, covers and barycentric subdivision pass it on, and
+:meth:`SimplicialComplex.facets` of a pure complex is its top layer, with no
+face generated.  ``from_facets`` refuses, before closing anything, facets
+whose closure could exceed ``_CLOSURE_CAP`` simplices (the sum of
+2^|facet| - 1).
 
 The module provides the predicates and constructions the rest of the package
 leans on: flagness, links, barycentric subdivision, flag complexes realizing
@@ -28,6 +34,8 @@ and :func:`_json_text`; the writer is byte-identical to the standard
 library's indented encoder (a property test checks it against
 ``json.dumps(data, sort_keys=True, indent=2)``).  Input without the
 documented shape raises :class:`FormatError`, naming the JSON path that failed.
+The writer fills an array of equal-length arrays of exact ints (a facet list)
+with one ``%`` format over all its integers.
 """
 
 from __future__ import annotations
@@ -118,6 +126,11 @@ def _normalize_simplex(simplex: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(int(v) for v in simplex)))
 
 
+# ``from_facets`` refuses facets whose downward closure could hold more
+# simplices than this: the sum of 2^|facet| - 1 over the distinct facets.
+_CLOSURE_CAP = 1 << 24
+
+
 class SimplicialComplex:
     """A finite abstract simplicial complex on integer vertex ids.
 
@@ -141,18 +154,30 @@ class SimplicialComplex:
 
         The (n-1)-faces come from the distinct n-simplices, not from every
         subset of every facet.  Extra isolated ``vertices`` may be supplied;
-        every vertex is stored as a 0-simplex.
+        every vertex is stored as a 0-simplex.  Facets whose closure could
+        hold more than ``_CLOSURE_CAP`` simplices raise :class:`ComplexError`
+        before any face is made.
         """
         layers: dict[int, set[tuple[int, ...]]] = {}
         for f in set(map(tuple, map(sorted, map(set, map(map, repeat(int), facets))))):
             layers.setdefault(len(f), set()).add(f)
         if 0 in layers:
             raise ComplexError("empty facet")
+        bound = sum(((1 << n) - 1) * len(fs) for n, fs in layers.items())
+        if bound > _CLOSURE_CAP:
+            shown = bound if bound.bit_length() <= 64 else f"more than 2^{bound.bit_length() - 1}"
+            raise ComplexError(
+                f"facets may close to {shown} simplices (the sum of 2^|facet| - 1), "
+                f"over the closure cap of {_CLOSURE_CAP} (2^{_CLOSURE_CAP.bit_length() - 1})"
+            )
+        top = max(layers, default=0) if len(layers) <= 1 else None  # distinct facets of one size
         for n in range(max(layers, default=1), 1, -1):
             layers.setdefault(n - 1, set()).update(chain.from_iterable(map(combinations, layers[n], repeat(n - 1))))
         verts = set(map(int, vertices)).union(chain.from_iterable(layers.get(1, ())))
         complex = cls(verts, chain(zip(verts), *layers.values()))
         complex._cache["valid"] = True  # sorted, deduplicated, closed downward, every vertex a 0-simplex
+        if top is not None and len(verts) == len(layers.get(1, ())):  # no extra vertex outside a facet
+            complex._cache["pure"] = top
         return complex
 
     def _by_dim(self) -> Mapping[int, tuple[tuple[int, ...], ...]]:
@@ -234,15 +259,23 @@ class SimplicialComplex:
     def facets(self) -> list[tuple[int, ...]]:
         """Maximal simplices, sorted.
 
-        A stored simplex is maximal unless it is a codimension-1 face of a
+        A complex recorded pure at construction (``_cache["pure"]``, its facet
+        cardinality) has its top-dimensional simplices as facets, so they are
+        read off the cached layer, or picked by size in one pass.  Otherwise a
+        stored simplex is maximal unless it is a codimension-1 face of a
         stored simplex.  Only strictly sorted stored tuples and faces left by
         removing a vertex of the vertex set count, so an unvalidated complex
         gets the same answer as asking, for every vertex v, whether adding v
         gives a stored simplex.  A known-valid complex skips those checks.
         """
         if "facets" not in self._cache:
+            top = self._cache.get("pure")
             simplices = list(self.simplices)
-            if "valid" in self._cache:  # strictly sorted tuples on the vertex set: every face counts
+            if top is not None and "by_dim" in self._cache:
+                facets = self._cache["by_dim"].get(top, ())
+            elif top is not None:
+                facets = compress(simplices, map(top.__eq__, map(len, simplices)))
+            elif "valid" in self._cache:  # strictly sorted tuples on the vertex set: every face counts
                 sizes = map(int.__sub__, map(len, simplices), repeat(1))
                 facets = self.simplices.difference(chain.from_iterable(map(combinations, simplices, sizes)))
             else:
@@ -366,8 +399,9 @@ def closed_star(complex: SimplicialComplex, vertex: int) -> frozenset[tuple[int,
 def barycentric_subdivision(complex: SimplicialComplex) -> SimplicialComplex:
     """Order complex of the face poset: one vertex per simplex, faces are chains.
 
-    The output is always a flag complex.  New vertex ids are assigned by
-    sorting the input simplices by (dimension, lexicographic order).
+    The output is always a flag complex, recorded valid, and pure when the
+    input is recorded pure.  New vertex ids are assigned by sorting the input
+    simplices by (dimension, lexicographic order).
     """
     _require_valid(complex)
     simps = sorted(complex.simplices, key=lambda s: (len(s), s))
@@ -383,7 +417,11 @@ def barycentric_subdivision(complex: SimplicialComplex) -> SimplicialComplex:
                         own.append(c + (index[s],))
         chains_by_top[s] = own
         all_chains.extend(own)
-    return SimplicialComplex(range(len(simps)), all_chains)
+    sd = SimplicialComplex(range(len(simps)), all_chains)
+    sd._cache["valid"] = True  # ids rise along a chain, and every subchain ends at a simplex, so is stored
+    if "pure" in complex._cache:  # every chain extends to a maximal chain of faces of a facet
+        sd._cache["pure"] = complex._cache["pure"]
+    return sd
 
 
 def _tree_parents(complex: SimplicialComplex) -> Mapping[int, int | None]:
@@ -526,6 +564,13 @@ def _json_chunk(value, nl: str) -> str:
     inner = nl + "  "
     if kind is list or kind is tuple:
         kinds = set(map(type, value))
+        sizes = set(map(len, value)) if kinds <= {list, tuple} else ()
+        if len(sizes) == 1 and set(map(type, chain.from_iterable(value))) == {int}:
+            # Equal-length arrays of exact ints: one format string, filled in one call.
+            deeper = inner + "  "
+            row = "[" + deeper + ("%d," + deeper) * (sizes.pop() - 1) + "%d" + inner + "]"
+            text = "[" + inner + ("," + inner).join(repeat(row, len(value))) + nl + "]"
+            return text % tuple(chain.from_iterable(value))
         scalar = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
         items = map(scalar, value) if scalar else map(_json_chunk, value, repeat(inner))
         return "[" + inner + ("," + inner).join(items) + nl + "]" if value else "[]"
@@ -540,7 +585,9 @@ def _json_chunk(value, nl: str) -> str:
 def _json_text(data) -> str:
     """The package's one JSON text format: sorted keys, two-space indent, final newline.
 
-    Byte-identical to ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, with one ``str.join`` per container.
+    Byte-identical to ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``, with one ``str.join`` per
+    container, except that an array of equal-length, nonempty arrays of exact ``int`` (a facet list) is
+    written by one ``%`` format over all its integers.
     """
     return _json_chunk(data, "\n") + "\n"
 

@@ -263,6 +263,8 @@ def build_cover(v: VoltageAssignment) -> CoverComplex:
             simplices.update(zip(*[map(add, o, t) for o, t in zip(offsets, sheets)]))
     total = SimplicialComplex(range(len(ordered) * d), simplices)
     total._cache["valid"] = True  # each face of a lift is the lift of a face (triangle condition)
+    if "pure" in base._cache:  # lifts of facets are maximal and cover every lift
+        total._cache["pure"] = base._cache["pure"]
     projection = dict(enumerate(b for b in ordered for _ in range(d)))
     sheet = dict(enumerate(s for _ in ordered for s in range(d)))
     return CoverComplex(total, base, projection, sheet, v)

@@ -62,6 +62,8 @@ def spherical_double(L: SimplicialComplex) -> DoubledComplex:
     vertices = chain.from_iterable(signs.values())
     double = SimplicialComplex(vertices, simplices)
     double._cache["valid"] = True  # sorted as above, and every face of a sign choice is one
+    if "pure" in L._cache:  # each sign choice of a facet of L is maximal, and every simplex lies in one
+        double._cache["pure"] = L._cache["pure"]
     return DoubledComplex(double, L)
 
 

@@ -85,6 +85,25 @@ def reference_from_facets(facets, vertices=()) -> SimplicialComplex:
     return SimplicialComplex(verts, simplices)
 
 
+@st.composite
+def facet_inputs(draw, max_size=4):
+    """``from_facets`` arguments on vertices 0-7: up to 8 facets of one size or of mixed sizes (so nested,
+    duplicate and repeated-vertex facets), possibly none, and up to 3 extra vertices, possibly outside them."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, max_size))
+        facet = st.lists(st.integers(0, 7), min_size=n, max_size=n, unique=True)
+    else:
+        facet = st.lists(st.integers(0, 7), min_size=1, max_size=max_size)
+    return draw(st.lists(facet, max_size=8)), draw(st.lists(st.integers(0, 9), max_size=3))
+
+
+def recorded_pure(facets, vertices) -> bool:
+    """Whether ``from_facets`` should record purity: one size among the distinct normalized facets, and
+    every extra vertex in one of them."""
+    distinct = {tuple(sorted(set(f))) for f in facets}
+    return len(set(map(len, distinct))) <= 1 and set(vertices) <= {v for f in distinct for v in f}
+
+
 def reference_facets(K: SimplicialComplex) -> list[tuple[int, ...]]:
     """Stored simplices minus each face left by removing a vertex of the vertex set
     from a strictly sorted stored simplex, one simplex at a time."""

@@ -65,6 +65,14 @@ class TestDouble:
         loaded = SimplicialComplex.from_json_dict(json.loads(out.read_text()))
         assert loaded.f_vector() == (6, 12, 8)
 
+    def test_output_is_the_stdlib_indented_text(self, tmp_path):
+        K = barycentric_subdivision(SimplicialComplex.from_facets(RP2_FACETS))
+        cpath = write(tmp_path / "k.json", json.dumps(K.to_json_dict()))
+        out = tmp_path / "double.json"
+        assert main(["double", "--complex", cpath, "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
     def test_deterministic_output(self, tmp_path, delta2):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -86,6 +94,18 @@ class TestCover:
         report = json.loads(cert.read_text())
         assert report["degree"] == 2 and report["verified_covering"] is True
         assert report["total_f_vector"] == [8, 8]
+
+    def test_the_total_f_vector_is_counted_once(self, tmp_path, monkeypatch, capsys):
+        base = SimplicialComplex.from_facets([[i, (i + 1) % 4] for i in range(4)])
+        vpath = write(tmp_path / "v.json", dump_voltage(VoltageAssignment(base, 2, {(2, 3): (1, 0)})))
+        cert = tmp_path / "cert.json"
+        counted = []
+        real = SimplicialComplex.f_vector
+        monkeypatch.setattr(SimplicialComplex, "f_vector", lambda self: counted.append(len(self.vertices)) or real(self))
+        assert main(["cover", "--voltage", vpath, "--certificate", str(cert)]) == 0
+        assert counted.count(8) == 1
+        assert json.loads(cert.read_text())["total_f_vector"] == [8, 8]
+        assert "total f-vector (8, 8)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("ring", ["F4", "Fx"])
     def test_bad_ring_writes_nothing(self, tmp_path, capsys, ring):
@@ -489,10 +509,10 @@ def test_main_builds_its_parser_once_per_process(monkeypatch, delta2):
     assert cli._parser() is cli._parser() is not build_parser()
 
 
-def _python(*args):
+def _python(*args, timeout=120):
     """A fresh interpreter on ``args`` that imports this checkout's ``fpforge``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_importing_the_cli_builds_no_parser():
@@ -518,6 +538,32 @@ def test_entry_point_in_a_fresh_process(tmp_path, delta2):
     assert domain.returncode == 1 and domain.stderr.startswith("fpforge: ")
     malformed = _python("-m", "fpforge.cli", "homology", "--complex", write(tmp_path / "bad.json", "{"), "--ring", "Z")
     assert malformed.returncode == 2 and malformed.stderr.startswith("fpforge: i/o error: ")
+
+
+@pytest.mark.parametrize("command", ["homology", "double", "present"])
+def test_a_40_vertex_facet_is_refused_in_bounded_memory(tmp_path, command):
+    """Its closure would hold 2^40 - 1 simplices: refused with exit code 1 before anything is closed."""
+    path = write(tmp_path / "big.json", json.dumps({"vertices": [], "facets": [list(range(40))]}))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from fpforge.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    ring = ["--ring", "Z"] if command == "homology" else []
+    run = _python("-c", script, command, "--complex", path, *ring, timeout=20)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == (
+        "fpforge: facets may close to 1099511627775 simplices (the sum of 2^|facet| - 1), "
+        "over the closure cap of 16777216 (2^24)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["double", "cover", "homology", "present"])
+def test_help_names_the_closure_cap(command, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    assert "16777216" in " ".join(capsys.readouterr().out.split())
 
 
 def _fuzz_documents():

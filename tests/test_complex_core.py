@@ -2,6 +2,7 @@ import json
 import random
 from collections import OrderedDict
 from enum import IntEnum
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -31,6 +32,8 @@ from helpers import (
     brute_chain_count,
     brute_flag,
     brute_link,
+    facet_inputs,
+    recorded_pure,
     reference_facets,
     reference_from_facets,
 )
@@ -430,6 +433,62 @@ class TestLayeredClosure:
         assert K.f_vector() == tuple(len(K.simplices_of_dim(k)) for k in range(K.dimension + 1))
 
 
+class TestRecordedPurity:
+    @given(facet_inputs())
+    def test_facets_match_the_reference_and_purity_is_recorded_exactly(self, args):
+        K = SimplicialComplex.from_facets(*args)
+        assert ("pure" in K._cache) == recorded_pure(*args)
+        assert K.facets() == reference_facets(K)
+        if "pure" in K._cache:
+            assert {len(f) for f in K.facets()} <= {K._cache["pure"]}
+        layered = SimplicialComplex.from_facets(*args)
+        layered.simplices_of_dim(0)  # the cached layers, so facets come from the top one
+        assert layered.facets() == K.facets()
+        raw = SimplicialComplex(K.vertices, K.simplices)
+        assert raw.facets() == K.facets() and "pure" not in raw._cache
+
+    def test_empty_input_is_pure_with_no_facets(self):
+        K = SimplicialComplex.from_facets([])
+        assert K._cache["pure"] == 0 and K.facets() == []
+
+    @given(facet_inputs(max_size=3))
+    def test_subdivision_is_recorded_valid_and_keeps_purity(self, args):
+        K = SimplicialComplex.from_facets(*args)
+        sd = barycentric_subdivision(K)
+        assert sd._cache["valid"] and validate(sd) == []
+        assert ("pure" in sd._cache) == ("pure" in K._cache)
+        assert sd.facets() == reference_facets(sd)
+        if "pure" in sd._cache:
+            assert {len(f) for f in sd.facets()} <= {sd._cache["pure"]}
+
+
+class TestClosureCap:
+    @given(facet_inputs(max_size=5), st.integers(0, 120))
+    def test_facets_over_the_cap_are_refused_and_others_close_as_before(self, args, cap):
+        facets, vertices = args
+        bound = sum(2 ** len(f) - 1 for f in {tuple(sorted(set(f))) for f in facets})
+        with mock.patch.object(complex_core, "_CLOSURE_CAP", cap):
+            if bound > cap:
+                with pytest.raises(ComplexError, match=f"^facets may close to {bound} simplices .* cap of {cap} "):
+                    SimplicialComplex.from_facets(facets, vertices)
+                return
+            K = SimplicialComplex.from_facets(facets, vertices)
+        R = reference_from_facets(facets, vertices)
+        assert (K.vertices, K.simplices) == (R.vertices, R.simplices)
+
+    def test_huge_bounds_are_named_by_their_power_of_two(self):
+        with pytest.raises(ComplexError, match=r"^facets may close to more than 2\^99 simplices .* of 16777216 \(2\^24\)$"):
+            SimplicialComplex.from_facets([range(100)])
+        with pytest.raises(ComplexError, match="^facets may close to 1099511627775 simplices"):
+            SimplicialComplex.from_facets([range(40)])
+
+    def test_the_cap_admits_the_flagified_a_105_complex(self):
+        K = flagify_presentation_complex(GroupPresentationInput(1, [[1] * 105]))
+        bound = sum(2 ** len(f) - 1 for f in K.facets())
+        assert 200_000 < bound < complex_core._CLOSURE_CAP // 16
+        assert SimplicialComplex.from_facets(K.facets()) == K
+
+
 class Count(IntEnum):
     ONE = 1
 
@@ -451,8 +510,33 @@ JSON_LEAVES = st.one_of(
 )
 
 
+WIDE_INTS = st.one_of(st.integers(), st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64)))
+
+
+@st.composite
+def _int_grids(draw, children):
+    """Arrays of equal-length arrays (lists or tuples) of exact ints, the shape of a facet list, sometimes
+    spoiled by a ragged or empty row, a row that is another value, or a bool or IntEnum item."""
+    n = draw(st.integers(0, 4))
+    row = st.lists(WIDE_INTS, min_size=n, max_size=n)
+    rows = draw(st.lists(row | row.map(tuple), max_size=4))
+    spoil = draw(st.sampled_from(["none", "none", "ragged", "empty", "child", "item"]))
+    if rows and spoil == "ragged":
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.lists(WIDE_INTS, max_size=5)))
+    elif spoil == "empty":
+        rows.append(())
+    elif rows and spoil == "child":
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(children)
+    elif rows and n and spoil == "item":
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = list(rows[i])
+        rows[i][draw(st.integers(0, n - 1))] = draw(st.sampled_from([True, False, Count.ONE]))
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
 def _json_containers(children):
     return st.one_of(
+        _int_grids(children),
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.lists(st.integers(), max_size=4),

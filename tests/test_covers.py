@@ -38,8 +38,8 @@ from fpforge.sigma import SigmaError, normal_generating_length_bound
 from fpforge.spherical_double import spherical_double
 
 from helpers import (
-    RP2_FACETS, S3, left_multiplication, reference_build_cover, reference_failing_triangle, reference_lift_loop,
-    s3_left_regular_cover, voltage_assignments, wedge_of_two_triangles,
+    RP2_FACETS, S3, left_multiplication, reference_build_cover, reference_facets, reference_failing_triangle,
+    reference_lift_loop, s3_left_regular_cover, voltage_assignments, wedge_of_two_triangles,
 )
 
 
@@ -183,6 +183,22 @@ class TestBuildCover:
         with pytest.raises(CoverError) as raised:
             VoltageAssignment(base, degree, voltages)
         assert str(raised.value) == f"triangle condition fails on {expected}"
+
+    @given(voltage_assignments())
+    def test_facets_match_the_reference_over_bases_read_from_their_facets(self, voltage):
+        """The drawn bases list nested facets; rebuilt from their facets, the pure ones are recorded pure."""
+        base = SimplicialComplex.from_facets(voltage.base.facets())
+        rebased = VoltageAssignment(base, voltage.degree, voltage.nontree_voltages())
+        for v in (voltage, rebased):
+            total = build_cover(v).total
+            assert ("pure" in total._cache) == ("pure" in v.base._cache)
+            assert total.facets() == reference_facets(total)
+
+    def test_a_dangling_edge_keeps_the_total_unflagged(self):
+        base = SimplicialComplex.from_facets([[0, 1, 2], [2, 3]])
+        total = build_cover(VoltageAssignment(base, 2)).total
+        assert "pure" not in total._cache and total.facets() == [(0, 2, 4), (1, 3, 5), (4, 6), (5, 7)]
+        assert c4_double_cover().total._cache["pure"] == 2
 
     def test_euler_characteristic_multiplies(self):
         for cover in (c4_double_cover(), orientation_cover()):

@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given
 
 from fpforge.complex_core import ComplexError, SimplicialComplex, is_flag, validate
 from fpforge.spherical_double import retract_word, spherical_double
 
-from helpers import all_complexes_on, brute_join_double
+from helpers import all_complexes_on, brute_join_double, facet_inputs, reference_facets
 
 
 def cycle_complex(n):
@@ -57,6 +58,21 @@ class TestSphericalDouble:
             d = spherical_double(K)
             assert is_flag(d.complex) == is_flag(K)
             assert validate(d.complex) == []
+
+
+class TestDoublePurity:
+    @given(facet_inputs(max_size=3))
+    def test_facets_match_the_reference_and_purity_passes_on(self, args):
+        K = SimplicialComplex.from_facets(*args)
+        d = spherical_double(K).complex
+        assert ("pure" in d._cache) == ("pure" in K._cache)
+        assert d.facets() == reference_facets(d)
+
+    def test_a_dangling_edge_keeps_the_double_unflagged(self):
+        K = SimplicialComplex.from_facets([[0, 1, 2], [2, 3]])
+        d = spherical_double(K).complex
+        assert "pure" not in d._cache and len(d.facets()) == 8 + 4
+        assert spherical_double(SimplicialComplex.from_facets([[0, 1, 2]])).complex._cache["pure"] == 3
 
 
 class TestRetractWord:
