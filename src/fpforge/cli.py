@@ -32,7 +32,10 @@ VOLTAGE_FORMAT = (
     '"voltages": [{"edge": [2, 3], "perm": [2, 1]}]} (tree edges implied identity); ' + _CLOSURE_NOTE
 )
 GRAPH_FORMAT = 'graph JSON: {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [0, 2]]}'
-SPREADS_FORMAT = 'spreads JSON: {"spreads": [{"height": 2, "loops": [[0, 1, 2, 0]]}]}'
+SPREADS_FORMAT = (
+    'spreads JSON: {"spreads": [{"height": 2, "loops": [[0, 1, 2, 0]]}]}; spread relators that would hold more '
+    f"than {groups._SPREAD_LETTER_CAP} letters in all (the sum of |height| * len(loop)) are refused with exit code 1"
+)
 SIGMA_FORMAT = 'sigma JSON: {"registry": {"entries": [...]}, "base_id": "L", "exceptions": [[3, "c"]], ...}'
 
 

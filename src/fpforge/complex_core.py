@@ -116,7 +116,7 @@ def _json_items(value, path: str, kind: type = int) -> Sequence:
 
 def _json_int_arrays(value, path: str) -> Sequence[Sequence[int]]:
     arrays = _json_list(value, path)
-    if not (all(type(a) is list for a in arrays) and {type(x) for a in arrays for x in a} <= {int}):
+    if not ({type(a) for a in arrays} <= {list, tuple} and {type(x) for a in arrays for x in a} <= {int}):
         for i, a in enumerate(arrays):
             _json_items(a, f"{path}[{i}]")
     return arrays
@@ -302,7 +302,7 @@ class SimplicialComplex:
     def to_json_dict(self) -> dict:
         return {
             "vertices": sorted(self.vertices),
-            "facets": [list(f) for f in self.facets()],
+            "facets": self.facets(),  # a fresh list of tuples, which the JSON writer spells as arrays
         }
 
     @classmethod
@@ -509,8 +509,9 @@ def flagify_presentation_complex(input: GroupPresentationInput) -> SimplicialCom
     already simplicial), then for each nonempty relator a coned polygon joined
     to the relator's boundary path by a zigzag collar.  The collar is a
     triangulated mapping cylinder of the attaching map, so homotopy type is
-    preserved even when the path revisits edges.  Two barycentric subdivisions
-    make the result flag.
+    preserved even when the path revisits edges.  One barycentric subdivision
+    makes the result flag: it is the order complex of the face poset, and an
+    order complex is flag, since pairwise comparable faces form a chain.
     """
     base = 0
     triangles: list[tuple[int, int, int]] = []
@@ -542,7 +543,7 @@ def flagify_presentation_complex(input: GroupPresentationInput) -> SimplicialCom
             triangles.append((q0, path[j], path[j + 1]))
 
     complex = SimplicialComplex.from_facets(list(edges) + list(triangles), vertices=[base])
-    return barycentric_subdivision(barycentric_subdivision(complex))
+    return barycentric_subdivision(complex)
 
 
 def _read_json(path):

@@ -5,7 +5,9 @@ indices, kept freely reduced.  Presentations carry a provenance tag per
 relator (triangle, spread power at a height, or one of the tagged loop
 families) plus an optional height window with an "extends to all heights"
 flag, which is how an infinite family of spread relators is represented by a
-finite artifact.
+finite artifact.  Every builder of spread relators counts their letters from
+its inputs, the sum of |height| * len(loop), and refuses a total over
+``_SPREAD_LETTER_CAP`` before any word is built.
 
 The coset enumerator is a deterministic relator-first filling procedure with
 an explicit row budget.  ``enumerate_table`` alone decides whether a run can
@@ -323,10 +325,25 @@ class LoopWord:
         return f"LoopWord({list(self.letters)})"
 
 
+# Spread relators are refused, before any word is built, when their letters would total more than this:
+# the sum of |height| * len(loop) over the spreads asked for.
+_SPREAD_LETTER_CAP = 1 << 20
+
+
+def _check_spread_letters(total: int) -> None:
+    if total > _SPREAD_LETTER_CAP:
+        shown = total if total.bit_length() <= 64 else f"more than 2^{total.bit_length() - 1}"
+        raise ValueError(
+            f"spread relators would hold {shown} letters (the sum of |height| * len(loop)), "
+            f"over the spread cap of {_SPREAD_LETTER_CAP} (2^{_SPREAD_LETTER_CAP.bit_length() - 1})"
+        )
+
+
 def power_spread(c: LoopWord, k: int) -> Word:
     """The word sending each oriented edge of the loop to its k-th power, in order."""
     if k < 0:
         raise ValueError("spread exponent must be nonnegative")
+    _check_spread_letters(k * c.length)
     return _signed_spread(c, k)
 
 
@@ -374,6 +391,12 @@ def deck_group_presentation(
     construction keeps the base complex itself at height zero.
     """
     _require_valid(L)
+    spreads = dict(spreads or {})
+    if 0 in spreads and spreads[0]:
+        raise ValueError("height 0 must carry no spread loops (the base sits there)")
+    heights = sorted(h for h in spreads if spreads[h])
+    loops = {n: [_loop_in(L, loop) for loop in spreads[n]] for n in heights}
+    _check_spread_letters(sum(abs(n) * lw.length for n in heights for lw in loops[n]))
     edges = L.edges()
     index = {e: i + 1 for i, e in enumerate(edges)}
     gens = edge_generator_names(L)
@@ -385,17 +408,21 @@ def deck_group_presentation(
         tags.append(TRIANGLE)
         relators.append(Word([g, f, e]))
         tags.append(TRIANGLE)
-    spreads = dict(spreads or {})
-    if 0 in spreads and spreads[0]:
-        raise ValueError("height 0 must carry no spread loops (the base sits there)")
-    heights = sorted(h for h in spreads if spreads[h])
     for n in heights:
-        for i, loop in enumerate(spreads[n]):
-            lw = _loop_in(L, loop)
+        for i, lw in enumerate(loops[n]):
             relators.append(_signed_spread(lw, n))
             tags.append(RelatorTag("spread", n, i))
     window = (min(heights), max(heights)) if heights else None
     return Presentation(gens, relators, tags, window)
+
+
+def _height_sum(lo: int, hi: int) -> int:
+    """The sum of |n| over the heights lo..hi, in closed form from the numbers 1 + 2 + ... + m."""
+
+    def upto(m: int) -> int:
+        return max(m, 0) * (max(m, 0) + 1) // 2
+
+    return upto(hi) - upto(lo - 1) + upto(-lo) - upto(-hi - 1)
 
 
 def tagged_family_presentation(
@@ -413,12 +440,13 @@ def tagged_family_presentation(
     lo, hi = window
     if lo > hi:
         raise ValueError("empty height window")
+    members = {family: [_loop_in(L, lp) for lp in families[family]] for family in sorted(families)}
+    _check_spread_letters(_height_sum(lo, hi) * sum(lw.length for loops in members.values() for lw in loops))
     base = deck_group_presentation(L, {})
     relators = list(base.relators)
     tags = list(base.tags)
-    for family in sorted(families):
-        loops = [_loop_in(L, lp) for lp in families[family]]
-        for n in range(lo, hi + 1):
+    for family, loops in members.items():
+        for n in range(lo, hi + 1) if loops else ():
             if n == 0:
                 continue
             for i, lw in enumerate(loops):
@@ -786,7 +814,7 @@ def quotient_relators(
     one's; the returned relators normally generate the kernel of the induced
     surjection between the presented groups.
     """
-    out: list[tuple[Word, RelatorTag]] = []
+    new: list[tuple[int, int, LoopWord]] = []  # (height, index, loop) of each relator to build
     heights = sorted(set(spreads) | set(spreads_prime))
     for n in heights:
         small = [_loop_in(L, lp) for lp in spreads.get(n, [])]
@@ -795,10 +823,9 @@ def quotient_relators(
         big_keys = {lw.letters for lw in big}
         if not small_keys <= big_keys:
             raise ValueError(f"loop sets at height {n} are not nested")
-        for i, lw in enumerate(big):
-            if lw.letters not in small_keys:
-                out.append((_signed_spread(lw, n), RelatorTag("spread", n, i)))
-    return out
+        new.extend((n, i, lw) for i, lw in enumerate(big) if lw.letters not in small_keys)
+    _check_spread_letters(sum(abs(n) * lw.length for n, _, lw in new))
+    return [(_signed_spread(lw, n), RelatorTag("spread", n, i)) for n, i, lw in new]
 
 
 # ---------------------------------------------------------------------------

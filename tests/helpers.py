@@ -12,7 +12,9 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from fpforge.complex_core import ComplexError, SimplicialComplex, spanning_tree
+from fpforge.complex_core import (
+    ComplexError, GroupPresentationInput, SimplicialComplex, barycentric_subdivision, spanning_tree,
+)
 from fpforge.covers import (
     CoverComplex, CoverError, VoltageAssignment, _total_adjacency, build_cover, perm_compose, perm_inverse,
 )
@@ -112,6 +114,56 @@ def reference_facets(K: SimplicialComplex) -> list[tuple[int, ...]]:
         if tuple(sorted(set(t))) == t:
             covered.update(t[:i] + t[i + 1:] for i, v in enumerate(t) if v in K.vertices)
     return sorted(s for s in K.simplices if tuple(sorted(set(s))) not in covered)
+
+
+def reference_flagify_presentation_complex(input: GroupPresentationInput) -> SimplicialComplex:
+    """The presentation complex subdivided twice: the construction of ``flagify_presentation_complex``
+    followed by two barycentric subdivisions, so it equals that complex subdivided once more."""
+    base = 0
+    triangles: list[tuple[int, int, int]] = []
+    edges: list[tuple[int, int]] = []
+    for i in range(input.generator_count):
+        m1, m2 = 2 * i + 1, 2 * i + 2
+        edges.extend([(base, m1), (m1, m2), (base, m2)])
+    fresh = 2 * input.generator_count + 1
+
+    for word in input.relators:
+        if not word:
+            continue  # empty relator: attach no disk
+        path = [base]
+        for letter in word:
+            i = abs(letter) - 1
+            m1, m2 = 2 * i + 1, 2 * i + 2
+            if letter > 0:
+                path.extend([m1, m2, base])
+            else:
+                path.extend([m2, m1, base])
+        n = len(path) - 1  # boundary length, a multiple of 3
+        ring = list(range(fresh, fresh + n))
+        center = fresh + n
+        fresh += n + 1
+        for j in range(n):
+            q0, q1 = ring[j], ring[(j + 1) % n]
+            triangles.append((center, q0, q1))
+            triangles.append((q0, q1, path[j + 1]))
+            triangles.append((q0, path[j], path[j + 1]))
+
+    complex = SimplicialComplex.from_facets(list(edges) + list(triangles), vertices=[base])
+    return barycentric_subdivision(barycentric_subdivision(complex))
+
+
+@st.composite
+def small_presentations(draw):
+    """1-3 generators and 0-3 freely reduced relators of length at most 6, empty relators included."""
+    gens = draw(st.integers(1, 3))
+    letter = st.integers(1, gens).flatmap(lambda g: st.sampled_from([g, -g]))
+    relators = []
+    for word in draw(st.lists(st.lists(letter, max_size=6), max_size=3)):
+        reduced: list[int] = []
+        for x in word:
+            reduced.pop() if reduced and reduced[-1] == -x else reduced.append(x)
+        relators.append(reduced)
+    return GroupPresentationInput(gens, relators)
 
 
 def brute_join_double(K: SimplicialComplex) -> set[tuple[int, ...]]:

@@ -559,6 +559,39 @@ def test_a_40_vertex_facet_is_refused_in_bounded_memory(tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("height", [10**12, 349_525])
+def test_spreads_over_the_cap_are_refused_in_bounded_memory(tmp_path, delta2, height):
+    """3 * 10^12 letters are refused with exit code 1 before any word is built; 3 * 349 525 = 1 048 575 letters,
+    just under the cap of 2^20, are built and written inside the same 256 MiB."""
+    spreads = write(tmp_path / "spreads.json", json.dumps({"spreads": [{"height": height, "loops": [[0, 1, 2, 0]]}]}))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from fpforge.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    out, jout = tmp_path / "pres.txt", tmp_path / "pres.json"
+    argv = ["present", "--complex", delta2, "--spreads", spreads, "--out", str(out), "--json", str(jout)]
+    run = _python("-c", script, *argv, timeout=60)
+    if height > 1 << 20:
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr == (
+            "fpforge: spread relators would hold 3000000000000 letters (the sum of |height| * len(loop)), "
+            "over the spread cap of 1048576 (2^20)\n"
+        )
+        assert not out.exists() and not jout.exists()
+    else:
+        summary = "present: 3 generators, 3 relators, abelianization Z^2\n"
+        assert (run.returncode, run.stdout, run.stderr) == (0, summary, "")
+        assert len(json.loads(jout.read_text())["relators"][-1]["letters"]) == 3 * height
+
+
+def test_present_help_names_the_spread_cap(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["present", "--help"])
+    assert "more than 1048576 letters" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("command", ["double", "cover", "homology", "present"])
 def test_help_names_the_closure_cap(command, capsys):
     with pytest.raises(SystemExit):

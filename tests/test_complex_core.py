@@ -5,7 +5,7 @@ from enum import IntEnum
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpforge import complex_core
@@ -35,7 +35,9 @@ from helpers import (
     facet_inputs,
     recorded_pure,
     reference_facets,
+    reference_flagify_presentation_complex,
     reference_from_facets,
+    small_presentations,
 )
 
 OCTAHEDRON = [[0, 2, 4], [0, 2, 5], [0, 3, 4], [0, 3, 5], [1, 2, 4], [1, 2, 5], [1, 3, 4], [1, 3, 5]]
@@ -344,6 +346,25 @@ class TestFlagify:
         with pytest.raises(ComplexError):
             GroupPresentationInput(1, [[1, -1]])
 
+    @pytest.mark.parametrize("gens, rels", [(1, [[1, 1]]), (2, [[1, 2, -1, -2]]), (1, [[1] * 15]), (2, [[]])])
+    def test_one_more_subdivision_gives_the_two_subdivision_oracle(self, gens, rels):
+        p = GroupPresentationInput(gens, rels)
+        K = barycentric_subdivision(flagify_presentation_complex(p))
+        R = reference_flagify_presentation_complex(p)
+        assert (K.vertices, K.simplices) == (R.vertices, R.simplices)
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_presentations())
+    def test_one_subdivision_matches_the_oracle(self, p):
+        K = flagify_presentation_complex(p)
+        R = reference_flagify_presentation_complex(p)
+        assert is_flag(K)
+        for ring in (RingSpec.Z(), RingSpec.Fp(2), RingSpec.Fp(3)):
+            assert reduced_homology(K, ring) == reduced_homology(R, ring)
+        assert has_no_local_cut_points(K) == has_no_local_cut_points(R)
+        sd = barycentric_subdivision(K)
+        assert (sd.vertices, sd.simplices) == (R.vertices, R.simplices)
+
     def test_out_of_range_letter_rejected(self):
         with pytest.raises(ComplexError):
             GroupPresentationInput(1, [[2]])
@@ -376,6 +397,15 @@ class TestJsonAndTree:
         K2 = SimplicialComplex.from_json_dict(data)
         assert K2 == K
         assert dump_complex(K2) == dump_complex(K)
+
+    @given(facet_inputs())
+    def test_facets_are_handed_to_the_writer_as_tuples(self, args):
+        K = SimplicialComplex.from_facets(*args)
+        data = K.to_json_dict()
+        assert data["facets"] == K.facets() and all(type(f) is tuple for f in data["facets"])
+        listed = {"vertices": sorted(K.vertices), "facets": [list(f) for f in K.facets()]}
+        assert dump_complex(K) == json.dumps(listed, sort_keys=True, indent=2) + "\n"
+        assert SimplicialComplex.from_json_dict(data) == K == SimplicialComplex.from_json_dict(listed)
 
     def test_loader_closes_downward(self):
         K = SimplicialComplex.from_json_dict({"vertices": [], "facets": [[0, 1, 2]]})
@@ -483,9 +513,16 @@ class TestClosureCap:
             SimplicialComplex.from_facets([range(40)])
 
     def test_the_cap_admits_the_flagified_a_105_complex(self):
-        K = flagify_presentation_complex(GroupPresentationInput(1, [[1] * 105]))
-        bound = sum(2 ** len(f) - 1 for f in K.facets())
+        p = GroupPresentationInput(1, [[1] * 105])
+        R = reference_flagify_presentation_complex(p)  # twice subdivided, as flagify was
+        bound = sum(2 ** len(f) - 1 for f in R.facets())
         assert 200_000 < bound < complex_core._CLOSURE_CAP // 16
+        assert SimplicialComplex.from_facets(R.facets()) == R
+        K = flagify_presentation_complex(p)
+        # The 945 cone and collar triangles (the generator edges lie in them) split into 6 triangles each,
+        # and a triangle closes to 7 faces.
+        assert sorted(set(map(len, K.facets()))) == [3]
+        assert sum(2 ** len(f) - 1 for f in K.facets()) == 7 * 6 * 945 == 39_690
         assert SimplicialComplex.from_facets(K.facets()) == K
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +111,98 @@ class TestPowerSpread:
         loop = LoopWord.from_vertices(K, [0, 1, 2, 3, 4, 0])
         for k in range(5):
             assert len(power_spread(loop, k)) == k * loop.length
+
+
+def reference_spread(loop: LoopWord, n: int) -> Word:
+    """Each letter repeated |n| times in place, inverted at a negative height."""
+    return Word([x if n > 0 else -x for x in loop.letters for _ in range(abs(n))])
+
+
+SPREAD_LOOPS = [[0, 1, 2, 0], [0, 2, 1, 0], [0, 1, 3, 0], [1, 2, 3, 1], [0, 1, 2, 3, 0]]
+LOOP_POOLS = st.lists(st.sampled_from(SPREAD_LOOPS), max_size=3, unique_by=tuple)
+SPREAD_MAPS = st.dictionaries(st.integers(-6, 6).filter(bool), LOOP_POOLS, max_size=3)
+
+
+class TestSpreadCap:
+    """Spread relators over ``_SPREAD_LETTER_CAP`` letters are refused before any is built; others are as before."""
+
+    K = full_simplex(4)
+
+    def refused(self, total, cap):
+        return pytest.raises(ValueError, match=rf"^spread relators would hold {total} letters .* spread cap of {cap} ")
+
+    @given(SPREAD_MAPS, st.integers(0, 120))
+    def test_deck_group_presentation(self, spreads, cap):
+        total = sum(abs(n) * (len(lp) - 1) for n, loops in spreads.items() for lp in loops)
+        with mock.patch.object(groups, "_SPREAD_LETTER_CAP", cap):
+            if total > cap:
+                with self.refused(total, cap):
+                    deck_group_presentation(self.K, spreads)
+                return
+            p = deck_group_presentation(self.K, spreads)
+        base = deck_group_presentation(self.K, {})
+        spread = [
+            (n, i, LoopWord.from_vertices(self.K, lp)) for n in sorted(spreads) for i, lp in enumerate(spreads[n])
+        ]
+        assert p.relators == base.relators + tuple(reference_spread(lw, n) for n, _, lw in spread)
+        assert p.tags == base.tags + tuple(RelatorTag("spread", n, i) for n, i, _ in spread)
+
+    @given(st.dictionaries(st.sampled_from(["alpha", "beta"]), LOOP_POOLS, max_size=2), st.integers(-5, 5),
+           st.integers(0, 5), st.integers(0, 300))
+    def test_tagged_family_presentation(self, families, lo, width, cap):
+        hi = lo + width
+        total = sum(abs(n) for n in range(lo, hi + 1)) * sum(len(lp) - 1 for loops in families.values() for lp in loops)
+        with mock.patch.object(groups, "_SPREAD_LETTER_CAP", cap):
+            if total > cap:
+                with self.refused(total, cap):
+                    tagged_family_presentation(self.K, families, (lo, hi))
+                return
+            p = tagged_family_presentation(self.K, families, (lo, hi))
+        base = deck_group_presentation(self.K, {})
+        spread = [
+            (family, n, i, LoopWord.from_vertices(self.K, lp))
+            for family in sorted(families) for n in range(lo, hi + 1) if n for i, lp in enumerate(families[family])
+        ]
+        assert p.relators == base.relators + tuple(reference_spread(lw, n) for _, n, _, lw in spread)
+        assert p.tags == base.tags + tuple(RelatorTag(family, n, i) for family, n, i, _ in spread)
+
+    @given(SPREAD_MAPS, SPREAD_MAPS, st.integers(0, 120))
+    def test_quotient_relators(self, small, extra, cap):
+        big = {n: small.get(n, []) + [lp for lp in extra.get(n, []) if lp not in small.get(n, [])]
+               for n in {*small, *extra}}
+        new = [(n, i, lp) for n in sorted(big) for i, lp in enumerate(big[n]) if lp not in small.get(n, [])]
+        total = sum(abs(n) * (len(lp) - 1) for n, _, lp in new)
+        with mock.patch.object(groups, "_SPREAD_LETTER_CAP", cap):
+            if total > cap:
+                with self.refused(total, cap):
+                    quotient_relators(small, big, self.K)
+                return
+            out = quotient_relators(small, big, self.K)
+        loops = [LoopWord.from_vertices(self.K, lp) for _, _, lp in new]
+        assert out == [(reference_spread(lw, n), RelatorTag("spread", n, i)) for (n, i, _), lw in zip(new, loops)]
+
+    @given(st.sampled_from(SPREAD_LOOPS), st.integers(0, 40), st.integers(0, 120))
+    def test_power_spread(self, path, k, cap):
+        loop = LoopWord.from_vertices(self.K, path)
+        with mock.patch.object(groups, "_SPREAD_LETTER_CAP", cap):
+            if k * loop.length > cap:
+                with self.refused(k * loop.length, cap):
+                    power_spread(loop, k)
+                return
+            assert power_spread(loop, k) == reference_spread(loop, k)
+
+    def test_huge_heights_are_refused_without_building_a_word(self):
+        loop = [0, 1, 2, 0]
+        with self.refused(3 * 10**12, 1 << 20):
+            deck_group_presentation(self.K, {10**12: [loop]})
+        with self.refused("more than 2\\^81", 1 << 20):  # 3 * 10^12 * (10^12 + 1) letters
+            tagged_family_presentation(self.K, {"alpha": [loop]}, (-(10**12), 10**12))
+        with self.refused("more than 2\\^201", 1 << 20):
+            quotient_relators({}, {-(2**200): [loop]}, self.K)
+
+    def test_a_huge_window_without_loops_adds_no_relator(self):
+        p = tagged_family_presentation(self.K, {"alpha": []}, (-(10**12), 10**12))
+        assert p.relators == deck_group_presentation(self.K, {}).relators
 
 
 class TestRaag:
