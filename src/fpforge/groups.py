@@ -146,7 +146,7 @@ OTHER = RelatorTag("other")
 class Presentation:
     """Named generators with tagged, freely reduced relator words."""
 
-    __slots__ = ("generators", "relators", "tags", "height_window", "extends_all_heights")
+    __slots__ = ("generators", "relators", "tags", "height_window", "extends_all_heights", "_names")
 
     def __init__(
         self,
@@ -163,11 +163,12 @@ class Presentation:
             if not g or " " in g or g.endswith("'"):
                 raise ValueError(f"bad generator name {g!r}")
         rels = tuple(relators)
+        letters = frozenset(range(-len(gens), len(gens) + 1))  # a Word holds no letter 0
         for w in rels:
-            for x in w.letters:
-                if abs(x) > len(gens):
-                    raise ValueError(f"letter {x} out of range")
+            if not letters.issuperset(w.letters):
+                raise ValueError(f"letter {next(x for x in w.letters if x not in letters)} out of range")
         self.generators = gens
+        self._names: dict[int, str] | None = None  # letter -> printed name, built by the first word_str
         self.relators = rels
         self.tags = tuple(tags) if tags is not None else tuple(OTHER for _ in rels)
         if len(self.tags) != len(rels):
@@ -179,11 +180,10 @@ class Presentation:
         return [w.exponent_row(len(self.generators)) for w in self.relators]
 
     def word_str(self, w: Word) -> str:
-        parts = []
-        for x in w.letters:
-            name = self.generators[abs(x) - 1]
-            parts.append(name if x > 0 else name + "'")
-        return " ".join(parts)
+        if self._names is None:
+            self._names = dict(enumerate(self.generators, 1))
+            self._names.update({-i: g + "'" for i, g in enumerate(self.generators, 1)})
+        return " ".join(map(self._names.__getitem__, w.letters))
 
     def parse_word(self, text: str) -> Word:
         letters = []
@@ -474,9 +474,9 @@ def abelianization(p: Presentation) -> AbelianizationResult:
     """
     entries: dict[tuple[int, int], int] = {}
     for i, w in enumerate(p.relators):
-        for x in w.letters:
-            key = (i, abs(x) - 1)
-            entries[key] = entries.get(key, 0) + (1 if x > 0 else -1)
+        c = Counter(w.letters)
+        for g in {abs(x) for x in c}:
+            entries[i, g - 1] = c[g] - c[-g]
     factors = _sparse_invariant_factors(entries)
     return AbelianizationResult(len(p.generators) - len(factors), tuple(d for d in factors if d > 1))
 

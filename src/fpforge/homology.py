@@ -1,6 +1,6 @@
 """Exact simplicial chain complexes and reduced homology.
 
-One sparse elimination kernel serves every coefficient ring, in two phases.
+One sparse elimination kernel, over Z only, works in two phases.
 Phase 1 visits each row once, shortest first, and reads it through a signed
 union-find on columns: a row of two unit entries links one column to a
 signed multiple of the other, a row of one unit entry clears its column, and
@@ -10,11 +10,10 @@ edges (the tree-cotree reduction); going around a dual cycle leaves an entry
 pivots (+-1 entries) of the kept rows, sparsest row and column first, and
 hands any non-unit remainder to the dense Smith normal form.  Both phases
 preserve invariant factors because a cleared unit pivot splits off as a
-diag(1, rest) block.  Over F_p the same kernel runs on entries reduced mod p,
-where every nonzero entry is a unit.  Over Q no separate path is needed: the
-rank of a boundary matrix is the number of its nonzero integral invariant
-factors.  Integer entries are never reduced on the Z and Q paths, since
-intermediate entries can grow.
+diag(1, rest) block.  Entries are never reduced modulo anything.  Fields
+are read off the integral run: ``reduced_homology`` eliminates each complex
+once, keeps its integral summary in ``_cache``, and derives every ring from
+it by universal coefficients (``field_summary_from_integral``).
 
 A chain complex holds, per dimension, the sorted basis and one tuple of face
 indices per simplex: position i names the face without vertex i, which
@@ -265,11 +264,8 @@ def invariant_factors(A: Sequence[Sequence[int]]) -> list[int]:
 # Sparse elimination (internal engine for chain complexes)
 
 
-def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | None = None) -> list[int]:
+def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int]) -> list[int]:
     """Invariant factors of a sparse integer matrix given as {(row, col): value}.
-
-    With a prime p the matrix is reduced mod p first; every nonzero entry is
-    then a unit, so the result is rank-many 1s.
 
     Phase 1 visits the rows once, in (length, row) order, and reads each one
     through a signed union-find on columns, in which a linked column stands
@@ -277,14 +273,12 @@ def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | N
     e_a, e_b pivots on e_a and links column a to b with factor -e_b/e_a; one
     unit entry clears its column; other rows are kept.  Exactness: the column
     operation that clears e_b and the row operations that clear column a are
-    invertible over Z and F_p, and leave every other row reading column a as
+    invertible over Z, and leave every other row reading column a as
     -e_b/e_a times column b, so each step splits off one factor 1.  The kept
     rows, read through the final links, go to :func:`_unit_heap_factors`.
     """
     rows: dict[int, dict[int, int]] = {}
     for (r, c), v in entries.items():
-        if p is not None:
-            v %= p
         if v:
             rows.setdefault(r, {})[c] = v
     link: dict[int, tuple[int | None, int]] = {}  # column -> (parent, factor); parent None: cleared
@@ -298,8 +292,6 @@ def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | N
         f = 1
         for x in reversed(path):  # compress: each column on the path links to the root directly
             f *= link[x][1]
-            if p is not None:
-                f %= p
             link[x] = (c, f)
         return c, f
 
@@ -314,32 +306,30 @@ def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int], p: int | N
                     continue
                 v *= f
             out[c] = out.get(c, 0) + v
-        if p is not None:
-            return {c: v % p for c, v in out.items() if v % p}
         return {c: v for c, v in out.items() if v}
 
     units = 0
     kept = []
     for _, r in sorted(zip(map(len, rows.values()), rows)):
         row = read(rows[r])
-        if 0 < len(row) <= 2 and (p is not None or {1, -1}.issuperset(row.values())):
+        if 0 < len(row) <= 2 and {1, -1}.issuperset(row.values()):
             (a, ea), *other = row.items()
-            if other:  # ea = +-1 is its own inverse over Z
+            if other:  # ea = +-1 is its own inverse
                 ((b, eb),) = other
-                link[a] = (b, -eb * ea if p is None else -eb * pow(ea, -1, p) % p)
+                link[a] = (b, -eb * ea)
             else:
                 link[a] = (None, 0)
             units += 1
         else:
             kept.append(r)
     rest = {r: row for r in kept if (row := read(rows[r]))}
-    return [1] * units + _unit_heap_factors(rest, p)
+    return [1] * units + _unit_heap_factors(rest)
 
 
-def _unit_heap_factors(rows: dict[int, dict[int, int]], p: int | None) -> list[int]:
-    """Invariant factors of {row: {col: value}}, nonzero entries only (reduced mod p when p is given).
+def _unit_heap_factors(rows: dict[int, dict[int, int]]) -> list[int]:
+    """Invariant factors of {row: {col: value}}, nonzero entries only.
 
-    Rows holding a unit wait in a heap keyed by (length, row) and are
+    Rows holding a unit (+-1) wait in a heap keyed by (length, row) and are
     revalidated lazily when popped; the non-unit remainder goes to the dense
     Smith normal form.  ``rows`` is consumed.
     """
@@ -349,8 +339,6 @@ def _unit_heap_factors(rows: dict[int, dict[int, int]], p: int | None) -> list[i
             cols.setdefault(c, set()).add(r)
 
     def has_unit(row: dict[int, int]) -> bool:
-        if p is not None:
-            return bool(row)
         return any(v == 1 or v == -1 for v in row.values())
 
     heap = [(len(row), r) for r, row in rows.items() if has_unit(row)]
@@ -366,16 +354,13 @@ def _unit_heap_factors(rows: dict[int, dict[int, int]], p: int | None) -> list[i
         if len(prow) != length:
             heapq.heappush(heap, (len(prow), r))
             continue
-        candidates = [c for c, v in prow.items() if p is not None or v == 1 or v == -1]
-        c = min(candidates, key=lambda j: (len(cols[j]), j))
-        inv = prow[c] if p is None else pow(prow[c], -1, p)  # +-1 is its own inverse
+        c = min((j for j, v in prow.items() if v == 1 or v == -1), key=lambda j: (len(cols[j]), j))
+        inv = prow[c]  # +-1 is its own inverse
         for r2 in cols[c] - {r}:
             row2 = rows[r2]
             mult = row2[c] * inv
             for c2, v2 in prow.items():
                 cur = row2.get(c2, 0) - mult * v2
-                if p is not None:
-                    cur %= p
                 if cur:
                     row2[c2] = cur
                     cols[c2].add(r2)
@@ -555,52 +540,54 @@ def _spanning_forest(edges: Sequence[tuple[int, int]]) -> set[int]:
 
 
 def reduced_homology(K: SimplicialComplex, R: RingSpec) -> HomologySummary:
-    """Reduced homology of K with coefficients in R.
+    """Reduced homology of K with coefficients in R, read off its integral homology.
+
+    The integral summary is computed once per complex and kept in
+    ``K._cache``; every ring, Z included, is read off it by
+    :func:`field_summary_from_integral`.
 
     Neither the incidence matrix of the 1-skeleton nor the rows of a spanning
     forest F are eliminated.  The edges of F map injectively onto the image of
     the boundary of C_1, which is a direct summand of C_0, so that boundary
-    has |F| invariant factors, all 1, over every ring.  Its kernel is a direct
-    summand of C_1 that projects isomorphically onto the non-forest edges, so
-    deleting the rows of F from the boundary of C_2 leaves its invariant
-    factors over Z, Q and F_p unchanged.
+    has |F| invariant factors, all 1.  Its kernel is a direct summand of C_1
+    that projects isomorphically onto the non-forest edges, so deleting the
+    rows of F from the boundary of C_2 leaves its invariant factors unchanged.
     """
-    cx = chain_complex(K)
-    dim = cx.dimension
-    if dim < 0:
-        return HomologySummary(R, (), ())
-    # Over Q the boundary ranks are the counts of nonzero integral factors.
-    factors = [[] for _ in range(dim + 2)]
-    forest = _spanning_forest(cx.faces[1]) if dim >= 1 else set()
-    factors[1] = [1] * len(forest)
-    for k in range(2, dim + 1):
-        factors[k] = _sparse_invariant_factors(_boundary_entries(cx.faces[k], forest if k == 2 else ()), R.p)
-    # Reduced homology: degree 0 loses one rank to the augmentation.
-    ranks = tuple(len(cx.bases[k]) - len(factors[k]) - len(factors[k + 1]) - (k == 0) for k in range(dim + 1))
-    torsion = tuple(tuple(d for d in factors[k + 1] if d > 1) if R.tag == "Z" else () for k in range(dim + 1))
-    return HomologySummary(R, ranks, torsion)
+    if "homology" not in K._cache:
+        cx = chain_complex(K)
+        dim = cx.dimension
+        factors = [[] for _ in range(dim + 2)]
+        if dim >= 1:
+            forest = _spanning_forest(cx.faces[1])
+            factors[1] = [1] * len(forest)
+            for k in range(2, dim + 1):
+                factors[k] = _sparse_invariant_factors(_boundary_entries(cx.faces[k], forest if k == 2 else ()))
+        # Reduced homology: degree 0 loses one rank to the augmentation.
+        ranks = tuple(len(cx.bases[k]) - len(factors[k]) - len(factors[k + 1]) - (k == 0) for k in range(dim + 1))
+        torsion = tuple(tuple(d for d in factors[k + 1] if d > 1) for k in range(dim + 1))
+        K._cache["homology"] = HomologySummary(RingSpec.Z(), ranks, torsion)
+    return field_summary_from_integral(K._cache["homology"], R)
 
 
 def field_summary_from_integral(z_summary: HomologySummary, R: RingSpec) -> HomologySummary:
-    """Derive a field-coefficient summary from integral data (universal coefficients).
+    """The summary over R of the integral summary ``z_summary`` (universal coefficients).
 
-    Over F_p the dimension in degree i is the free rank plus the number of
-    invariant factors divisible by p in degrees i and i-1; over Q it is the
-    free rank alone.
+    This is the one place where field homology follows from integral
+    homology, for :func:`reduced_homology` and for stored certificates alike.
+    Over Z it returns ``z_summary``; over Q the dimension in degree i is the
+    free rank; over F_p it is the free rank plus the number of invariant
+    factors divisible by p in degrees i and i-1.
     """
     if z_summary.ring.tag != "Z":
         raise ValueError("integral summary required")
     if not R.is_field:
         return z_summary
-    n = len(z_summary.ranks)
-    ranks = []
-    for i in range(n):
-        r = z_summary.ranks[i]
-        if R.tag == "Fp":
-            r += sum(1 for d in z_summary.torsion_in(i) if d % R.p == 0)
-            r += sum(1 for d in z_summary.torsion_in(i - 1) if d % R.p == 0)
-        ranks.append(r)
-    return HomologySummary(R, tuple(ranks), tuple(() for _ in range(n)))
+
+    def divisible(i: int) -> int:
+        return sum(d % R.p == 0 for d in z_summary.torsion_in(i)) if R.tag == "Fp" else 0
+
+    ranks = tuple(r + divisible(i) + divisible(i - 1) for i, r in enumerate(z_summary.ranks))
+    return HomologySummary(R, ranks, tuple(() for _ in ranks))
 
 
 def dump_summary(summary: HomologySummary) -> str:

@@ -187,6 +187,37 @@ def brute_flag(K: SimplicialComplex) -> bool:
     return True
 
 
+def field_rank(M: list[list[int]], p: int | None) -> int:
+    """Rank of an integer matrix over F_p (or Q when p is None) by dense row reduction."""
+    M = [[v % p if p is not None else Fraction(v) for v in row] for row in M]
+    if not M or not M[0]:
+        return 0
+    rows, cols = len(M), len(M[0])
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if M[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        inv = pow(M[r][c], -1, p) if p is not None else 1 / M[r][c]
+        M[r] = [x * inv % p if p is not None else x * inv for x in M[r]]
+        for i in range(rows):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [
+                    (a - f * b) % p if p is not None else a - f * b
+                    for a, b in zip(M[i], M[r])
+                ]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
 def field_betti_numbers(K: SimplicialComplex, p: int | None) -> list[int]:
     """Reduced betti numbers over F_p (or Q when p is None) by dense row reduction."""
     dim = K.dimension
@@ -195,50 +226,16 @@ def field_betti_numbers(K: SimplicialComplex, p: int | None) -> list[int]:
     bases = [sorted(s for s in K.simplices if len(s) == k + 1) for k in range(dim + 1)]
     index = [{s: i for i, s in enumerate(b)} for b in bases]
 
-    def boundary(k: int) -> list[list]:
-        zero = 0 if p is not None else Fraction(0)
-        rows = len(bases[k - 1])
-        cols = len(bases[k])
-        M = [[zero] * cols for _ in range(rows)]
+    def boundary(k: int) -> list[list[int]]:
+        M = [[0] * len(bases[k]) for _ in bases[k - 1]]
         for c, s in enumerate(bases[k]):
             for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                val = -1 if i % 2 else 1
-                M[index[k - 1][face]][c] = (val % p) if p is not None else Fraction(val)
+                M[index[k - 1][s[:i] + s[i + 1 :]]][c] = -1 if i % 2 else 1
         return M
-
-    def rank(M: list[list]) -> int:
-        if not M or not M[0]:
-            return 0
-        M = [row[:] for row in M]
-        rows, cols = len(M), len(M[0])
-        r = 0
-        for c in range(cols):
-            pivot = None
-            for i in range(r, rows):
-                if M[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            M[r], M[pivot] = M[pivot], M[r]
-            inv = pow(M[r][c], -1, p) if p is not None else 1 / M[r][c]
-            M[r] = [x * inv % p if p is not None else x * inv for x in M[r]]
-            for i in range(rows):
-                if i != r and M[i][c]:
-                    f = M[i][c]
-                    M[i] = [
-                        (a - f * b) % p if p is not None else a - f * b
-                        for a, b in zip(M[i], M[r])
-                    ]
-            r += 1
-            if r == rows:
-                break
-        return r
 
     ranks = [0] * (dim + 2)
     for k in range(1, dim + 1):
-        ranks[k] = rank(boundary(k))
+        ranks[k] = field_rank(boundary(k), p)
     betti = []
     for k in range(dim + 1):
         b = len(bases[k]) - ranks[k] - ranks[k + 1]

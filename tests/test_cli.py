@@ -19,6 +19,7 @@ from fpforge.complex_core import (
 )
 from fpforge.covers import VoltageAssignment, double_cover_voltages, dump_voltage
 from fpforge.groups import LoopWord, presentation_to_json, tagged_family_presentation
+from fpforge.homology import load_summary
 from fpforge.sigma import (
     choose_constants,
     dump_registry,
@@ -129,6 +130,14 @@ class TestHomology:
         assert cert["ring"] == "Z"
         by_degree = {d["degree"]: d for d in cert["degrees"]}
         assert by_degree[1]["torsion"] == [2] and by_degree[1]["rank"] == 0
+
+    def test_field_summary_file_reads_back_as_printed(self, tmp_path, capsys):
+        K = flagify_presentation_complex(GroupPresentationInput(1, [[1, 1, 1]]))  # H~1 = Z/3
+        cpath = write(tmp_path / "k.json", json.dumps(K.to_json_dict()))
+        out = tmp_path / "f3.json"
+        assert main(["homology", "--complex", cpath, "--ring", "F3", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == str(load_summary(str(out))) + "\n" == "[F3] H~1: rank 1; H~2: rank 1\n"
 
     @pytest.mark.parametrize("ring", ["Z", "Q", "F3"])
     @pytest.mark.parametrize("space", ["sd2_rp2", "flag_a2", "flag_ab"])

@@ -595,6 +595,11 @@ class TestFormats:
         assert w.letters == (1, -2, -1)
         assert p.word_str(w) == "a b' a'"
 
+    @pytest.mark.parametrize("letters, first", [([1, 3, -4], 3), ([2, -1, -3, 5], -3), ([-7], -7)])
+    def test_out_of_range_letter_is_named(self, letters, first):
+        with pytest.raises(ValueError, match=rf"^letter {first} out of range$"):
+            Presentation(["a", "b"], [Word([1, 2]), Word(letters)])
+
 
 class TestSpanningTreeWords:
     def test_cycle_has_one_generator(self):

@@ -22,14 +22,15 @@ from fpforge.homology import (
     dump_summary,
     field_summary_from_integral,
     invariant_factors,
+    load_summary,
     reduced_homology,
     smith_normal_form,
     snf_diagonal,
 )
 
 from helpers import (
-    RP2_FACETS, boundary_dense, determinant, field_betti_numbers, matmul, minor_gcd_invariants, reference_boundaries,
-    reference_composition_zero, reference_faces,
+    RP2_FACETS, boundary_dense, determinant, field_betti_numbers, field_rank, matmul, minor_gcd_invariants,
+    reference_boundaries, reference_composition_zero, reference_faces,
 )
 
 
@@ -95,9 +96,9 @@ def heap_inputs(monkeypatch):
     seen = []
     heap = homology._unit_heap_factors
 
-    def spy(rows, p):
+    def spy(rows):
         seen.append({r: dict(row) for r, row in rows.items()})
-        return heap(rows, p)
+        return heap(rows)
 
     monkeypatch.setattr(homology, "_unit_heap_factors", spy)
     return seen
@@ -129,16 +130,16 @@ def corrupted_complexes(draw):
     return SimplicialComplex(K.vertices, simplices)
 
 
-def full_kernel_homology(K, R):
-    """Reference reduced homology: every boundary, forest rows included, goes through the sparse kernel."""
+def full_kernel_homology(K):
+    """Reference reduced integral homology: every boundary, forest rows included, goes through the sparse kernel."""
     cx = chain_complex(K)
     dim = cx.dimension
     if dim < 0:
-        return HomologySummary(R, (), ())
-    factors = [[]] + [_sparse_invariant_factors(cx.boundaries[k], R.p) for k in range(1, dim + 1)] + [[]]
+        return HomologySummary(RingSpec.Z(), (), ())
+    factors = [[]] + [_sparse_invariant_factors(cx.boundaries[k]) for k in range(1, dim + 1)] + [[]]
     ranks = tuple(len(cx.bases[k]) - len(factors[k]) - len(factors[k + 1]) - (k == 0) for k in range(dim + 1))
-    torsion = tuple(tuple(d for d in factors[k + 1] if d > 1) if R.tag == "Z" else () for k in range(dim + 1))
-    return HomologySummary(R, ranks, torsion)
+    torsion = tuple(tuple(d for d in factors[k + 1] if d > 1) for k in range(dim + 1))
+    return HomologySummary(RingSpec.Z(), ranks, torsion)
 
 
 def trial_division_is_prime(n):
@@ -365,10 +366,9 @@ class TestSparseKernel:
 
     @given(sparse_matrices(), st.sampled_from([2, 3, 5]))
     def test_mod_p_rank_obeys_universal_coefficients(self, matrix, p):
+        # The rank mod p counts the integral invariant factors prime to p.
         entries, dense = matrix
-        factors = _sparse_invariant_factors(entries, p)
-        assert set(factors) <= {1}
-        assert len(factors) == sum(1 for d in invariant_factors(dense) if d % p)
+        assert sum(1 for d in _sparse_invariant_factors(entries) if d % p) == field_rank(dense, p)
 
 
 class TestDualForestPhase:
@@ -380,8 +380,6 @@ class TestDualForestPhase:
     def test_matches_dense_smith_form(self, matrix):
         entries, dense = matrix
         assert _sparse_invariant_factors(entries) == invariant_factors(dense)
-        for p in (2, 3, 5):
-            assert _sparse_invariant_factors(entries, p) == [1] * sum(1 for d in invariant_factors(dense) if d % p)
 
     @pytest.mark.parametrize("space", ["rp2", "klein"])
     def test_torsion_comes_from_a_two_entry(self, space, monkeypatch):
@@ -399,8 +397,6 @@ class TestDualForestPhase:
         seen = heap_inputs(monkeypatch)
         assert _sparse_invariant_factors({(0, 0): 1, (1, 0): 1, (1, 1): 2}) == [1, 2]
         assert seen == [{1: {1: 2}}]
-        assert _sparse_invariant_factors({(0, 0): 1, (1, 0): 1, (1, 1): 2}, 3) == [1, 1]
-        assert _sparse_invariant_factors({(0, 0): 1, (1, 0): 1, (1, 1): 2}, 2) == [1]
 
     def test_dual_cycle_leaves_a_two_for_the_heap(self, monkeypatch):
         # Row 0 links column 0 to -1 times column 1; row 1 then reads as {1: -2}.
@@ -449,16 +445,26 @@ class TestReducedHomology:
                 ring = RingSpec.Q() if p is None else RingSpec.Fp(p)
                 assert list(reduced_homology(K, ring).ranks) == field_betti_numbers(K, p)
 
-    def test_universal_coefficients_against_direct_computation(self):
-        rng = random.Random(23)
-        for _ in range(15):
-            K = random_complex(rng)
-            z = reduced_homology(K, RingSpec.Z())
-            for p in (2, 3, 5):
-                derived = field_summary_from_integral(z, RingSpec.Fp(p))
-                direct = reduced_homology(K, RingSpec.Fp(p))
-                assert derived == direct
-            assert field_summary_from_integral(z, RingSpec.Q()) == reduced_homology(K, RingSpec.Q())
+    @given(complexes())
+    @example(SimplicialComplex.from_facets([]))
+    @example(SimplicialComplex.from_facets(RP2_FACETS, vertices=[0]))
+    @example(klein_bottle())
+    def test_field_ranks_follow_from_integral_homology(self, K):
+        for p in (2, 3, 5, 7):
+            assert list(reduced_homology(K, RingSpec.Fp(p)).ranks) == field_betti_numbers(K, p)
+        assert list(reduced_homology(K, RingSpec.Q()).ranks) == field_betti_numbers(K, None)
+
+    def test_one_elimination_per_dimension_for_every_ring(self, monkeypatch):
+        K = SimplicialComplex.from_facets([*RP2_FACETS, [7, 8, 9, 10], [1, 7]])
+        calls = []
+        kernel = homology._sparse_invariant_factors
+        monkeypatch.setattr(homology, "_sparse_invariant_factors", lambda entries: calls.append(1) or kernel(entries))
+        summaries = [reduced_homology(K, ring) for ring in map(RingSpec.parse, ("Z", "Q", "F2", "F3"))]
+        assert len(calls) == K.dimension - 1 == 2
+        z = summaries[0]
+        assert z.torsion_in(1) == (2,) and z.ranks == (0, 0, 0, 0)
+        assert summaries[1:] == [field_summary_from_integral(z, s.ring) for s in summaries[1:]]
+        assert [s.ranks for s in summaries[1:]] == [(0, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 0)]
 
 
 class TestSpanningForest:
@@ -469,8 +475,7 @@ class TestSpanningForest:
     @example(SimplicialComplex.from_facets([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4], [0, 2, 3, 4], [1, 2, 3, 4], [5, 6, 7]]))
     @example(SimplicialComplex.from_facets(RP2_FACETS, vertices=[0]))
     def test_matches_full_kernel_reference(self, K):
-        for ring in (RingSpec.Z(), RingSpec.Q(), RingSpec.Fp(2), RingSpec.Fp(3), RingSpec.Fp(5)):
-            assert reduced_homology(K, ring) == full_kernel_homology(K, ring)
+        assert reduced_homology(K, RingSpec.Z()) == full_kernel_homology(K)
 
     @pytest.mark.parametrize("space", ["sd2_rp2", "flag_a2"])
     def test_forest_rows_leave_invariant_factors_unchanged(self, space):
@@ -482,8 +487,7 @@ class TestSpanningForest:
         forest = _spanning_forest(cx.bases[1])
         assert len(forest) == len(cx.bases[0]) - 1
         cut = {(r, c): v for (r, c), v in cx.boundaries[2].items() if r not in forest}
-        for p in (None, 2, 3):
-            assert _sparse_invariant_factors(cut, p) == _sparse_invariant_factors(cx.boundaries[2], p)
+        assert _sparse_invariant_factors(cut) == _sparse_invariant_factors(cx.boundaries[2])
         assert sorted(_sparse_invariant_factors(cut))[-1] == 2
 
 
@@ -495,6 +499,20 @@ class TestSummaryJson:
         again = HomologySummary.from_json_dict(json.loads(text))
         assert again == summary
         assert dump_summary(again) == text
+
+    @pytest.mark.parametrize(
+        "summary",
+        [
+            HomologySummary(RingSpec.Z(), (0, 1, 2), ((), (2, 6), (5,))),
+            HomologySummary(RingSpec.Q(), (0, 1, 2), ((), (), ())),
+            HomologySummary(RingSpec.Fp(3), (2, 0, 1), ((), (), ())),
+        ],
+        ids=["Z-torsion", "Q", "F3"],
+    )
+    def test_load_summary_reads_back_the_dump(self, tmp_path, summary):
+        path = tmp_path / "summary.json"
+        path.write_text(dump_summary(summary))
+        assert load_summary(str(path)) == summary
 
     def test_field_summary_carries_no_torsion(self):
         with pytest.raises(ValueError):
