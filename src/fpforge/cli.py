@@ -29,7 +29,9 @@ _CLOSURE_NOTE = (
 COMPLEX_FORMAT = 'complex JSON: {"vertices": [0, 1, 2], "facets": [[0, 1, 2]]}; ' + _CLOSURE_NOTE
 VOLTAGE_FORMAT = (
     'voltage JSON: {"base": <complex>, "degree": 2, '
-    '"voltages": [{"edge": [2, 3], "perm": [2, 1]}]} (tree edges implied identity); ' + _CLOSURE_NOTE
+    '"voltages": [{"edge": [2, 3], "perm": [2, 1]}]} (tree edges implied identity); ' + _CLOSURE_NOTE + "; "
+    f"a degree whose cover would hold more than {complex_core._CLOSURE_CAP} simplices (the degree times the number "
+    "of base simplices) is refused with exit code 1"
 )
 GRAPH_FORMAT = 'graph JSON: {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [0, 2]]}'
 SPREADS_FORMAT = (

@@ -128,7 +128,18 @@ def _normalize_simplex(simplex: Iterable[int]) -> tuple[int, ...]:
 
 # ``from_facets`` refuses facets whose downward closure could hold more
 # simplices than this: the sum of 2^|facet| - 1 over the distinct facets.
+# A voltage assignment refuses a degree whose cover would hold more.
 _CLOSURE_CAP = 1 << 24
+
+
+def _check_closure_cap(count: int, error: type[Exception], holds: str, counted: str) -> None:
+    """Raise ``error`` when ``count`` simplices, counted as ``counted`` says, exceed ``_CLOSURE_CAP``."""
+    if count > _CLOSURE_CAP:
+        shown = count if count.bit_length() <= 64 else f"more than 2^{count.bit_length() - 1}"
+        raise error(
+            f"{holds} {shown} simplices ({counted}), "
+            f"over the closure cap of {_CLOSURE_CAP} (2^{_CLOSURE_CAP.bit_length() - 1})"
+        )
 
 
 class SimplicialComplex:
@@ -164,12 +175,7 @@ class SimplicialComplex:
         if 0 in layers:
             raise ComplexError("empty facet")
         bound = sum(((1 << n) - 1) * len(fs) for n, fs in layers.items())
-        if bound > _CLOSURE_CAP:
-            shown = bound if bound.bit_length() <= 64 else f"more than 2^{bound.bit_length() - 1}"
-            raise ComplexError(
-                f"facets may close to {shown} simplices (the sum of 2^|facet| - 1), "
-                f"over the closure cap of {_CLOSURE_CAP} (2^{_CLOSURE_CAP.bit_length() - 1})"
-            )
+        _check_closure_cap(bound, ComplexError, "facets may close to", "the sum of 2^|facet| - 1")
         top = max(layers, default=0) if len(layers) <= 1 else None  # distinct facets of one size
         for n in range(max(layers, default=1), 1, -1):
             layers.setdefault(n - 1, set()).update(chain.from_iterable(map(combinations, layers[n], repeat(n - 1))))

@@ -29,6 +29,7 @@ from .complex_core import (
     ComplexError,
     FormatError,
     SimplicialComplex,
+    _check_closure_cap,
     _json_field,
     _json_items,
     _json_list,
@@ -101,6 +102,8 @@ class VoltageAssignment:
         _connected_tree(base, message)
         if degree < 1:
             raise CoverError("cover degree must be positive")
+        n = len(base.simplices)
+        _check_closure_cap(degree * n, CoverError, "the cover would hold", f"degree times {n} base simplices")
         self.base = base
         self.degree = int(degree)
         self.spanning_tree = spanning_tree(base)

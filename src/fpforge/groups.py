@@ -472,12 +472,12 @@ def abelianization(p: Presentation) -> AbelianizationResult:
     Uses the sparse elimination kernel; a positive free rank proves the
     presented group infinite.
     """
-    entries: dict[tuple[int, int], int] = {}
+    rows: dict[int, dict[int, int]] = {}
     for i, w in enumerate(p.relators):
         c = Counter(w.letters)
-        for g in {abs(x) for x in c}:
-            entries[i, g - 1] = c[g] - c[-g]
-    factors = _sparse_invariant_factors(entries)
+        if row := {g - 1: e for g in {abs(x) for x in c} if (e := c[g] - c[-g])}:
+            rows[i] = row
+    factors = _sparse_invariant_factors(rows)
     return AbelianizationResult(len(p.generators) - len(factors), tuple(d for d in factors if d > 1))
 
 

@@ -1,41 +1,50 @@
 """Exact simplicial chain complexes and reduced homology.
 
-One sparse elimination kernel, over Z only, works in two phases.
-Phase 1 visits each row once, shortest first, and reads it through a signed
-union-find on columns: a row of two unit entries links one column to a
-signed multiple of the other, a row of one unit entry clears its column, and
-other rows are kept.  On a 2-complex this merges triangles across shared
-edges (the tree-cotree reduction); going around a dual cycle leaves an entry
-0 or +-2, which is where RP^2's Z/2 comes from.  Phase 2 peels the unit
-pivots (+-1 entries) of the kept rows, sparsest row and column first, and
-hands any non-unit remainder to the dense Smith normal form.  Both phases
-preserve invariant factors because a cleared unit pivot splits off as a
-diag(1, rest) block.  Entries are never reduced modulo anything.  Fields
-are read off the integral run: ``reduced_homology`` eliminates each complex
-once, keeps its integral summary in ``_cache``, and derives every ring from
-it by universal coefficients (``field_summary_from_integral``).
+One sparse elimination kernel, over Z only, takes a matrix as
+{row: {col: value}}: ``reduced_homology`` builds those rows from the face
+tuples in one pass, and ``groups.abelianization`` from each relator's letter
+counts.  It works in two phases.  Phase 1 visits each row once, shortest
+first, and reads it through a signed union-find on columns when it touches a
+linked column: a row of two unit entries links one column to a signed
+multiple of the other, a row of one unit entry clears its column, and other
+rows are kept.  On a 2-complex this merges triangles across shared edges
+(the tree-cotree reduction); going around a dual cycle leaves an entry 0 or
++-2, which is where RP^2's Z/2 comes from.  Phase 2 takes the kept rows from
+one heap, unit rows first and sparsest first, and pivots on the popped row's
+least |entry|: floor-quotient row and column operations move the pivot to
+any smaller remainder until it stands alone (Havas, Holt and Rees, Linear
+Algebra Appl. 192, 1993; Dumas, Saunders and Villard, J. Symbolic Comput.
+32, 2001).  Every step splits off a diag(d, rest) block, so no row goes to a
+dense matrix.  The non-unit pivots are pooled into a divisibility chain over
+a coprime base, without factoring any entry.  Entries are never reduced
+modulo anything.  Fields are read off the integral run: ``reduced_homology``
+eliminates each complex once, keeps its integral summary in ``_cache``, and
+derives every ring from it by universal coefficients
+(``field_summary_from_integral``).
 
 A chain complex holds, per dimension, the sorted basis and one tuple of face
 indices per simplex: position i names the face without vertex i, which
 carries sign (-1)^i.  Faces are looked up one vertex column at a time: the
 faces without vertex i of every k-simplex are the lookups of the other k
 columns zipped together, and the face tuples zip those k + 1 lookups.  ∂∂ = 0
-is checked per dimension the same way, one (face, vertex) column at a time,
-and sparse boundary dicts are built only on demand.
+is checked per dimension the same way, one (face, vertex) column at a time.
 
 Reduced homology eliminates neither the edge boundary nor the rows of the
 triangle boundary that belong to a spanning forest of the 1-skeleton: the
 edge boundary's factors are one 1 per forest edge, and deleting forest rows
 leaves the triangle boundary's factors unchanged (see ``reduced_homology``).
 
-The dense Smith normal form stays public as the reference routine: it returns
-the diagonal together with unimodular transforms U, V satisfying U*A*V = D.
+The dense Smith normal form stays public as the reference routine and for
+the spectrum's lattice work: it returns the diagonal together with
+unimodular transforms U, V satisfying U*A*V = D.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from operator import ne
 from typing import Container, Mapping, Sequence
 
@@ -264,23 +273,20 @@ def invariant_factors(A: Sequence[Sequence[int]]) -> list[int]:
 # Sparse elimination (internal engine for chain complexes)
 
 
-def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int]) -> list[int]:
-    """Invariant factors of a sparse integer matrix given as {(row, col): value}.
+def _sparse_invariant_factors(rows: dict[int, dict[int, int]]) -> list[int]:
+    """Invariant factors of a sparse integer matrix given as {row: {col: value}}, nonzero values only.
 
     Phase 1 visits the rows once, in (length, row) order, and reads each one
     through a signed union-find on columns, in which a linked column stands
-    for a factor times its parent.  A row that reads as two unit entries
-    e_a, e_b pivots on e_a and links column a to b with factor -e_b/e_a; one
-    unit entry clears its column; other rows are kept.  Exactness: the column
-    operation that clears e_b and the row operations that clear column a are
-    invertible over Z, and leave every other row reading column a as
-    -e_b/e_a times column b, so each step splits off one factor 1.  The kept
-    rows, read through the final links, go to :func:`_unit_heap_factors`.
+    for a factor times its parent; a row that touches no linked column is
+    taken as it is.  A row that reads as two unit entries e_a, e_b pivots on
+    e_a and links column a to b with factor -e_b/e_a; one unit entry clears
+    its column; other rows are kept.  Exactness: the column operation that
+    clears e_b and the row operations that clear column a are invertible over
+    Z, and leave every other row reading column a as -e_b/e_a times column b,
+    so each step splits off one factor 1.  The kept rows, read through the
+    final links, go to :func:`_least_entry_factors`.  ``rows`` is consumed.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for (r, c), v in entries.items():
-        if v:
-            rows.setdefault(r, {})[c] = v
     link: dict[int, tuple[int | None, int]] = {}  # column -> (parent, factor); parent None: cleared
 
     def find(c: int) -> tuple[int | None, int]:
@@ -296,93 +302,163 @@ def _sparse_invariant_factors(entries: Mapping[tuple[int, int], int]) -> list[in
         return c, f
 
     def read(row: dict[int, int]) -> dict[int, int]:
-        if link.keys().isdisjoint(row):
-            return row  # no column of the row is linked
         out: dict[int, int] = {}
         for c, v in row.items():
             if c in link:
-                c, f = find(c)
-                if c is None:
+                root, f = link[c]
+                if root in link:
+                    root, f = find(c)
+                if root is None:
                     continue
-                v *= f
-            out[c] = out.get(c, 0) + v
-        return {c: v for c, v in out.items() if v}
+                c, v = root, v * f
+            if c in out:
+                v += out.pop(c)
+                if not v:
+                    continue
+            out[c] = v
+        return out
 
+    unlinked = link.keys().isdisjoint
     units = 0
     kept = []
-    for _, r in sorted(zip(map(len, rows.values()), rows)):
-        row = read(rows[r])
-        if 0 < len(row) <= 2 and {1, -1}.issuperset(row.values()):
-            (a, ea), *other = row.items()
-            if other:  # ea = +-1 is its own inverse
-                ((b, eb),) = other
+    for n, r, row in sorted(zip(map(len, rows.values()), rows, rows.values())):  # (n, r) is unique
+        if not unlinked(row):
+            row = read(row)
+            n = len(row)
+        if n == 2:
+            (a, ea), (b, eb) = row.items()
+            if abs(ea) == 1 == abs(eb):  # ea = +-1 is its own inverse
                 link[a] = (b, -eb * ea)
-            else:
+                units += 1
+                continue
+        elif n == 1:
+            ((a, ea),) = row.items()
+            if abs(ea) == 1:
                 link[a] = (None, 0)
-            units += 1
-        else:
-            kept.append(r)
-    rest = {r: row for r in kept if (row := read(rows[r]))}
-    return [1] * units + _unit_heap_factors(rest)
+                units += 1
+                continue
+        kept.append(r)
+    rest = {}
+    for r in kept:
+        row = rows[r]
+        if row and (unlinked(row) or (row := read(row))):
+            rest[r] = row
+    return [1] * units + _least_entry_factors(rest)
 
 
-def _unit_heap_factors(rows: dict[int, dict[int, int]]) -> list[int]:
-    """Invariant factors of {row: {col: value}}, nonzero entries only.
+def _least_entry_factors(rows: dict[int, dict[int, int]]) -> list[int]:
+    """Invariant factors of {row: {col: value}}, nonzero entries only; ``rows`` is consumed.
 
-    Rows holding a unit (+-1) wait in a heap keyed by (length, row) and are
-    revalidated lazily when popped; the non-unit remainder goes to the dense
-    Smith normal form.  ``rows`` is consumed.
+    Rows wait in one heap keyed by (no unit entry, length, row) and are
+    revalidated lazily when popped, so unit rows come first, sparsest first.
+    The pivot is the popped row's least |entry|, in its sparsest column.  Row
+    operations reduce the pivot's column by floor quotients; a nonzero
+    remainder is strictly smaller than the pivot and becomes the next one.
+    Once the column holds the pivot alone, column operations reduce its row
+    the same way.  The pivot's |value| falls with every move, so it ends
+    alone in its row and column: a diag(|pivot|, rest) block.  Unit pivots
+    are counted; the rest are pooled by :func:`_divisibility_chain`.
     """
     cols: dict[int, set[int]] = {}
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
 
-    def has_unit(row: dict[int, int]) -> bool:
-        return any(v == 1 or v == -1 for v in row.values())
+    def key(r: int) -> tuple[bool, int, int]:
+        values = rows[r].values()
+        return (not (1 in values or -1 in values), len(values), r)
 
-    heap = [(len(row), r) for r, row in rows.items() if has_unit(row)]
+    heap = list(map(key, rows))
     heapq.heapify(heap)
     units = 0
+    diagonal = []
     while heap:
-        length, r = heapq.heappop(heap)
-        prow = rows.get(r)
-        if prow is None:
+        popped = heapq.heappop(heap)
+        r = popped[2]
+        if r not in rows:
             continue
-        if not has_unit(prow):
+        if popped != (now := key(r)):
+            heapq.heappush(heap, now)
             continue
-        if len(prow) != length:
-            heapq.heappush(heap, (len(prow), r))
-            continue
-        c = min((j for j, v in prow.items() if v == 1 or v == -1), key=lambda j: (len(cols[j]), j))
-        inv = prow[c]  # +-1 is its own inverse
-        for r2 in cols[c] - {r}:
-            row2 = rows[r2]
-            mult = row2[c] * inv
-            for c2, v2 in prow.items():
-                cur = row2.get(c2, 0) - mult * v2
-                if cur:
-                    row2[c2] = cur
-                    cols[c2].add(r2)
-                elif c2 in row2:
-                    del row2[c2]
-                    cols[c2].discard(r2)
-            if not row2:
-                del rows[r2]
-            elif has_unit(row2):
-                heapq.heappush(heap, (len(row2), r2))
-        for c2 in prow:
-            cols[c2].discard(r)
-        del rows[r]
-        units += 1
+        prow = rows[r]
+        c = min(prow, key=lambda j: (abs(prow[j]), len(cols[j]), j))
+        while True:
+            piv = prow[c]
+            for r2 in cols[c] - {r}:  # row operations: column c keeps remainders only
+                row2 = rows[r2]
+                if not (q := row2[c] // piv):
+                    continue
+                for c2, v in prow.items():
+                    cur = row2.get(c2, 0) - q * v
+                    if cur:
+                        row2[c2] = cur
+                        cols[c2].add(r2)
+                    elif c2 in row2:
+                        del row2[c2]
+                        cols[c2].discard(r2)
+                if row2:
+                    heapq.heappush(heap, key(r2))
+                else:
+                    del rows[r2]
+            if len(cols[c]) > 1:
+                heapq.heappush(heap, key(r))
+                r = min(cols[c] - {r}, key=lambda i: (abs(rows[i][c]), i))
+                prow = rows[r]
+                continue
+            for c2, v in list(prow.items()):  # column operations: column c holds the pivot alone
+                if c2 != c:
+                    if v := v % piv:
+                        prow[c2] = v
+                    else:
+                        del prow[c2]
+                        cols[c2].discard(r)
+            if len(prow) == 1:
+                break
+            c = min((j for j in prow if j != c), key=lambda j: (abs(prow[j]), j))
+        del rows[r], cols[c]
+        if abs(piv) == 1:
+            units += 1
+        else:
+            diagonal.append(abs(piv))
+    return [1] * units + _divisibility_chain(diagonal)
 
-    factors = [1] * units
-    remaining = sorted(rows)
-    if remaining:
-        col_ids = sorted({c for r in remaining for c in rows[r]})
-        dense = [[rows[r].get(c, 0) for c in col_ids] for r in remaining]
-        factors.extend(invariant_factors(dense))
-    return factors
+
+def _divisibility_chain(diagonal: list[int]) -> list[int]:
+    """The invariant factors of diag(``diagonal``), entries > 0, without factoring any entry.
+
+    Factor refinement splits the distinct entries over a coprime base: a
+    number that shares g > 1 with a base element b is replaced, with b, by
+    b/g, g and itself over g, until every base element is coprime to every
+    other (Bach, Driscoll and Shallit, J. Algorithms 15, 1993).  Each entry is
+    then a product of powers of base elements, and the i-th smallest exponent
+    of b over all entries goes to the i-th invariant factor.
+    """
+    counts = Counter(diagonal)
+    base: list[int] = []
+    todo = [d for d in counts if d > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            if (g := gcd(x, b)) > 1:
+                del base[i]
+                todo += [y for y in (b // g, g, x // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    chain = [1] * len(diagonal)
+    for b in base:
+        exponents = []
+        for d, k in counts.items():
+            e = 0
+            while d % b == 0:
+                d //= b
+                e += 1
+            exponents += [e] * k
+        exponents.sort()
+        for i, e in enumerate(exponents):
+            if e:
+                chain[i] *= b**e
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +486,25 @@ class ChainComplex:
 
     @property
     def boundaries(self) -> list[dict[tuple[int, int], int]]:
-        """Each C_k -> C_{k-1} as {(row, col): +-1}, built from the face tuples on every access."""
-        return [_boundary_entries(faces) for faces in self.faces]
+        """Each C_k -> C_{k-1} as {(row, col): +-1}, derived from the face tuples on every access.
+
+        This is a view for readers outside the elimination, such as tests and
+        the benchmark's tracer: the sparse kernel never reads it, and takes
+        its rows from the face tuples instead.
+        """
+        return [{(r, c): v for r, row in _boundary_rows(faces).items() for c, v in row.items()} for faces in self.faces]
 
 
-def _boundary_entries(faces: Sequence[Sequence[int]], skip_rows: Container[int] = ()) -> dict[tuple[int, int], int]:
-    """One dimension's boundary as {(row, col): +-1}, without the rows in ``skip_rows``."""
-    return {(r, c): -1 if i % 2 else 1 for c, ids in enumerate(faces) for i, r in enumerate(ids) if r not in skip_rows}
+def _boundary_rows(faces: Sequence[Sequence[int]], skip: Container[int] = ()) -> dict[int, dict[int, int]]:
+    """One dimension's boundary as {row: {col: +-1}}, without the rows in ``skip``; position i carries (-1)^i."""
+    rows: dict[int, dict[int, int]] = {}
+    for c, ids in enumerate(faces):
+        v = 1
+        for r in ids:
+            if r not in skip:
+                rows.setdefault(r, {})[c] = v
+            v = -v
+    return rows
 
 
 def chain_complex(K: SimplicialComplex) -> ChainComplex:
@@ -523,18 +611,14 @@ class HomologySummary:
 def _spanning_forest(edges: Sequence[tuple[int, int]]) -> set[int]:
     """Indices of the edges a union-find pass in list order keeps as a spanning forest."""
     parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent.setdefault(v, v) != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     forest = set()
     for i, (u, w) in enumerate(edges):
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
+        while (pu := parent.setdefault(u, u)) != u:  # find with path halving, for both ends
+            parent[u] = u = parent[pu]
+        while (pw := parent.setdefault(w, w)) != w:
+            parent[w] = w = parent[pw]
+        if u != w:
+            parent[u] = w
             forest.add(i)
     return forest
 
@@ -561,7 +645,7 @@ def reduced_homology(K: SimplicialComplex, R: RingSpec) -> HomologySummary:
             forest = _spanning_forest(cx.faces[1])
             factors[1] = [1] * len(forest)
             for k in range(2, dim + 1):
-                factors[k] = _sparse_invariant_factors(_boundary_entries(cx.faces[k], forest if k == 2 else ()))
+                factors[k] = _sparse_invariant_factors(_boundary_rows(cx.faces[k], forest if k == 2 else ()))
         # Reduced homology: degree 0 loses one rank to the augmentation.
         ranks = tuple(len(cx.bases[k]) - len(factors[k]) - len(factors[k + 1]) - (k == 0) for k in range(dim + 1))
         torsion = tuple(tuple(d for d in factors[k + 1] if d > 1) for k in range(dim + 1))

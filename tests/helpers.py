@@ -375,6 +375,15 @@ def reference_boundaries(K: SimplicialComplex) -> list[dict[tuple[int, int], int
     return boundaries
 
 
+def kernel_rows(entries: dict[tuple[int, int], int]) -> dict[int, dict[int, int]]:
+    """A sparse matrix given as {(row, col): value} in the kernel's input form: {row: {col: value}}, nonzero only."""
+    rows: dict[int, dict[int, int]] = {}
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+    return rows
+
+
 def boundary_dense(cx, k: int) -> list[list[int]]:
     """The k-th boundary matrix of a chain complex as a dense list of rows."""
     rows = len(cx.bases[k - 1]) if k >= 1 else 0

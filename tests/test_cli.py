@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -595,6 +596,29 @@ def test_spreads_over_the_cap_are_refused_in_bounded_memory(tmp_path, delta2, he
         assert len(json.loads(jout.read_text())["relators"][-1]["letters"]) == 3 * height
 
 
+def test_a_cover_degree_over_the_cap_is_refused_in_bounded_memory(tmp_path):
+    """A 65-byte voltage file of degree 10^11 over one triangle: exit code 1 and one line, before any permutation."""
+    voltage = write(tmp_path / "degree.json", '{"base": {"facets": [[0,1,2]]}, "degree": 100000000000, "voltages": []}')
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from fpforge.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    run = _python("-c", script, "cover", "--voltage", voltage, "--ring", "Z", timeout=20)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == (
+        "fpforge: the cover would hold 700000000000 simplices (degree times 7 base simplices), "
+        "over the closure cap of 16777216 (2^24)\n"
+    )
+
+
+def test_cover_help_names_the_degree_cap(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["cover", "--help"])
+    assert "a degree whose cover would hold more than 16777216 simplices" in " ".join(capsys.readouterr().out.split())
+
+
 def test_present_help_names_the_spread_cap(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["present", "--help"])
@@ -666,3 +690,46 @@ def test_any_damaged_input_keeps_the_documented_exit_codes(tmp_path_factory, sit
     f = write(tmp_path_factory.mktemp("fuzz") / "in.json", json.dumps(doc))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv + [f]) in (0, 1, 2)
+
+
+def _console_script_step() -> str:
+    """The ``run:`` block of the "Installed console script" step of the Tier-1 workflow, dedented."""
+    workflow = os.path.join(os.path.dirname(SRC), ".github", "workflows", "tier1.yml")
+    with open(workflow, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("      - name: Installed console script")
+    assert lines[start + 1] == "        run: |"
+    block = []
+    for line in lines[start + 2 :]:
+        if line.strip() and not line.startswith("          "):
+            break
+        block.append(line[10:])
+    return "\n".join(block) + "\n"
+
+
+def test_the_ci_console_script_step_passes(tmp_path):
+    """The CI step runs as Actions runs it (bash -e, with pipefail), but without its ``pip install .`` line:
+    a two-line ``fpforge`` shim on PATH stands in for the installed console script, so the test installs nothing."""
+    if shutil.which("bash") is None:
+        pytest.skip("bash is missing, and the CI step is a bash script")
+    step = _console_script_step()
+    script = step.replace("python -m pip install .\n", "", 1)
+    assert step.count("pip install") == 1 and "pip install" not in script
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "fpforge"
+    shim.write_text('#!/bin/sh\nexec python -m fpforge.cli "$@"\n', encoding="utf-8")
+    shim.chmod(0o755)
+    (bin_dir / "python").symlink_to(sys.executable)
+    (tmp_path / "step.sh").write_text(script, encoding="utf-8")
+    env = dict(
+        os.environ,
+        PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
+        PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]),
+        RUNNER_TEMP=str(tmp_path),
+    )
+    run = subprocess.run(
+        ["bash", "--noprofile", "--norc", "-eo", "pipefail", str(tmp_path / "step.sh")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]

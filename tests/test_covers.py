@@ -221,6 +221,24 @@ class TestBuildCover:
             VoltageAssignment.from_json_dict(data)
         assert str(info.value) == path
 
+    def test_a_degree_over_the_closure_cap_is_refused_before_any_permutation(self, monkeypatch):
+        triangle = SimplicialComplex.from_facets([[0, 1, 2]])
+        monkeypatch.setattr(complex_core, "_CLOSURE_CAP", 21)
+        assert build_cover(VoltageAssignment(triangle, 3)).total.f_vector() == (9, 9, 3)
+        monkeypatch.setattr(covers, "perm_identity", lambda d: pytest.fail("identity built over the cap"))
+        with pytest.raises(CoverError) as info:
+            VoltageAssignment(triangle, 4)
+        assert str(info.value) == (
+            "the cover would hold 28 simplices (degree times 7 base simplices), over the closure cap of 21 (2^4)"
+        )
+        with pytest.raises(CoverError, match=r"hold more than 2\^10005 simplices"):
+            VoltageAssignment(triangle, 10**3011)
+
+    def test_the_cap_admits_the_z105_universal_cover(self):
+        base = flagify_presentation_complex(GroupPresentationInput(1, [[1] * 105]))
+        assert len(base.simplices) == 16_393
+        assert 105 * len(base.simplices) == 1_721_265 < complex_core._CLOSURE_CAP
+
     def test_voltage_json_round_trip(self):
         cover = c4_double_cover()
         text = dump_voltage(cover.assignment)

@@ -287,6 +287,24 @@ def presentations(draw):
     return Presentation([f"x{i}" for i in range(n)], [Word(r) for r in relators])
 
 
+@st.composite
+def cancelling_presentations(draw):
+    """Relators of powers g^e, |e| <= 6, in scrambled order, where some powers come back inverted.
+
+    Many exponent sums cancel, so rows lose entries or vanish, and the
+    entries left are often not units.
+    """
+    n = draw(st.integers(1, 4))
+    relators = []
+    for _ in range(draw(st.integers(0, 6))):
+        powers = draw(st.lists(st.tuples(st.integers(1, n), st.integers(-6, 6)), max_size=5))
+        undone = draw(st.sets(st.integers(0, len(powers) - 1))) if powers else set()
+        powers += [(g, -e) for i, (g, e) in enumerate(powers) if i in undone]
+        letters = [g if e > 0 else -g for g, e in powers for _ in range(abs(e))]
+        relators.append(Word(draw(st.permutations(letters))))
+    return Presentation([f"x{i}" for i in range(n)], relators)
+
+
 class TestAbelianization:
     def test_triangle_relators(self):
         p = deck_group_presentation(full_simplex(3), {})
@@ -301,6 +319,14 @@ class TestAbelianization:
         p = Presentation(["x", "y"])
         ab = abelianization(p)
         assert ab.free_rank == 2 and ab.factors == ()
+
+    @settings(max_examples=300)
+    @given(cancelling_presentations())
+    def test_cancelling_exponent_sums_match_the_dense_smith_form(self, p):
+        factors = invariant_factors(p.exponent_matrix())
+        ab = abelianization(p)
+        assert ab.free_rank == len(p.generators) - len(factors)
+        assert ab.factors == tuple(d for d in factors if d > 1)
 
     @settings(max_examples=300)
     @given(presentations())

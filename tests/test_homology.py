@@ -29,7 +29,7 @@ from fpforge.homology import (
 )
 
 from helpers import (
-    RP2_FACETS, boundary_dense, determinant, field_betti_numbers, field_rank, matmul, minor_gcd_invariants,
+    RP2_FACETS, boundary_dense, determinant, field_betti_numbers, field_rank, kernel_rows, matmul, minor_gcd_invariants,
     reference_boundaries, reference_composition_zero, reference_faces,
 )
 
@@ -79,6 +79,40 @@ def dual_graph_matrices(draw):
     return entries, dense
 
 
+@st.composite
+def unitless_matrices(draw):
+    """Integer matrices up to 8x8 with no entry +-1, as (entries, dense); half of them diagonal.
+
+    Diagonals such as (2, 3) or many 2s reach the end of the kernel as they
+    are, so their invariant factors come from pooling alone.
+    """
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    cells = st.sampled_from([0, 0, 0, 2, -2, 3, 4, -4, 6, -6, 9, 10, 12, 15])
+    if draw(st.booleans()):
+        dense = [[draw(cells) if i == j else 0 for j in range(n)] for i in range(m)]
+    else:
+        dense = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=m, max_size=m))
+    entries = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if v}
+    return entries, dense
+
+
+def diagonal(*values):
+    """A diagonal matrix as (entries, dense)."""
+    dense = [[values[i] if i == j else 0 for j in range(len(values))] for i in range(len(values))]
+    return {(i, i): v for i, v in enumerate(values) if v}, dense
+
+
+def wedge_of_sd_rp2(m):
+    """m copies of sd RP^2 sharing one vertex: H~1 = (Z/2)^m, one +-2 row per copy after the forest phase."""
+    sd = barycentric_subdivision(SimplicialComplex.from_facets(RP2_FACETS))
+    index = {v: i for i, v in enumerate(sorted(sd.vertices))}
+    n = len(index)
+    return SimplicialComplex.from_facets(
+        [[j * n + index[v] if index[v] else 0 for v in f] for j in range(m) for f in sd.simplices_of_dim(2)]
+    )
+
+
 def klein_bottle():
     """The 3x3 grid with its ends glued straight and its sides glued with a flip."""
 
@@ -94,13 +128,13 @@ def klein_bottle():
 def heap_inputs(monkeypatch):
     """Record the rows each call of the heap phase receives."""
     seen = []
-    heap = homology._unit_heap_factors
+    heap = homology._least_entry_factors
 
     def spy(rows):
         seen.append({r: dict(row) for r, row in rows.items()})
         return heap(rows)
 
-    monkeypatch.setattr(homology, "_unit_heap_factors", spy)
+    monkeypatch.setattr(homology, "_least_entry_factors", spy)
     return seen
 
 
@@ -136,7 +170,7 @@ def full_kernel_homology(K):
     dim = cx.dimension
     if dim < 0:
         return HomologySummary(RingSpec.Z(), (), ())
-    factors = [[]] + [_sparse_invariant_factors(cx.boundaries[k]) for k in range(1, dim + 1)] + [[]]
+    factors = [[]] + [_sparse_invariant_factors(kernel_rows(cx.boundaries[k])) for k in range(1, dim + 1)] + [[]]
     ranks = tuple(len(cx.bases[k]) - len(factors[k]) - len(factors[k + 1]) - (k == 0) for k in range(dim + 1))
     torsion = tuple(tuple(d for d in factors[k + 1] if d > 1) for k in range(dim + 1))
     return HomologySummary(RingSpec.Z(), ranks, torsion)
@@ -362,13 +396,34 @@ class TestSparseKernel:
     @given(sparse_matrices())
     def test_matches_dense_smith_form(self, matrix):
         entries, dense = matrix
-        assert _sparse_invariant_factors(entries) == invariant_factors(dense)
+        assert _sparse_invariant_factors(kernel_rows(entries)) == invariant_factors(dense)
+
+    @given(unitless_matrices())
+    @example(diagonal(2, 3))  # pooled to 1, 6
+    @example(diagonal(*[2] * 9))
+    @example(diagonal(12, 18, 8, 27, 5))  # 1, 1, 6, 36, 1080 by prime powers
+    @example(diagonal((2**61 - 1) * (2**89 - 1), (2**89 - 1) * (2**107 - 1), (2**107 - 1) * (2**61 - 1)))
+    @example(({(0, 0): 4, (0, 1): 6, (1, 0): 6, (1, 1): 9}, [[4, 6], [6, 9]]))  # rank 1, factor gcd 1
+    def test_matches_dense_smith_form_without_unit_entries(self, matrix):
+        entries, dense = matrix
+        assert _sparse_invariant_factors(kernel_rows(entries)) == invariant_factors(dense)
+
+    @pytest.mark.parametrize("space", ["rp2", "wedge"])
+    def test_reduced_homology_never_calls_the_dense_smith_form(self, space, monkeypatch):
+        K = SimplicialComplex.from_facets(RP2_FACETS) if space == "rp2" else wedge_of_sd_rp2(5)
+        calls = []
+        dense = homology.smith_normal_form
+        monkeypatch.setattr(homology, "smith_normal_form", lambda A: calls.append(A) or dense(A))
+        z = reduced_homology(K, RingSpec.Z())
+        assert z.torsion_in(1) == (2,) * (1 if space == "rp2" else 5) and z.ranks == (0, 0, 0)
+        assert calls == []
+        assert invariant_factors([[2, 0], [0, 3]]) == [1, 6] and len(calls) == 1  # the spy sees the dense path
 
     @given(sparse_matrices(), st.sampled_from([2, 3, 5]))
     def test_mod_p_rank_obeys_universal_coefficients(self, matrix, p):
         # The rank mod p counts the integral invariant factors prime to p.
         entries, dense = matrix
-        assert sum(1 for d in _sparse_invariant_factors(entries) if d % p) == field_rank(dense, p)
+        assert sum(1 for d in _sparse_invariant_factors(kernel_rows(entries)) if d % p) == field_rank(dense, p)
 
 
 class TestDualForestPhase:
@@ -379,13 +434,13 @@ class TestDualForestPhase:
               [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 1, 2]]))  # column 0 read twice through a chain
     def test_matches_dense_smith_form(self, matrix):
         entries, dense = matrix
-        assert _sparse_invariant_factors(entries) == invariant_factors(dense)
+        assert _sparse_invariant_factors(kernel_rows(entries)) == invariant_factors(dense)
 
     @pytest.mark.parametrize("space", ["rp2", "klein"])
     def test_torsion_comes_from_a_two_entry(self, space, monkeypatch):
         K = SimplicialComplex.from_facets(RP2_FACETS) if space == "rp2" else klein_bottle()
         cx = chain_complex(K)
-        cut = homology._boundary_entries(cx.faces[2], _spanning_forest(cx.faces[1]))
+        cut = homology._boundary_rows(cx.faces[2], _spanning_forest(cx.faces[1]))
         seen = heap_inputs(monkeypatch)
         assert _sparse_invariant_factors(cut) == invariant_factors(boundary_dense(cx, 2)) == [1] * (len(cx.faces[2]) - 1) + [2]
         assert [sorted(map(abs, row.values())) for row in seen[0].values()] == [[2]]
@@ -395,13 +450,13 @@ class TestDualForestPhase:
     def test_one_entry_row_clears_a_column_of_a_later_row(self, monkeypatch):
         # Row 0 clears column 0, so row 1 reads as {1: 2} and reaches the heap.
         seen = heap_inputs(monkeypatch)
-        assert _sparse_invariant_factors({(0, 0): 1, (1, 0): 1, (1, 1): 2}) == [1, 2]
+        assert _sparse_invariant_factors(kernel_rows({(0, 0): 1, (1, 0): 1, (1, 1): 2})) == [1, 2]
         assert seen == [{1: {1: 2}}]
 
     def test_dual_cycle_leaves_a_two_for_the_heap(self, monkeypatch):
         # Row 0 links column 0 to -1 times column 1; row 1 then reads as {1: -2}.
         seen = heap_inputs(monkeypatch)
-        assert _sparse_invariant_factors({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1}) == [1, 2]
+        assert _sparse_invariant_factors(kernel_rows({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): -1})) == [1, 2]
         assert seen == [{1: {1: -2}}]
 
     def test_sd2_rp2_leaves_at_most_one_heap_row(self, monkeypatch):
@@ -458,7 +513,7 @@ class TestReducedHomology:
         K = SimplicialComplex.from_facets([*RP2_FACETS, [7, 8, 9, 10], [1, 7]])
         calls = []
         kernel = homology._sparse_invariant_factors
-        monkeypatch.setattr(homology, "_sparse_invariant_factors", lambda entries: calls.append(1) or kernel(entries))
+        monkeypatch.setattr(homology, "_sparse_invariant_factors", lambda rows: calls.append(1) or kernel(rows))
         summaries = [reduced_homology(K, ring) for ring in map(RingSpec.parse, ("Z", "Q", "F2", "F3"))]
         assert len(calls) == K.dimension - 1 == 2
         z = summaries[0]
@@ -487,8 +542,8 @@ class TestSpanningForest:
         forest = _spanning_forest(cx.bases[1])
         assert len(forest) == len(cx.bases[0]) - 1
         cut = {(r, c): v for (r, c), v in cx.boundaries[2].items() if r not in forest}
-        assert _sparse_invariant_factors(cut) == _sparse_invariant_factors(cx.boundaries[2])
-        assert sorted(_sparse_invariant_factors(cut))[-1] == 2
+        assert _sparse_invariant_factors(kernel_rows(cut)) == _sparse_invariant_factors(kernel_rows(cx.boundaries[2]))
+        assert sorted(_sparse_invariant_factors(kernel_rows(cut)))[-1] == 2
 
 
 class TestSummaryJson:
