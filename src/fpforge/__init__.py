@@ -52,12 +52,13 @@ from .sigma import (
     min_disagreement_height,
     min_kernel_length_bound,
     normal_generating_length_bound,
+    separation_ratio_check,
     sigma_field_example,
     sigma_power_tower,
     sigma_prime_set,
     subpresentation_select,
 )
-from .spectrum import TautSpectrumReport, k_related, separation_ratio_check, taut_spectrum
+from .spectrum import TautSpectrumReport, k_related, taut_spectrum
 from .spherical_double import DoubledComplex, retract_word, spherical_double
 
 __version__ = "0.1.0"

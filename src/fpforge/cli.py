@@ -2,7 +2,8 @@
 
 All inputs are explicit flags (no environment configuration), reports are
 deterministic for fixed inputs, and files are written atomically.  Exit
-codes: 0 success, 1 domain error, 2 I/O, configuration or input format error.
+codes: 0 success, 1 domain error or out of memory, 2 I/O, configuration or
+input format error.
 :func:`main` may be called repeatedly in one process: it builds its parser
 on the first call and reuses it; :func:`build_parser` returns a fresh one.
 """
@@ -309,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
         code = 2
     except (ValueError, AssertionError) as exc:
         print(f"fpforge: {exc}", file=sys.stderr)
+        code = 1
+    except MemoryError:
+        print("fpforge: out of memory (the size caps count simplices and letters, not bytes)", file=sys.stderr)
         code = 1
     if argv is None:
         sys.exit(code)

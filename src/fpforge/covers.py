@@ -40,7 +40,6 @@ from .complex_core import (
     _tree_parents,
     spanning_tree,
 )
-from .groups import SpanningTreeWords
 from .spherical_double import spherical_double
 
 
@@ -487,7 +486,9 @@ def double_cover_voltages(base: SimplicialComplex) -> list[VoltageAssignment]:
     2-torsion first homology of rank one, the unique solution is the
     orientation double cover.
     """
-    nontree = SpanningTreeWords(base).nontree
+    _require_valid(base)
+    tree = spanning_tree(base)
+    nontree = [e for e in base.edges() if e not in tree]
     index = {e: i for i, e in enumerate(nontree)}
     rows = []
     for tri in base.simplices_of_dim(2):

@@ -180,7 +180,7 @@ def _fundamental_group_order(K: SimplicialComplex) -> int | None:
     return coset_enumerate(SpanningTreeWords(K).presentation(), (), SIMPLE_CONNECTIVITY_BUDGET)
 
 
-def constructed_entry(id: str, voltage: VoltageAssignment, *, note: str = "") -> CoverRegistryEntry:
+def constructed_entry(id: str, voltage: VoltageAssignment) -> CoverRegistryEntry:
     """Build a cover, compute its integral certificate, and wrap it as an entry.
 
     A nonzero H~0 or H~1 certifies that the cover is not simply connected;
@@ -202,7 +202,6 @@ def constructed_entry(id: str, voltage: VoltageAssignment, *, note: str = "") ->
         certified_up_to="all",
         simply_connected=simply_connected,
         quotient_is_finite=True,
-        note=note,
         voltage=voltage,
     )
 
@@ -449,7 +448,8 @@ class SigmaSpec:
     signs), the power-tower rule (positive heights), the base entry at zero,
     then the half-line tails.  At most one positive-side mechanism may be
     active, and every referenced id (symbolic family members aside) must be
-    registered.
+    registered; with a prime rule, no registry id may begin with
+    ``family_id:``, the prefix of its symbolic members.
     """
 
     __slots__ = ("registry", "base_id", "exceptions", "positive_tail", "negative_tail", "power_rule", "prime_rule")
@@ -484,6 +484,8 @@ class SigmaSpec:
         for eid in self._referenced_ids():
             if eid not in self.registry:
                 raise SigmaError(f"referenced entry {eid!r} is not in the registry")
+        if prime_rule is not None and any(eid.startswith(prime_rule.family_id + ":") for eid in self.registry):
+            raise SigmaError(f"a registry id reads as a symbolic member {prime_rule.family_id}:p")
 
     def _referenced_ids(self) -> set[str]:
         out = self.recurrent_ids() | {self.base_id} | set(self.exceptions.values())
@@ -537,13 +539,11 @@ class SigmaSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping, registry: Mapping[str, CoverRegistryEntry] | None = None) -> "SigmaSpec":
-        """Read a spec; a wrong shape raises ``FormatError`` naming its JSON path."""
+    def from_json_dict(cls, data: Mapping) -> "SigmaSpec":
+        """Read a spec and its embedded registry; a wrong shape raises ``FormatError`` naming its JSON path."""
         data = _json_object(data, "$")
-        if registry is None:
-            registry = _registry_from_json(_json_field(data, "registry", "$"), "$.registry")
         return cls(
-            registry,
+            _registry_from_json(_json_field(data, "registry", "$"), "$.registry"),
             _json_field(data, "base_id", "$", str),
             _json_id_pairs(data.get("exceptions", []), "$.exceptions"),
             _json_optional(data, "positive_tail", Tail.from_json_dict),
@@ -772,6 +772,49 @@ def choose_constants(d: int, r_bounds: Sequence[int] | None = None, m: int = 1) 
     return tuple(out)
 
 
+@dataclass(frozen=True)
+class RatioCheckResult:
+    ok: bool
+    min_ratio_bound: int | None
+    failures: tuple[str, ...]
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def separation_ratio_check(
+    constants: Sequence[int], r_values: Sequence[int], d: int
+) -> RatioCheckResult:
+    """Exact re-verification of the interval-gap inequalities behind the spectrum
+    separation argument.
+
+    Checks the growth conditions on the constants, then for each pair (m, n)
+    the chain that bounds the ratio between lengths in consecutive intervals
+    from below by C_m^(2^m - 2).  All comparisons are exact integer ones; the
+    chain's exponent step, 2^(m+n) - 2^m >= 2^m - 1, holds for every m, n >= 1
+    and is not rechecked.  The reported bound is the minimum over m.
+    """
+    C = [int(c) for c in constants]
+    r = [int(x) for x in r_values]
+    r += [0] * (len(C) + 1 - len(r))
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    if any(x < 0 for x in r):
+        raise ValueError("loop-length bounds must be nonnegative")
+
+    failures = [message for n in range(1, len(C) + 1) for message in _growth_failures(C, n, r, d)]
+
+    for m in range(1, len(C) + 1):
+        for n in range(1, len(C) + 1 - m):
+            if not C[m + n - 1] > C[m - 1]:
+                failures.append(f"interval gap ({m}, {n}): constants do not increase")
+            if not _alpha_exceeds(C[m - 1], r[m], d):
+                failures.append(f"interval gap ({m}, {n}): final ratio step fails")
+
+    bound = min((C[m - 1] ** (2**m - 2) for m in range(1, len(C) + 1)), default=None)
+    return RatioCheckResult(not failures, bound, tuple(failures))
+
+
 def sigma_power_tower(
     F: Sequence[int],
     constants: Sequence[int],
@@ -915,35 +958,20 @@ def min_kernel_length_bound(M: int | float, d: int) -> float:
     return float(root)
 
 
-def _generic_value(spec: SigmaSpec, sign: int, residue: int, prime_above_2: bool):
-    """Value token at any non-explicit height of the given type.
-
-    A type is (sign, |n| mod period, primality above two); away from the
-    explicit heights the assignment depends on nothing else.  Symbolic family
-    members are tokenized by family id, since two specs agree at every
-    non-member prime exactly when their families coincide.
-    """
-    if spec.prime_rule is not None:
-        if prime_above_2:
-            return ("symbolic", spec.prime_rule.family_id)
-        return ("id", spec.prime_rule.default)
-    if sign > 0 and spec.power_rule is not None:
-        return ("id", spec.power_rule.default)
-    tail = spec.positive_tail if sign > 0 else spec.negative_tail
-    return ("id", tail.value_at(residue))
-
-
 def min_disagreement_height(a: SigmaSpec, b: SigmaSpec) -> int | float:
     """Smallest |n| where the two specs assign different entries; inf if equal.
 
     Explicit heights (exceptions, tower heights, registered family members,
-    zero) are evaluated directly.  Every other height is covered by finitely
-    many types (sign, residue modulo the joint tail period, primality), whose
-    values are compared symbolically; a disagreeing type contributes its
-    smallest non-explicit representative, found exactly with no scan cap.
-    Tower heights are never scanned, so astronomically large ones cost nothing:
-    they stay pairs (C, i) compared by bounded squaring, and only an answer is
-    built.  An answer of more than 2**20 bits is refused with ``SigmaError``.
+    zero) are evaluated directly.  Every other height falls in one of finitely
+    many types: its sign and its residue modulo the joint tail period, and,
+    when either spec has a prime rule, whether it is a prime above two.  Away
+    from the explicit heights ``SigmaSpec.value`` is constant on a type (a
+    symbolic member ``family:p`` up to its p), so each type is compared at its
+    smallest non-explicit representative, found exactly with no scan cap, and
+    a disagreeing type contributes that representative.  Tower heights are
+    never scanned, so astronomically large ones cost nothing: they stay pairs
+    (C, i) compared by bounded squaring, and only an answer is built.  An
+    answer of more than 2**20 bits is refused with ``SigmaError``.
     """
     if a.registry != b.registry:
         raise SigmaError("specs compare only over a common registry")
@@ -958,21 +986,22 @@ def min_disagreement_height(a: SigmaSpec, b: SigmaSpec) -> int | float:
     best: int | float = min((abs(n) for n in explicit if a.value(n) != b.value(n)), default=math.inf)
 
     period = math.lcm(*(t.period() for s in (a, b) for t in (s.positive_tail, s.negative_tail) if t))
+    split = (False, True) if a.prime_rule or b.prime_rule else (None,)  # only a prime rule reads primality
     for sign in (1, -1):
         for residue in range(period):
-            for prime_above_2 in ((False,) if sign < 0 else (False, True)):
-                kind = (sign, residue, prime_above_2)
-                if _generic_value(a, *kind) == _generic_value(b, *kind):
-                    continue
+            for prime_above_2 in split if sign > 0 else (None,):
                 # A class whose members share a factor g > 1 holds no prime but g; any other
                 # holds infinitely many primes (Dirichlet) and composites, so the scan ends.
                 g = math.gcd(residue, period)
                 for magnitude in [g] if prime_above_2 and g > 1 else count(residue or period, period):
+                    if magnitude >= best:  # no later representative can lower the answer
+                        break
                     n = sign * magnitude
                     in_type = magnitude % period == residue and n not in explicit
                     in_type = in_type and all(_tower_cmp(*t, n) for t in towers)  # n is no tower height
-                    if in_type and (n > 2 and _is_prime(n)) == prime_above_2:
-                        best = min(best, magnitude)
+                    if in_type and (prime_above_2 is None or (n > 2 and _is_prime(n)) == prime_above_2):
+                        if a.value(n) != b.value(n):
+                            best = magnitude
                         break
     order = functools.cmp_to_key(lambda t, u: _tower_cmp(*t, u))
     least = min((t for t in towers if a.value(t) != b.value(t)), key=order, default=None)

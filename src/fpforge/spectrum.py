@@ -63,7 +63,6 @@ from .groups import (
     trace_word,
 )
 from .homology import smith_normal_form
-from .sigma import _alpha_exceeds, _growth_failures
 
 
 class CeilingError(ValueError):
@@ -417,49 +416,6 @@ def k_related(H: Sequence[int], H_prime: Sequence[int], k: int, ceiling: int) ->
                 )
             return False
     return True
-
-
-@dataclass(frozen=True)
-class RatioCheckResult:
-    ok: bool
-    min_ratio_bound: int | None
-    failures: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def separation_ratio_check(
-    constants: Sequence[int], r_values: Sequence[int], d: int
-) -> RatioCheckResult:
-    """Exact re-verification of the interval-gap inequalities behind the spectrum
-    separation argument.
-
-    Checks the growth conditions on the constants, then for each pair (m, n)
-    the chain that bounds the ratio between lengths in consecutive intervals
-    from below by C_m^(2^m - 2).  All comparisons are exact integer ones; the
-    chain's exponent step, 2^(m+n) - 2^m >= 2^m - 1, holds for every m, n >= 1
-    and is not rechecked.  The reported bound is the minimum over m.
-    """
-    C = [int(c) for c in constants]
-    r = [int(x) for x in r_values]
-    r += [0] * (len(C) + 1 - len(r))
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    if any(x < 0 for x in r):
-        raise ValueError("loop-length bounds must be nonnegative")
-
-    failures = [message for n in range(1, len(C) + 1) for message in _growth_failures(C, n, r, d)]
-
-    for m in range(1, len(C) + 1):
-        for n in range(1, len(C) + 1 - m):
-            if not C[m + n - 1] > C[m - 1]:
-                failures.append(f"interval gap ({m}, {n}): constants do not increase")
-            if not _alpha_exceeds(C[m - 1], r[m], d):
-                failures.append(f"interval gap ({m}, {n}): final ratio step fails")
-
-    bound = min((C[m - 1] ** (2**m - 2) for m in range(1, len(C) + 1)), default=None)
-    return RatioCheckResult(not failures, bound, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,11 @@ from fpforge.sigma import (
     example_registry,
     fp_decide,
     min_kernel_length_bound,
+    separation_ratio_check,
     sigma_field_example,
     sigma_prime_set,
 )
-from fpforge.spectrum import k_related, separation_ratio_check, taut_spectrum
+from fpforge.spectrum import k_related, taut_spectrum
 
 from helpers import RP2_FACETS, all_complexes_on, matmul
 

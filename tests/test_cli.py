@@ -613,6 +613,20 @@ def test_a_cover_degree_over_the_cap_is_refused_in_bounded_memory(tmp_path):
     )
 
 
+def test_running_out_of_memory_is_one_line(tmp_path):
+    """A degree-10^5 cover of one triangle is under the closure cap but not inside 256 MiB: exit code 1, one line."""
+    voltage = write(tmp_path / "degree.json", '{"base": {"facets": [[0,1,2]]}, "degree": 100000, "voltages": []}')
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from fpforge.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    run = _python("-c", script, "cover", "--voltage", voltage, "--ring", "Z", timeout=60)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == "fpforge: out of memory (the size caps count simplices and letters, not bytes)\n"
+
+
 def test_cover_help_names_the_degree_cap(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["cover", "--help"])

@@ -1,4 +1,5 @@
-"""The package's module layering: imports sit at module level, form no cycle and need only the standard library."""
+"""The package's module layering: imports sit at module level, form the pinned layer stack with no cycle, and
+need only the standard library."""
 
 import ast
 import sys
@@ -23,15 +24,36 @@ def test_no_import_inside_a_function():
     assert not found
 
 
+GRAPH = {
+    name: {
+        module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for module in ([node.module] if node.module else [alias.name for alias in node.names])
+    }
+    for name, tree in MODULES.items()
+}
+LIBRARY = {"complex_core", "covers", "groups", "homology", "sigma", "spectrum", "spherical_double"}
+
+
 def test_module_imports_are_acyclic():
-    graph = {}
-    for name, tree in MODULES.items():
-        graph[name] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                graph[name].update([node.module] if node.module else [alias.name for alias in node.names])
-    assert set().union(*graph.values()) <= set(MODULES)
-    tuple(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+    assert set().union(*GRAPH.values()) <= set(MODULES)
+    tuple(TopologicalSorter(GRAPH).static_order())  # raises CycleError on a cycle
+
+
+def test_module_imports_are_the_layer_stack():
+    """Each module imports exactly the layers below it that it uses; a new edge is a deliberate edit here."""
+    assert GRAPH == {
+        "complex_core": set(),
+        "homology": {"complex_core"},
+        "spherical_double": {"complex_core"},
+        "groups": {"complex_core", "homology"},
+        "covers": {"complex_core", "spherical_double"},
+        "spectrum": {"complex_core", "groups", "homology"},
+        "sigma": {"complex_core", "covers", "groups", "homology"},
+        "cli": LIBRARY,
+        "__init__": LIBRARY,
+    }
 
 
 def test_imports_are_standard_library():

@@ -79,6 +79,19 @@ def total_simply_connected(voltage):
     return None if order is None else order == 1
 
 
+def generic_value(spec, sign, residue, prime_above_2):
+    """Oracle token at any non-explicit height of the type (sign, |n| mod period, primality above two):
+    symbolic family members are tokenized by family id, distinct from every registered id."""
+    if spec.prime_rule is not None:
+        if prime_above_2:
+            return ("symbolic", spec.prime_rule.family_id)
+        return ("id", spec.prime_rule.default)
+    if sign > 0 and spec.power_rule is not None:
+        return ("id", spec.power_rule.default)
+    tail = spec.positive_tail if sign > 0 else spec.negative_tail
+    return ("id", tail.value_at(residue))
+
+
 def capped_min_disagreement_height(a, b):
     """Oracle: the type scan as it was with a cap, which no representative below reaches here."""
     explicit = {0}
@@ -98,8 +111,8 @@ def capped_min_disagreement_height(a, b):
     for sign in (1, -1):
         for residue in range(period):
             for prime_above_2 in ((False,) if sign < 0 else (False, True)):
-                va = sigma_mod._generic_value(a, sign, residue, prime_above_2)
-                vb = sigma_mod._generic_value(b, sign, residue, prime_above_2)
+                va = generic_value(a, sign, residue, prime_above_2)
+                vb = generic_value(b, sign, residue, prime_above_2)
                 if va == vb:
                     continue
                 magnitude = residue if residue else period
@@ -202,16 +215,10 @@ def registry():
         quotient_is_finite=True,
         note="stand-in cover with five-torsion first homology",
     )
-    reg["cycle8"] = constructed_entry(
-        "cycle8", c4_double_voltage(), note="double cover of the square"
-    )
-    reg["sphere"] = constructed_entry(
-        "sphere", orientation_voltage(), note="orientation double cover of the subdivided projective plane"
-    )
+    reg["cycle8"] = constructed_entry("cycle8", c4_double_voltage())  # double cover of the square
+    reg["sphere"] = constructed_entry("sphere", orientation_voltage())  # orientation double cover of sd RP^2
     triangle = SimplicialComplex.from_facets([[0, 1, 2]])
-    reg["cone"] = constructed_entry(
-        "cone", VoltageAssignment(triangle, 1), note="trivial cover of a contractible complex"
-    )
+    reg["cone"] = constructed_entry("cone", VoltageAssignment(triangle, 1))  # trivial cover of a contractible complex
     return reg
 
 
@@ -388,6 +395,14 @@ class TestSigmaValue:
     def test_uncovered_sign_rejected(self, registry):
         with pytest.raises(SigmaError):
             SigmaSpec(registry, "L", positive_tail=Tail.constant("L"))
+
+    def test_registry_id_reading_as_a_symbolic_member_rejected(self, registry):
+        # value(5) would be "Lp:5" both as the symbolic member and as this entry, and the two are not the same cover
+        registry = {**registry, "Lp:5": dataclasses.replace(registry["Lp5"], id="Lp:5")}
+        rule = PrimeCongruenceRule({}, "Luniv")
+        with pytest.raises(SigmaError, match="symbolic member Lp:p"):
+            SigmaSpec(registry, "L", prime_rule=rule)
+        assert SigmaSpec(registry, "L", prime_rule=dataclasses.replace(rule, family_id="Lq")).value(5) == "Lq:5"
 
 
 class TestFpDecide:

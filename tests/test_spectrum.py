@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -25,10 +27,9 @@ from fpforge.spectrum import (
     enumerate_cycles,
     k_related,
     load_graph,
-    separation_ratio_check,
     taut_spectrum,
 )
-from fpforge.sigma import choose_constants
+from fpforge.sigma import choose_constants, separation_ratio_check
 
 
 def cycle_graph(n):
@@ -65,6 +66,17 @@ def torus_grid(n=5):
     rows = [[n * i + j, n * i + (j + 1) % n] for i in range(n) for j in range(n)]
     cols = [[n * i + j, n * ((i + 1) % n) + j] for i in range(n) for j in range(n)]
     return SimplicialComplex.from_facets(rows + cols)
+
+
+def projective_grid(n=3):
+    """The cube surface cut n x n per face, unit steps as edges, with each point glued to its antipode
+    (x, y, z) -> (n - x, n - y, n - z): a grid on the projective plane, f = (28, 54) at n = 3."""
+    surface = [p for p in product(range(n + 1), repeat=3) if 0 in p or n in p]
+    label = {}
+    for p in surface:
+        label[p] = label.setdefault(min(p, tuple(n - x for x in p)), len(label))
+    steps = {tuple(sorted((label[p], label[q]))) for p in surface for q in surface if sum(map(abs, map(sub, p, q))) == 1}
+    return SimplicialComplex.from_facets(sorted(steps))
 
 
 class TestEnumerateCycles:
@@ -414,14 +426,29 @@ class TestCyclesByLength:
 class TestTrivialQuotientCut:
     @pytest.mark.parametrize(
         "graph, l_max",
-        [(complete_graph(4), 10), (petersen_graph(), 12), (torus_grid(), 10), (wedge_graph(), 12)],
-        ids=["k4", "petersen", "grid5x5", "wedge3_4"],
+        [
+            (complete_graph(4), 10), (petersen_graph(), 12), (torus_grid(), 10), (wedge_graph(), 12),
+            (projective_grid(), 8),
+        ],
+        ids=["k4", "petersen", "grid5x5", "wedge3_4", "rp2grid"],
     )
     def test_matches_always_enumerating_reference(self, graph, l_max):
         report = taut_spectrum(graph, l_max, 100_000)
         ref_used, ref_statuses = always_enumerate_reference(graph, l_max, 100_000)
         assert report.statuses == ref_statuses
         assert report.budget_used <= ref_used
+
+    def test_a_level_quotient_of_order_two(self):
+        # filling the squares gives the projective plane: its order-2 group keeps a 7-loop taut, and 7-loops kill it
+        graph = projective_grid()
+        assert graph.f_vector() == (28, 54)
+        report = taut_spectrum(graph, 8, 100_000)
+        assert report.spectrum == [4, 7]
+        assert [(report.statuses[l].status, report.statuses[l].certificate) for l in (6, 7, 8)] == [
+            ("filled", {"method": "finite-quotient", "order": 2}),
+            ("taut", {"method": "finite-quotient", "order": 2}),
+            ("filled", {"method": "finite-quotient", "order": 1}),
+        ]
 
     def test_no_cycle_is_enumerated_past_the_first_trivial_level(self, monkeypatch):
         pulled = []
