@@ -13,16 +13,18 @@ total space is equivalent to transitivity of the voltage image and is not
 assumed.  Pullback covers (of the spherical double) carry no voltage data of
 their own.  Walk lifting, the covering check and the deck group read the
 total space, its projection and its sheet labels, and compare them with the
-base; they never read voltages, so they treat every cover alike.  Lifting
-checks once per cover that every total edge lies over a base edge; where it
-does, a walk lifts with one step-table lookup per step.
+base; they never read voltages, so they treat every cover alike, and share
+one step table per cover, indexed by position among the sorted total vertices.
+Where every total edge lies over a base edge (checked once per cover), a walk
+lifts with one lookup per step; the covering check and the deck search map
+simplices one dimension, and one vertex column, at a time.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress, count, repeat
-from operator import add, getitem, itemgetter, ne
+from operator import add, getitem, itemgetter, le, lt, ne
 from typing import Mapping, Sequence
 
 from .complex_core import (
@@ -228,11 +230,18 @@ class CoverComplex:
         return sizes.pop()
 
     def fibers(self) -> dict[int, dict[int, int]]:
-        """Base vertex -> {sheet: total vertex}."""
+        """Base vertex -> {sheet: total vertex}; CoverError names a total vertex off the fibers or their sheets."""
         if "fibers" not in self._cache:
             fibers: dict[int, dict[int, int]] = {v: {} for v in self.base.vertices}
-            for t in self.total.vertices:
-                fibers[self.projection[t]][self.sheet[t]] = t
+            for t in sorted(self.total.vertices):
+                b, s = self.projection[t], self.sheet.get(t)
+                if b not in fibers:
+                    raise CoverError(f"total vertex {t} lies over {b}, which is not a base vertex")
+                if s is None:
+                    raise CoverError(f"total vertex {t} has no sheet")
+                if s in fibers[b]:
+                    raise CoverError(f"total vertices {fibers[b][s]} and {t} share sheet {s} over {b}")
+                fibers[b][s] = t
             self._cache["fibers"] = fibers
         return self._cache["fibers"]
 
@@ -276,13 +285,14 @@ def verify_covering(c: CoverComplex) -> bool:
     """Check the star condition: the projection p maps the closed star of
     each total vertex t isomorphically onto the closed star of p(t).
 
-    No star is built.  On valid complexes this holds at t exactly when
+    Sheets must label each fiber one-to-one.  No star is built.  On valid
+    complexes this holds at t exactly when
     (a) the step table sends the neighbours of t one-to-one onto those of p(t),
     (b) t lies in as many simplices as p(t), and
     (c) every total simplex of dimension >= 2 projects to a stored base simplex.
     No vertex has more step-table entries than neighbours or, given (a) and
     (c), more simplices than p(t), so the one-to-one part of (a) and all of
-    (b) are checked as two totals.
+    (b) are checked as two totals, and (c) one dimension at a time.
     """
     if not c.total.vertices:
         return False
@@ -290,20 +300,33 @@ def verify_covering(c: CoverComplex) -> bool:
         return False
     _require_valid(c.base)
     _require_valid(c.total)
-    projection = c.projection
-    step = _total_adjacency(c)
-    base_adj = c.base.adjacency()
-    if any(nbrs.keys() != base_adj[projection[t]] for t, nbrs in step.items()):
+    try:
+        c.fibers()
+    except CoverError:
         return False
-    if sum(map(len, step.values())) != 2 * len(c.total.edges()):
+    verts, _, rows = _total_adjacency(c)
+    over = list(map(c.projection.__getitem__, verts))
+    if any(map(ne, map(dict.keys, rows), map(c.base.adjacency().__getitem__, over))):
+        return False
+    if sum(map(len, rows)) != 2 * len(c.total.edges()):
         return False
     base_cofaces = Counter(chain.from_iterable(c.base.simplices))
-    if sum(map(len, c.total.simplices)) != sum(base_cofaces[projection[t]] for t in step):
+    if sum(map(len, c.total.simplices)) != sum(map(base_cofaces.__getitem__, over)):
         return False
-    base_simplices = c.base.simplices
-    return all(
-        tuple(sorted([projection[x] for x in s])) in base_simplices for s in c.total.simplices if len(s) > 2
-    )
+    return _maps_into(c.projection, map(c.total.simplices_of_dim, range(2, c.total.dimension + 1)), c.base.simplices)
+
+
+def _maps_into(vmap: Mapping[int, int] | Sequence[int], layers, target: frozenset) -> bool:
+    """Whether ``vmap`` sends each simplex of ``layers`` (each of one size) into ``target``, a vertex column
+    at a time; only a layer whose images stop rising somewhere has them sorted."""
+    for layer in layers:
+        images = [list(map(vmap.__getitem__, col)) for col in zip(*layer)]
+        lifted = zip(*images)
+        if not all(map(all, map(map, repeat(lt), images, images[1:]))):
+            lifted = map(tuple, map(sorted, lifted))
+        if not target.issuperset(lifted):
+            return False
+    return True
 
 
 def double_of_cover(L: SimplicialComplex, c: CoverComplex) -> CoverComplex:
@@ -326,19 +349,23 @@ def double_of_cover(L: SimplicialComplex, c: CoverComplex) -> CoverComplex:
     return CoverComplex(doubled_total.complex, doubled_base.complex, projection, sheet, None)
 
 
-def _total_adjacency(c: CoverComplex) -> dict[int, dict[int, int]]:
-    """Total vertex -> {base neighbour: total neighbour}, built once per cover.
+def _total_adjacency(c: CoverComplex) -> tuple[list[int], dict[int, int], list[dict[int, int]]]:
+    """The step table, built once per cover: the sorted total vertices, their positions,
+    and per position i, base neighbour -> position of the neighbour over it of the vertex at i.
 
-    It is read on unverified covers too: two neighbours of t over the same base
-    vertex leave one entry, a collision that :func:`verify_covering` catches by
-    counting entries against the edges of the total space.
+    It is read on unverified covers too: two neighbours of a vertex over the
+    same base vertex leave one entry, a collision that :func:`verify_covering`
+    catches by counting entries against the edges of the total space.
     """
     if "step" not in c._cache:
-        step: dict[int, dict[int, int]] = {t: {} for t in c.total.vertices}
+        verts = sorted(c.total.vertices)
+        position = dict(zip(verts, count()))
+        rows: list[dict[int, int]] = [{} for _ in verts]
         for u, w in c.total.edges():
-            step[u][c.projection[w]] = w
-            step[w][c.projection[u]] = u
-        c._cache["step"] = step
+            i, j = position[u], position[w]
+            rows[i][c.projection[w]] = j
+            rows[j][c.projection[u]] = i
+        c._cache["step"] = verts, position, rows
     return c._cache["step"]
 
 
@@ -349,105 +376,98 @@ def lift_loop(c: CoverComplex, loop: Sequence[int], start_sheet: int) -> tuple[b
     sheet under the product of edge voltages along the loop.  When every
     step-table key at each total vertex t is a base neighbour of p(t), as on
     every cover that :func:`build_cover`, :func:`double_of_cover` or
-    :func:`verify_covering` accepts, a lookup t = step[t][w] lies over w and so
-    proves (p(t), w) a base edge: the walk is one lookup per step.  Any failed
-    lookup, and every step on other covers, goes through one pass that checks
-    each step against the base and lifts it, so a non-edge is reported before
-    a bad start sheet, and both before a broken lift.
+    :func:`verify_covering` accepts, a lookup t = rows[t][w] lies over w and
+    so proves (p(t), w) a base edge: the walk, one lookup per step, comes
+    before any argument check.  A failed walk, and every walk on other covers,
+    goes through one pass that checks and lifts each step, so a non-edge is
+    reported before a bad start sheet, and both before a broken lift.
     """
+    if "lift" not in c._cache:
+        fibers = c.fibers()
+        verts, position, rows = _total_adjacency(c)
+        starts = {b: {s: position[t] for s, t in fiber.items()} for b, fiber in fibers.items()}
+        over = map(c.base.adjacency().get, map(c.projection.__getitem__, verts), repeat(frozenset()))
+        ends = list(map(c.sheet.__getitem__, verts))
+        c._cache["lift"] = (starts, rows, ends, all(map(le, map(dict.keys, rows), over)))
+    starts, rows, ends, over_edges = c._cache["lift"]
+    if over_edges:
+        try:
+            t = starts[loop[0]][start_sheet]
+            for w in loop[1:]:
+                t = rows[t][w]
+            if loop[0] == loop[-1]:
+                return ends[t] == start_sheet, ends[t]
+        except (LookupError, TypeError):
+            pass
     if not isinstance(loop, tuple):
         loop = tuple(loop)
     if not loop or loop[0] != loop[-1]:
         raise CoverError("loop must be a closed vertex path (first = last)")
-    cached = c._cache.get("lift")
-    if cached is None:
-        adj, step, projection = c.base.adjacency(), _total_adjacency(c), c.projection
-        over_edges = all(nbrs.keys() <= adj.get(projection[t], frozenset()) for t, nbrs in step.items())
-        cached = c._cache["lift"] = (adj, step, c.fibers(), c.sheet, over_edges)
-    adj, step, fibers, sheet, over_edges = cached
-    if over_edges:
-        steps = iter(loop)
-        try:
-            t = fibers[next(steps)][start_sheet]
-            for w in steps:
-                t = step[t][w]
-        except KeyError:
-            pass
-        else:
-            end = sheet[t]
-            return end == start_sheet, end
+    adj = c.base.adjacency()
     u = loop[0]
     if u not in adj:
         raise CoverError(f"{u} is not a vertex of the base")
-    t = start = fibers[u].get(start_sheet)
+    t = start = starts[u].get(start_sheet)
     for w in loop[1:]:
         if w not in adj[u]:
             raise CoverError(f"({u}, {w}) is not an edge of the base")
         if t is not None:
-            t = step[t].get(w)
+            t = rows[t].get(w)
         u = w
     if start is None:
         raise CoverError(f"sheet {start_sheet} out of range over vertex {loop[0]}")
     if t is None:
         raise CoverError("lift broke: not a covering complex")
-    end = sheet[t]
-    return end == start_sheet, end
+    return ends[t] == start_sheet, ends[t]
 
 
 def deck_group(c: CoverComplex) -> tuple[bool, list[tuple[int, ...]] | None]:
     """Whether the cover is regular, and its deck group when it is.
 
     Each point of the fibre through the least total vertex t0 is tried as the
-    image of t0; unique lifting extends the choice to at most one
-    projection-commuting simplicial automorphism.  The cover is regular when
-    all ``degree`` choices extend, and the group is the sorted sheet
-    permutations these deck transformations induce over the least base vertex.
-    For a voltage cover they are the permutations that commute with every
-    voltage, which agree with the voltage image only when it is abelian.
+    image of t0; unique lifting over the step table's positions extends the
+    choice to at most one projection-commuting simplicial automorphism.  The
+    cover is regular when all ``degree`` choices extend, and the group is the
+    sorted sheet permutations these deck transformations induce over the least
+    base vertex.  For a voltage cover they are the permutations that commute
+    with every voltage, which agree with the voltage image only when abelian.
     """
     total = c.total
     _connected_tree(total, "deck group requires a connected cover")
-    step = _total_adjacency(c)
+    fibers = c.fibers()
+    verts, position, rows = _total_adjacency(c)
     # Lifting maps each edge that the step table holds to an edge, and the
     # vertex bijection maps vertices to vertices.  So when the step table holds
     # every edge from both ends, every edge is stored sorted and the
     # 0-simplices are exactly the vertices, only the simplices of dimension
     # >= 2 are left to check.
-    edges = total.edges()
-    checked = total.simplices
-    if (
-        sum(map(len, step.values())) == 2 * len(edges)
-        and all(u < w for u, w in edges)
-        and total.simplices_of_dim(0) == tuple((t,) for t in sorted(total.vertices))
-    ):
-        checked = [s for k in range(2, total.dimension + 1) for s in total.simplices_of_dim(k)]
-    t0 = min(total.vertices)
+    whole = sum(map(len, rows)) == 2 * len(total.edges()) and all(u < w for u, w in total.edges())
+    low = 2 if whole and total.simplices_of_dim(0) == tuple(zip(verts)) else 0
     found = []
-    for target in sorted(t for t in total.vertices if c.projection[t] == c.projection[t0]):
-        f = {t0: target}
-        stack = [t0]
+    for target in sorted(map(position.__getitem__, fibers[c.projection[verts[0]]].values())):
+        f = [target] + [None] * (len(verts) - 1)
+        stack = [0]
         ok = True
         while stack and ok:
             x = stack.pop()
-            for w, y in step[x].items():
-                img = step[f[x]].get(w)
-                if img is not None and y not in f:
+            row = rows[f[x]]
+            for w, y in rows[x].items():
+                img = row.get(w)
+                if img is not None and f[y] is None:
                     f[y] = img
                     stack.append(y)
                 elif img is None or f[y] != img:
                     ok = False
                     break
-        if (
-            ok
-            and len(f) == len(total.vertices)
-            and len(set(f.values())) == len(f)
-            and all(tuple(sorted(f[x] for x in s)) in total.simplices for s in checked)
-        ):
-            found.append(f)
+        if not ok or None in f or len(set(f)) != len(f):
+            continue
+        g = dict(zip(verts, map(verts.__getitem__, f)))
+        if _maps_into(g, map(total.simplices_of_dim, range(low, total.dimension + 1)), total.simplices):
+            found.append(g)
     if len(found) != c.degree:
         return False, None
-    fiber = c.fibers()[min(c.base.vertices)]
-    return True, sorted(tuple(c.sheet[f[fiber[s]]] for s in range(len(fiber))) for f in found)
+    fiber = fibers[min(c.base.vertices)]
+    return True, sorted(tuple(c.sheet[g[fiber[s]]] for s in sorted(fiber)) for g in found)
 
 
 def normal_generators(c: CoverComplex) -> list[list[int]]:

@@ -16,7 +16,7 @@ from fpforge.complex_core import (
     ComplexError, GroupPresentationInput, SimplicialComplex, barycentric_subdivision, spanning_tree,
 )
 from fpforge.covers import (
-    CoverComplex, CoverError, VoltageAssignment, _total_adjacency, build_cover, perm_compose, perm_inverse,
+    CoverComplex, CoverError, VoltageAssignment, build_cover, perm_compose, perm_inverse,
 )
 
 RP2_FACETS = [
@@ -305,12 +305,19 @@ def reference_failing_triangle(base: SimplicialComplex, degree: int, voltages) -
 
 
 def reference_lift_loop(c: CoverComplex, loop, start_sheet: int) -> tuple[bool, int]:
-    """Lift a based loop checking every step against the base adjacency: a
-    non-edge is reported before a bad start sheet, and both before a broken lift."""
+    """Lift a based loop checking every step against the base adjacency, on a
+    step table of its own keyed by total vertices: a cover with ill-defined
+    fibers is refused first, then a non-edge is reported before a bad start
+    sheet, and both before a broken lift."""
+    fibers = c.fibers()
+    step = {t: {} for t in c.total.vertices}
+    for u, w in c.total.edges():  # in sorted order, so a later edge wins a collision
+        step[u][c.projection[w]] = w
+        step[w][c.projection[u]] = u
     loop = list(loop)
     if len(loop) < 1 or loop[0] != loop[-1]:
         raise CoverError("loop must be a closed vertex path (first = last)")
-    adj, step, fibers, sheet = c.base.adjacency(), _total_adjacency(c), c.fibers(), c.sheet
+    adj = c.base.adjacency()
     u = loop[0]
     if u not in adj:
         raise CoverError(f"{u} is not a vertex of the base")
@@ -325,8 +332,13 @@ def reference_lift_loop(c: CoverComplex, loop, start_sheet: int) -> tuple[bool, 
         raise CoverError(f"sheet {start_sheet} out of range over vertex {loop[0]}")
     if t is None:
         raise CoverError("lift broke: not a covering complex")
-    end = sheet[t]
+    end = c.sheet[t]
     return end == start_sheet, end
+
+
+def reference_maps_into(vmap, simplices, target) -> bool:
+    """Whether ``vmap`` sends every simplex to a member of ``target``, one sorted image at a time."""
+    return all(tuple(sorted(vmap[x] for x in s)) in target for s in simplices)
 
 
 @st.composite

@@ -38,8 +38,9 @@ from fpforge.sigma import SigmaError, normal_generating_length_bound
 from fpforge.spherical_double import spherical_double
 
 from helpers import (
-    RP2_FACETS, S3, left_multiplication, reference_build_cover, reference_facets, reference_failing_triangle,
-    reference_lift_loop, s3_left_regular_cover, voltage_assignments, wedge_of_two_triangles,
+    RP2_FACETS, S3, facet_inputs, left_multiplication, reference_build_cover, reference_facets,
+    reference_failing_triangle, reference_lift_loop, reference_maps_into, s3_left_regular_cover, voltage_assignments,
+    wedge_of_two_triangles,
 )
 
 
@@ -702,7 +703,9 @@ def scan_verify_covering(c):
             image.add(proj)
         if image != st_v:
             return False
-    return True
+    # The sheets label every fiber one-to-one.
+    labels = {(c.projection[t], c.sheet.get(t)) for t in c.total.vertices}
+    return all(t in c.sheet for t in c.total.vertices) and len(labels) == len(c.total.vertices)
 
 
 def verdict(check, c):
@@ -802,7 +805,11 @@ class TestDeckGroupMatchesOracle:
     @given(perturbed_covers())
     def test_damaged_covers(self, cover):
         """Off valid covers the lifting, bijection and simplex checks decide what is a deck transformation."""
-        if not cover.total.is_connected() or len({len(f) for f in cover.fibers().values()}) != 1:
+        try:
+            sizes = {len(f) for f in cover.fibers().values()}
+        except CoverError:  # a sheet shared within a fiber
+            sizes = set()
+        if not cover.total.is_connected() or len(sizes) != 1:
             with pytest.raises(CoverError):
                 deck_group(cover)
             return
@@ -969,7 +976,8 @@ class TestLiftLoopMatchesOracle:
 
     @staticmethod
     def check(c, loop):
-        for s in range(-1, max(c.sheet.values(), default=-1) + 2):  # every sheet, and one off each end
+        # every sheet, one off each end, and two that are not ints
+        for s in [*range(-1, max(c.sheet.values(), default=-1) + 2), 1.0, "0"]:
             expected = lift_outcome(reference_lift_loop, c, loop, s)
             assert lift_outcome(lift_loop, c, loop, s) == expected, (loop, s)
             assert lift_outcome(lift_loop, c, list(loop), s) == expected, (loop, s)
@@ -1021,3 +1029,136 @@ class TestLiftLoopMatchesOracle:
         ]:
             lift_loop(cover, [min(cover.base.vertices)], 0)
             assert cover._cache["lift"][-1] is expected, cover
+
+
+# ---------------------------------------------------------------------------
+# Sheet labels: every fiber is labelled one-to-one
+
+
+def hexagon_over_triangle(sheet=lambda t: t // 3, projection=lambda t: t % 3):
+    """The 6-cycle over the hollow triangle, t -> t mod 3: a connected double cover when sheet t is t // 3."""
+    total = cycle_complex(6)
+    return CoverComplex(
+        total, cycle_complex(3), {t: projection(t) for t in range(6)},
+        {t: sheet(t) for t in range(6) if sheet(t) is not None},
+    )
+
+
+class TestSheetLabels:
+    def test_the_double_cover_of_the_triangle(self):
+        cover = hexagon_over_triangle()
+        assert verify_covering(cover) and scan_verify_covering(cover)
+        assert cover.degree == 2
+        assert lift_loop(cover, [0, 1, 2, 0], 0) == (False, 1)
+        assert deck_group(cover) == (True, [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize(
+        "cover, message",
+        [
+            (hexagon_over_triangle(sheet=lambda t: 0), "total vertices 0 and 3 share sheet 0 over 0"),
+            (hexagon_over_triangle(sheet=lambda t: None if t == 5 else t // 3), "total vertex 5 has no sheet"),
+            (hexagon_over_triangle(projection=lambda t: 9 if t == 5 else t % 3),
+             "total vertex 5 lies over 9, which is not a base vertex"),
+        ],
+    )
+    def test_ill_labelled_fibers_are_refused(self, cover, message):
+        """Such covers can be made, fail the covering check, and are refused by name wherever fibers are read."""
+        assert verify_covering(cover) is False and scan_verify_covering(cover) is False
+        for read in (CoverComplex.fibers, lambda c: c.degree, lambda c: lift_loop(c, [0, 1, 2, 0], 0), deck_group):
+            with pytest.raises(CoverError) as info:
+                read(cover)
+            assert str(info.value) == message
+        assert lift_outcome(reference_lift_loop, cover, [0, 1, 2, 0], 0) == (CoverError, message)
+
+
+# ---------------------------------------------------------------------------
+# The layer-wise image check against the per-simplex scan
+
+
+@st.composite
+def vertex_maps(draw, vertices):
+    """A map of the vertices into 0-9: injective or not, order-preserving or not."""
+    vertices = sorted(vertices)
+    if draw(st.booleans()):
+        images = draw(st.lists(st.integers(0, 9), min_size=len(vertices), max_size=len(vertices), unique=True))
+    else:
+        images = draw(st.lists(st.integers(0, 9), min_size=len(vertices), max_size=len(vertices)))
+    if draw(st.booleans()):
+        images.sort()
+    return dict(zip(vertices, images))
+
+
+class TestImageCheck:
+    @settings(max_examples=300)
+    @given(facet_inputs(), st.data())
+    def test_matches_the_per_simplex_scan(self, inputs, data):
+        K = SimplicialComplex.from_facets(*inputs)
+        vmap = data.draw(vertex_maps(K.vertices))
+        image = SimplicialComplex.from_facets([[vmap[x] for x in s] for s in K.facets()]).simplices
+        target = data.draw(st.sampled_from([K.simplices, image, image - {max(image, default=())}]))
+        layers = [K.simplices_of_dim(k) for k in range(K.dimension + 1)]
+        assert covers._maps_into(vmap, layers, target) == reference_maps_into(vmap, K.simplices, target)
+
+    @settings(max_examples=200)
+    @given(voltage_assignments(), st.randoms(use_true_random=False))
+    def test_relabelled_voltage_covers(self, voltage, rng):
+        """Relabelled totals make projected and mapped images stop rising, so their layers are sorted."""
+        cover = build_cover(voltage)
+        n = len(cover.total.vertices)
+        relabel = dict(zip(range(n), rng.sample(range(3 * n), n)))
+        total = SimplicialComplex.from_facets(
+            [[relabel[t] for t in s] for s in cover.total.facets()], vertices=relabel.values()
+        )
+        inverse = {w: t for t, w in relabel.items()}
+        moved = CoverComplex(
+            total, cover.base, {w: cover.projection[t] for w, t in inverse.items()},
+            {w: cover.sheet[t] for w, t in inverse.items()},
+        )
+        assert verify_covering(moved) is scan_verify_covering(moved) is True
+        if not moved.total.is_connected():
+            return
+        oracle = brute_deck_transformations(moved)
+        regular, group = deck_group(moved)
+        assert regular == (len(oracle) == moved.degree)
+        assert group == (deck_permutations(moved, oracle) if regular else None)
+        assert (regular, group) == deck_group(cover)
+
+    def test_relabelled_orientation_cover_sorts_its_images(self):
+        cover = orientation_cover()
+        rng = random.Random(28)
+        labels = rng.sample(range(1000), len(cover.total.vertices))
+        relabel = dict(zip(sorted(cover.total.vertices), labels))
+        total = SimplicialComplex.from_facets([[relabel[t] for t in s] for s in cover.total.facets()])
+        back = {w: t for t, w in relabel.items()}
+        moved = CoverComplex(
+            total, cover.base, {w: cover.projection[t] for w, t in back.items()},
+            {w: cover.sheet[t] for w, t in back.items()},
+        )
+        projected = [[moved.projection[x] for x in s] for s in total.simplices_of_dim(2)]
+        assert any(p != sorted(p) for p in projected)
+        assert verify_covering(moved)
+        assert deck_group(moved) == deck_group(cover) == (True, [(0, 1), (1, 0)])
+
+
+# ---------------------------------------------------------------------------
+# The walk-first lift against the checked reference, on odd arguments
+
+
+ODD_LOOPS = [[], [0], [0, 1], [0, 1, 0], [0, 1, 2, 3, 0], [0, 2, 0], [9], [9, 0, 9], [0, 9, 0], [0.0, 1.0, 0.0], "00"]
+ODD_SHEETS = [-1, 0, 1, 2, 7, 0.0, 1.0, True, 1.5, "0", None, [0]]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [c4_double_cover, hexagon_over_triangle, broken_square_cover, edge_over_non_edge_cover,
+     edge_over_a_vertex_cover, colliding_neighbours_cover],
+)
+def test_walk_first_lift_matches_the_reference_on_odd_arguments(make):
+    """Tuples, lists and one-shot iterators; empty, unclosed and off-base loops; non-int
+    and out-of-range sheets: the answer, or the error's type and message, is the reference's."""
+    cover = make()
+    for loop in ODD_LOOPS:
+        for s in ODD_SHEETS:
+            expected = lift_outcome(reference_lift_loop, cover, loop, s)
+            for form in (tuple, list, iter):
+                assert lift_outcome(lift_loop, cover, form(loop), s) == expected, (loop, s, form)
