@@ -30,7 +30,8 @@ The module provides the predicates and constructions the rest of the package
 leans on: flagness, links, barycentric subdivision, flag complexes realizing
 a given finite presentation, and a local-cut-point test for complexes of
 dimension at most two.  JSON is read and written only by :func:`_read_json`
-and :func:`_json_text`; the writer is byte-identical to the standard
+and :func:`_json_text`, and a dataclass record's object has one key per
+field (:func:`_record_json`).  The writer is byte-identical to the standard
 library's indented encoder (a property test checks it against
 ``json.dumps(data, sort_keys=True, indent=2)``).  Input without the
 documented shape raises :class:`FormatError`, naming the JSON path that failed.
@@ -40,6 +41,7 @@ with one ``%`` format over all its integers.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 from itertools import chain, combinations, compress, repeat
@@ -597,6 +599,11 @@ def _json_text(data) -> str:
     written by one ``%`` format over all its integers.
     """
     return _json_chunk(data, "\n") + "\n"
+
+
+def _record_json(record, **overrides) -> dict:
+    """A dataclass record's JSON object: one key per field, holding the field's value unless overridden."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)} | overrides
 
 
 def load_complex(path) -> SimplicialComplex:

@@ -221,13 +221,15 @@ class CoverComplex:
 
     @property
     def degree(self) -> int:
-        if self.assignment is not None:
-            return self.assignment.degree
-        fibers = self.fibers()
-        sizes = {len(f) for f in fibers.values()}
+        """The common fiber size, read off :meth:`fibers` once."""
+        try:
+            return self._cache["degree"]
+        except KeyError:
+            sizes = set(map(len, self.fibers().values()))
         if len(sizes) != 1:
             raise CoverError("fibers have unequal sizes; no well-defined degree")
-        return sizes.pop()
+        self._cache["degree"] = degree = sizes.pop()
+        return degree
 
     def fibers(self) -> dict[int, dict[int, int]]:
         """Base vertex -> {sheet: total vertex}; CoverError names a total vertex off the fibers or their sheets."""
@@ -337,6 +339,7 @@ def double_of_cover(L: SimplicialComplex, c: CoverComplex) -> CoverComplex:
     """
     if c.base != L:
         raise CoverError("cover does not lie over the given complex")
+    c.fibers()  # every total vertex has a sheet, or CoverError names one that does not
     doubled_base = spherical_double(L)
     doubled_total = spherical_double(c.total)
     projection = {}
@@ -528,27 +531,17 @@ def double_cover_voltages(base: SimplicialComplex) -> list[VoltageAssignment]:
             else:
                 pivots[lead] = row
                 break
+    # Each nonzero choice of the free bits extends to one distinct nonzero solution.
     free_bits = [i for i in range(len(nontree)) if i not in pivots]
     solutions = []
     for combo in range(1, 1 << len(free_bits)):
-        x = 0
-        for j, bit in enumerate(free_bits):
-            if combo >> j & 1:
-                x |= 1 << bit
+        x = sum(1 << bit for j, bit in enumerate(free_bits) if combo >> j & 1)
         for lead in sorted(pivots):
-            row = pivots[lead]
-            # back-substitute: parity of the non-lead support decides the lead bit
-            if bin(row & x & ~(1 << lead)).count("1") % 2:
+            # back-substitute: the lead bit is still clear, so the parity of row & x decides it
+            if bin(pivots[lead] & x).count("1") % 2:
                 x |= 1 << lead
         solutions.append(x)
-    swap = (1, 0)
-    out = []
-    for x in sorted(set(solutions)):
-        if x == 0:
-            continue
-        voltages = {e: swap for e, i in index.items() if x >> i & 1}
-        out.append(VoltageAssignment(base, 2, voltages))
-    return out
+    return [VoltageAssignment(base, 2, {e: (1, 0) for e, i in index.items() if x >> i & 1}) for x in sorted(solutions)]
 
 
 def dump_voltage(v: VoltageAssignment) -> str:

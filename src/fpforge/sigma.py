@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 from .complex_core import (
     ComplexError, FormatError, _json_field, _json_items, _json_list, _json_object, _json_text, _json_value, _read_json,
-    SimplicialComplex, _tree_parents,
+    _record_json, SimplicialComplex, _tree_parents,
 )
 from .covers import CoverComplex, VoltageAssignment, build_cover, normal_generators
 from .groups import Presentation, SpanningTreeWords, Word, coset_enumerate
@@ -114,19 +114,10 @@ class CoverRegistryEntry:
         return isinstance(self.certified_up_to, int) and self.certified_up_to >= k
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "degree": self.degree,
-            "homology": [s.to_json_dict() for _, s in sorted(self.homology.items())],
-            "certified_up_to": self.certified_up_to,
-            "simply_connected": self.simply_connected,
-            "quotient_is_finite": self.quotient_is_finite,
-            "quotient_fp_certified": self.quotient_fp_certified,
-            "quotient_finitely_presented": self.quotient_finitely_presented,
-            "note": self.note,
-            "voltage": self.voltage.to_json_dict() if self.voltage else None,
-        }
+        return _record_json(
+            self, homology=[s.to_json_dict() for _, s in sorted(self.homology.items())],
+            voltage=self.voltage.to_json_dict() if self.voltage else None,
+        )
 
     @classmethod
     def from_json_dict(cls, data: Mapping, path: str = "$") -> "CoverRegistryEntry":
@@ -363,12 +354,10 @@ class PowerTowerRule:
         return self.default
 
     def to_json_dict(self) -> dict:
-        return {
-            "constants": list(self.constants),
-            "assignments": sorted([i, e] for i, e in self.assignments.items()),
-            "default": self.default,
-            "recurrent": sorted(self.recurrent),
-        }
+        return _record_json(
+            self, assignments=sorted(map(list, self.assignments.items())),
+            recurrent=sorted(self.recurrent),
+        )
 
     @classmethod
     def from_json_dict(cls, data: Mapping, path: str = "$") -> "PowerTowerRule":
@@ -417,15 +406,7 @@ class PrimeCongruenceRule:
         return self.default
 
     def to_json_dict(self) -> dict:
-        return {
-            "members": sorted([p, e] for p, e in self.members.items()),
-            "default": self.default,
-            "family_id": self.family_id,
-            "torsion_degree": self.torsion_degree,
-            "torsion_multiplicity": self.torsion_multiplicity,
-            "certified_up_to": self.certified_up_to,
-            "members_simply_connected": self.members_simply_connected,
-        }
+        return _record_json(self, members=sorted(map(list, self.members.items())))
 
     @classmethod
     def from_json_dict(cls, data: Mapping, path: str = "$") -> "PrimeCongruenceRule":
@@ -752,7 +733,8 @@ def choose_constants(d: int, r_bounds: Sequence[int] | None = None, m: int = 1) 
 
     Position n must exceed its predecessor, clear the fixed threshold at
     n = 1, and dominate the loop-length bounds r at positions n-1 and n.
-    All comparisons against the irrational scale factor are exact.
+    With R the largest bound it must dominate, C_n * sqrt(2/(d+1)) > R holds
+    exactly when 2C_n^2 > R^2(d+1), that is C_n > isqrt(R^2(d+1) // 2).
     """
     if d < 1 or m < 1:
         raise SigmaError("dimension and count must be positive")
@@ -760,16 +742,11 @@ def choose_constants(d: int, r_bounds: Sequence[int] | None = None, m: int = 1) 
     if any(x < 0 for x in r):
         raise SigmaError("loop-length bounds must be nonnegative")
     r += [0] * (m + 1 - len(r))
-    out: list[int] = []
+    out = [0]
     for n in range(1, m + 1):
-        # Every condition is monotone in C and holds at hi, so bisect for the least C.
-        lo = out[-1] + 1 if out else 1
-        hi = lo + max(3, r[n - 1], r[n]) * (d + 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (mid + 1, hi) if _growth_failures(out + [mid], n, r, d) else (lo, mid)
-        out.append(lo)
-    return tuple(out)
+        R = max(r[n - 1], r[n], 3 if n == 1 else 0)
+        out.append(max(out[-1] + 1, isqrt(R * R * (d + 1) // 2) + 1))
+    return tuple(out[1:])
 
 
 @dataclass(frozen=True)

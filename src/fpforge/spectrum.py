@@ -48,6 +48,7 @@ from .complex_core import (
     _json_object,
     _json_text,
     _read_json,
+    _record_json,
     _require_valid,
 )
 from .groups import (
@@ -248,11 +249,7 @@ class LengthStatus:
     loop: tuple[int, ...] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "certificate": dict(self.certificate),
-            "loop": list(self.loop) if self.loop else None,
-        }
+        return _record_json(self, certificate=dict(self.certificate), loop=list(self.loop) if self.loop else None)
 
 
 @dataclass(frozen=True)
@@ -268,14 +265,8 @@ class TautSpectrumReport:
         return sorted(l for l, st in self.statuses.items() if st.status == "taut")
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph_f_vector": list(self.graph_f_vector),
-            "l_max": self.l_max,
-            "budget": self.budget,
-            "budget_used": self.budget_used,
-            "statuses": {str(l): self.statuses[l].to_json_dict() for l in sorted(self.statuses)},
-            "spectrum": self.spectrum,
-        }
+        statuses = {str(l): self.statuses[l].to_json_dict() for l in sorted(self.statuses)}
+        return _record_json(self, statuses=statuses, spectrum=self.spectrum)
 
 
 def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -> TautSpectrumReport:

@@ -18,6 +18,7 @@ from fpforge.complex_core import (
 from fpforge.covers import (
     CoverComplex, CoverError, VoltageAssignment, build_cover, perm_compose, perm_inverse,
 )
+from fpforge.sigma import _growth_failures
 
 RP2_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
@@ -339,6 +340,21 @@ def reference_lift_loop(c: CoverComplex, loop, start_sheet: int) -> tuple[bool, 
 def reference_maps_into(vmap, simplices, target) -> bool:
     """Whether ``vmap`` sends every simplex to a member of ``target``, one sorted image at a time."""
     return all(tuple(sorted(vmap[x] for x in s)) in target for s in simplices)
+
+
+def reference_choose_constants(d: int, r_bounds, m: int) -> tuple[int, ...]:
+    """Oracle: bisect for each least constant against the growth conditions as the ratio check reports them."""
+    r = list(r_bounds or []) + [0] * (m + 1)
+    out: list[int] = []
+    for n in range(1, m + 1):
+        # Every condition is monotone in C and holds at hi, so bisect for the least C.
+        lo = out[-1] + 1 if out else 1
+        hi = lo + max(3, r[n - 1], r[n]) * (d + 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if _growth_failures(out + [mid], n, r, d) else (lo, mid)
+        out.append(lo)
+    return tuple(out)
 
 
 @st.composite

@@ -634,11 +634,16 @@ class TestSharedSpanningTree:
         assert spanning_tree(K) == reference_tree(K)
         check_against_references(K)
 
-    @pytest.mark.parametrize("rounds", [1, 2])
+    @pytest.mark.parametrize("rounds", [0, 1, 2, 3])
     def test_subdivided_rp2_matches(self, rounds):
         K = SimplicialComplex.from_facets(RP2_FACETS)
         for _ in range(rounds):
             K = barycentric_subdivision(K)
+        check_against_references(K)
+
+    def test_flagified_projective_plane_matches(self):
+        K = flagify_presentation_complex(GroupPresentationInput(1, [[1, 1]]))
+        assert len(double_cover_voltages(K)) == 1  # Hom(Z/2, Z/2) minus the trivial map
         check_against_references(K)
 
     def test_flagified_torus_matches(self):
@@ -1064,11 +1069,28 @@ class TestSheetLabels:
     def test_ill_labelled_fibers_are_refused(self, cover, message):
         """Such covers can be made, fail the covering check, and are refused by name wherever fibers are read."""
         assert verify_covering(cover) is False and scan_verify_covering(cover) is False
-        for read in (CoverComplex.fibers, lambda c: c.degree, lambda c: lift_loop(c, [0, 1, 2, 0], 0), deck_group):
+        reads = (
+            CoverComplex.fibers, lambda c: c.degree, lambda c: lift_loop(c, [0, 1, 2, 0], 0), deck_group,
+            lambda c: double_of_cover(c.base, c),
+        )
+        for read in reads:
             with pytest.raises(CoverError) as info:
                 read(cover)
             assert str(info.value) == message
         assert lift_outcome(reference_lift_loop, cover, [0, 1, 2, 0], 0) == (CoverError, message)
+
+    def test_a_voltage_cover_reads_its_degree_off_the_fibers(self):
+        """A built cover with a sheet dropped has no degree, though its voltage data still names one."""
+        built = build_cover(VoltageAssignment(cycle_complex(3), 2, {(1, 2): (1, 0)}))
+        assert built.degree == 2 == built._cache["degree"]
+        sheet = {t: s for t, s in built.sheet.items() if t != 5}
+        cover = CoverComplex(built.total, built.base, built.projection, sheet, built.assignment)
+        messages = []
+        for read in (CoverComplex.fibers, lambda c: c.degree):
+            with pytest.raises(CoverError) as info:
+                read(cover)
+            messages.append(str(info.value))
+        assert messages == ["total vertex 5 has no sheet"] * 2
 
 
 # ---------------------------------------------------------------------------

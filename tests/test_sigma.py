@@ -42,7 +42,9 @@ from fpforge.sigma import (
     validate_registry,
 )
 
-from helpers import RP2_FACETS, reference_facets, s3_left_regular_cover, voltage_assignments
+from helpers import (
+    RP2_FACETS, reference_choose_constants, reference_facets, s3_left_regular_cover, voltage_assignments,
+)
 
 MEMBERS = {p: f"Lp{p}" for p in (3, 5, 7)}
 SPHERE_Z = HomologySummary(RingSpec.Z(), (0, 0, 1), ((), (), ()))
@@ -602,6 +604,10 @@ class TestChooseConstants:
     def test_matches_the_linear_search(self, d, r, m):
         assert choose_constants(d, r, m) == linear_choose_constants(d, r, m)
 
+    @given(d=st.integers(1, 40), r=st.lists(st.integers(0, 10**12), max_size=7), m=st.integers(1, 6))
+    def test_matches_the_bisection(self, d, r, m):
+        assert choose_constants(d, r, m) == reference_choose_constants(d, r, m)
+
     def test_large_bounds_are_found_without_a_linear_walk(self):
         assert choose_constants(2, [0, 10**30], 1) == (1224744871391589049098642037353,)
 
@@ -823,6 +829,18 @@ class TestBounds:
 
 
 class TestSigmaJson:
+    def test_records_write_one_key_per_field_and_read_back(self, registry):
+        tower = sigma_power_tower([1, 2], choose_constants(2, None, 4), registry, [3, 5], member_ids=MEMBERS)
+        prime = sigma_field_example(registry, member_ids=MEMBERS).prime_rule
+        constructed = constructed_entry("Lsd1", orientation_voltage())
+        records = [tower.power_rule, prime, constructed, registry["T5"], registry[sigma_mod.PERFECT_ID]]
+        assert tower.power_rule.assignments and tower.power_rule.recurrent and prime.members
+        for record in records:
+            data = record.to_json_dict()
+            assert list(data) == [f.name for f in dataclasses.fields(record)]
+            assert type(record).from_json_dict(data) == record
+            assert type(record).from_json_dict(json.loads(json.dumps(data))) == record
+
     def test_round_trip_tails(self, registry):
         spec = sigma_prime_set([2, 3], registry, member_ids=MEMBERS)
         text = dump_sigma_spec(spec)

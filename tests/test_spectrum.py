@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -206,6 +207,14 @@ class TestTautSpectrum:
         data = report.to_json_dict()
         text = json.dumps(data, sort_keys=True)
         assert json.loads(text)["spectrum"] == [5]
+
+    def test_report_and_statuses_write_one_key_per_field(self):
+        report = taut_spectrum(cycle_graph(5), 6, 10_000)
+        data = report.to_json_dict()
+        assert list(data) == [f.name for f in dataclasses.fields(report)] + ["spectrum"]
+        assert {s.status for s in report.statuses.values()} == {"taut", "filled"}
+        for length, status in report.statuses.items():
+            assert list(data["statuses"][str(length)]) == [f.name for f in dataclasses.fields(status)]
 
 
 def always_enumerate_reference(graph, l_max, budget):
