@@ -556,7 +556,12 @@ def flagify_presentation_complex(input: GroupPresentationInput) -> SimplicialCom
 
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:  # a ValueError too, reported as it always was
+            raise
+        except (RecursionError, ValueError) as exc:  # not UTF-8, nested too deeply, or an integer past the digit limit
+            raise FormatError(f"{path}: {exc}") from None
 
 
 _SCALAR_TEXT = {  # json.dumps spells floats (NaN and the infinities too) as the indented encoder does

@@ -98,10 +98,11 @@ class CoverRegistryEntry:
             raise SigmaError(f"declared entry {self.id!r} needs a provenance note")
 
     def homology_over(self, ring: RingSpec) -> HomologySummary:
-        if ring.key in self.homology:
-            return self.homology[ring.key]
+        """A stored integral certificate answers over every field, by universal coefficients, ahead of a field one."""
         if ring.is_field and "Z" in self.homology:
             return field_summary_from_integral(self.homology["Z"], ring)
+        if ring.key in self.homology:
+            return self.homology[ring.key]
         raise MissingCertificateError(
             f"entry {self.id!r} has no homology certificate over {ring}"
         )
@@ -226,15 +227,16 @@ def declared_entry(
 
 
 def validate_registry(registry: Mapping[str, CoverRegistryEntry]) -> list[str]:
-    """Recompute each constructed entry through :func:`constructed_entry` and
-    compare fields, a field certificate with the universal-coefficient image of
-    the fresh integral one; sanity-check declared ones."""
+    """Recompute each constructed entry through :func:`constructed_entry` and compare fields, a field
+    certificate with the universal-coefficient image of the fresh integral one; sanity-check declared
+    ones, a field certificate against the image of the stored integral one."""
     problems = []
     for eid, entry in sorted(registry.items()):
         if entry.id != eid:
             problems.append(f"{eid}: key does not match entry id {entry.id!r}")
+        fresh, against = entry, "its integral certificate"  # a declared entry is read against itself
         if entry.kind == "constructed":
-            fresh = constructed_entry(eid, entry.voltage)
+            fresh, against = constructed_entry(eid, entry.voltage), "recomputation"
             if not fresh.homology["Z"].is_trivial_in(0):
                 problems.append(f"{eid}: constructed cover is disconnected")
             if entry.degree != fresh.degree:
@@ -243,11 +245,11 @@ def validate_registry(registry: Mapping[str, CoverRegistryEntry]) -> list[str]:
                 problems.append(f"{eid}: stored integral certificate disagrees with recomputation")
             if entry.simply_connected != fresh.simply_connected:
                 problems.append(f"{eid}: stored simple connectivity disagrees with recomputation")
-            for key, summary in entry.homology.items():
-                if key != "Z" and summary != fresh.homology_over(RingSpec.parse(key)):
-                    problems.append(f"{eid}: stored {key} certificate disagrees with recomputation")
         elif not entry.homology:
             problems.append(f"{eid}: declared entry carries no homology data")
+        for key, summary in entry.homology.items():
+            if key != "Z" and summary != fresh.homology_over(RingSpec.parse(key)):
+                problems.append(f"{eid}: stored {key} certificate disagrees with {against}")
     return problems
 
 

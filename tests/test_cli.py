@@ -477,6 +477,35 @@ class TestExitCodes:
         assert main([a.format(delta2=delta2) for a in argv] + [bad]) == 2
         assert f"fpforge: format error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["homology", "--ring", "Z", "--complex"],
+            ["cover", "--voltage"],
+            ["spectrum", "--lmax", "3", "--graph"],
+            ["present", "--complex", "{delta2}", "--spreads"],
+            ["decide", "--finitely-presented", "--sigma"],
+            ["sigma", "--builder", "field-example", "--registry"],
+            ["subpres", "--presentation"],
+        ],
+        ids=lambda argv: argv[-1],
+    )
+    @pytest.mark.parametrize(
+        "text",
+        [b"[" * 200_000, b"\xff{}", b"[" + b"7" * 5000 + b"]"],
+        ids=["nested-200000-deep", "byte-0xff", "5000-digit-integer"],
+    )
+    def test_malformed_text_is_one_format_error_line(self, tmp_path, capsys, delta2, argv, text):
+        """Nesting past the recursion limit, text that is not UTF-8 and an integer past the digit limit."""
+        if b"7" * 5000 in text and not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+            pytest.skip("this interpreter reads a 5000-digit integer literal")
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        assert main([a.format(delta2=delta2) for a in argv] + [str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fpforge: format error: ") and captured.err.count("\n") == 1
+
 
 def _outcome(call, argv):
     """Exit code, stdout and stderr of ``call(argv)``, which may return a code or exit."""

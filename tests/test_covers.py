@@ -121,6 +121,9 @@ def brute_deck_transformations(cover):
     return results
 
 
+NO_VOLTAGES = r"^deck group requires a cover built from voltages$"
+
+
 def deck_permutations(cover, transformations):
     """The sheet permutations that maps of the total space induce over the least base vertex."""
     fiber = cover.fibers()[min(cover.base.vertices)]
@@ -467,15 +470,20 @@ class TestDeckGroup:
         assert all(tuple(sorted(swap[t] for t in s)) in total.simplices for s in total.simplices if len(s) < 3)
         # ...but takes the kept triangle over the same base triangle onto the missing one.
         assert kept in total.simplices and tuple(sorted(swap[t] for t in kept)) == gone
-        assert deck_group(damaged) == (False, None)
         assert len(brute_deck_transformations(damaged)) == 1
+        # The damaged total carries no voltages, so the deck group is refused; the built cover keeps its swap.
+        with pytest.raises(CoverError, match=NO_VOLTAGES):
+            deck_group(damaged)
+        assert deck_group(cover) == (True, [(0, 1), (1, 0)])
 
     def test_pullback_uses_search_path(self):
+        """A pullback carries no voltages: its deck group is refused, though the search still finds two."""
         base = cycle_complex(4)
         doubled = double_of_cover(base, c4_double_cover())
-        assert doubled.assignment is None
-        regular, group = deck_group(doubled)
-        assert regular and len(group) == 2
+        assert doubled.assignment is None and verify_covering(doubled)
+        with pytest.raises(CoverError, match=NO_VOLTAGES):
+            deck_group(doubled)
+        assert deck_permutations(doubled, brute_deck_transformations(doubled)) == [(0, 1), (1, 0)]
 
     def test_disconnected_rejected(self):
         cover = build_cover(VoltageAssignment(cycle_complex(4), 2))
@@ -785,17 +793,16 @@ def graph_covers(draw):
 
 
 class TestDeckGroupMatchesOracle:
-    @settings(max_examples=300)
-    @given(graph_covers())
-    def test_random_graph_covers(self, cover):
-        """On a connected voltage cover the deck group is the centralizer of the voltages."""
+    @staticmethod
+    def check(cover):
+        """On a connected voltage cover the deck group is the centralizer of the voltages, and the search's."""
         if not cover.total.is_connected():
             with pytest.raises(CoverError, match=r"^deck group requires a connected cover$"):
                 deck_group(cover)
             return
         d = cover.degree
         oracle = brute_deck_transformations(cover)
-        voltages = cover.assignment.voltage.values()
+        voltages = set(cover.assignment.voltage.values())
         centralizer = [
             p for p in itertools.permutations(range(d)) if all(perm_compose(p, v) == perm_compose(v, p) for v in voltages)
         ]
@@ -807,21 +814,52 @@ class TestDeckGroupMatchesOracle:
             assert group is None
 
     @settings(max_examples=300)
+    @given(graph_covers())
+    def test_random_graph_covers(self, cover):
+        self.check(cover)
+
+    @settings(max_examples=300)
+    @given(voltage_assignments())
+    def test_voltage_assignments(self, voltage):
+        """2-complexes, with a 3-simplex or not, of degree 1-4."""
+        self.check(build_cover(voltage))
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(S3), st.sampled_from(S3))
+    def test_s3_voltage_covers(self, g, h):
+        """Degree 6: two elements of S3 acting by left multiplication, connected exactly when they generate S3."""
+        voltages = {(1, 2): left_multiplication(g), (3, 4): left_multiplication(h)}
+        self.check(build_cover(VoltageAssignment(wedge_of_two_triangles(), 6, voltages)))
+
+    @settings(max_examples=300)
     @given(perturbed_covers())
     def test_damaged_covers(self, cover):
-        """Off valid covers the lifting, bijection and simplex checks decide what is a deck transformation."""
+        """Damaged covers carry no voltages: refused, and by the fibers' own message when they are ill-labelled."""
         try:
             sizes = {len(f) for f in cover.fibers().values()}
-        except CoverError:  # a sheet shared within a fiber
-            sizes = set()
-        if not cover.total.is_connected() or len(sizes) != 1:
-            with pytest.raises(CoverError):
-                deck_group(cover)
-            return
-        oracle = brute_deck_transformations(cover)
-        regular, group = deck_group(cover)
-        assert regular == (len(oracle) == cover.degree)
-        assert group == (deck_permutations(cover, oracle) if regular else None)
+        except CoverError as exc:  # an ill-labelled fiber
+            message = str(exc)
+        else:
+            if len(sizes) == 1:
+                message = "deck group requires a cover built from voltages"
+            else:
+                message = "fibers have unequal sizes; no well-defined degree"
+        with pytest.raises(CoverError) as info:
+            deck_group(cover)
+        assert str(info.value) == message
+
+    def test_reads_neither_the_step_table_nor_the_image_check(self, monkeypatch):
+        monkeypatch.setattr(covers, "_total_adjacency", lambda c: pytest.fail("step table built"))
+        monkeypatch.setattr(covers, "_maps_into", lambda *args: pytest.fail("image check run"))
+        assert deck_group(orientation_cover()) == (True, [(0, 1), (1, 0)])
+        assert deck_group(s3_left_regular_cover())[0] is True
+
+    def test_degrees_of_fibers_and_voltages_must_agree(self):
+        built = c4_double_cover()
+        half = VoltageAssignment(built.base, 1)
+        cover = CoverComplex(built.total, built.base, built.projection, built.sheet, half)
+        with pytest.raises(CoverError, match=r"^fibers hold 2 sheets, but the voltages have degree 1$"):
+            deck_group(cover)
 
 
 class TestVerifyCoveringMatchesStarScan:
@@ -1055,7 +1093,12 @@ class TestSheetLabels:
         assert verify_covering(cover) and scan_verify_covering(cover)
         assert cover.degree == 2
         assert lift_loop(cover, [0, 1, 2, 0], 0) == (False, 1)
-        assert deck_group(cover) == (True, [(0, 1), (1, 0)])
+        # Hand-made, so without voltages: the deck group is refused; the built cover and the search agree on it.
+        with pytest.raises(CoverError, match=NO_VOLTAGES):
+            deck_group(cover)
+        built = build_cover(VoltageAssignment(cycle_complex(3), 2, {(1, 2): (1, 0)}))
+        searched = deck_permutations(cover, brute_deck_transformations(cover))
+        assert deck_group(built) == (True, searched) == (True, [(0, 1), (1, 0)])
 
     @pytest.mark.parametrize(
         "cover, message",
@@ -1139,11 +1182,12 @@ class TestImageCheck:
         assert verify_covering(moved) is scan_verify_covering(moved) is True
         if not moved.total.is_connected():
             return
+        with pytest.raises(CoverError, match=NO_VOLTAGES):
+            deck_group(moved)
         oracle = brute_deck_transformations(moved)
-        regular, group = deck_group(moved)
+        regular, group = deck_group(cover)
         assert regular == (len(oracle) == moved.degree)
         assert group == (deck_permutations(moved, oracle) if regular else None)
-        assert (regular, group) == deck_group(cover)
 
     def test_relabelled_orientation_cover_sorts_its_images(self):
         cover = orientation_cover()
@@ -1159,7 +1203,9 @@ class TestImageCheck:
         projected = [[moved.projection[x] for x in s] for s in total.simplices_of_dim(2)]
         assert any(p != sorted(p) for p in projected)
         assert verify_covering(moved)
-        assert deck_group(moved) == deck_group(cover) == (True, [(0, 1), (1, 0)])
+        with pytest.raises(CoverError, match=NO_VOLTAGES):
+            deck_group(moved)
+        assert deck_permutations(moved, brute_deck_transformations(moved)) == deck_group(cover)[1] == [(0, 1), (1, 0)]
 
 
 # ---------------------------------------------------------------------------

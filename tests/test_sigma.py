@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpforge import sigma as sigma_mod
+from fpforge.cli import main
 from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree, validate
 from fpforge.covers import VoltageAssignment, build_cover, double_cover_voltages, verify_covering
 from fpforge.groups import SpanningTreeWords, coset_enumerate
@@ -272,6 +273,29 @@ class TestRegistry:
         assert fields["F2"].ranks == (0, 1, 1) and fields["Q"].ranks == (0, 0, 0)
         stored = dataclasses.replace(entry, homology={**entry.homology, **fields})
         assert validate_registry({"rp2": stored}) == []
+
+    def test_a_declared_field_certificate_never_overrides_the_integral_one(self, tmp_path, capsys):
+        """Entry L stores H~1 = Z/2 over Z; a trivial F2 summary beside it is reported, and decisions read the image."""
+        registry = example_registry()
+        L = registry["L"]
+        image = L.homology_over(RingSpec.Fp(2))
+        assert image.rank(1) == 1
+        trivial = HomologySummary(RingSpec.Fp(2), (0, 0), ((), ()))
+        registry["L"] = dataclasses.replace(L, homology={**L.homology, "F2": trivial})
+        assert registry["L"].homology_over(RingSpec.Fp(2)) == image
+        assert validate_registry(registry) == ["L: stored F2 certificate disagrees with its integral certificate"]
+        spec = sigma_prime_set([2, 3], registry, member_ids=MEMBERS)
+        assert str(fp_decide(spec, RingSpec.Fp(2), 2)) == "FP_2(F2): NO (entry L, degree 1)"
+        consistent = {**registry, "L": dataclasses.replace(L, homology={**L.homology, "F2": image})}
+        assert validate_registry(consistent) == []
+        # The same verdict through the command line, from a registry file.
+        (tmp_path / "registry.json").write_text(dump_registry(registry), encoding="utf-8")
+        spec_path = str(tmp_path / "spec.json")
+        argv = ["sigma", "--builder", "prime-set", "--primes", "2,3", "--registry", str(tmp_path / "registry.json")]
+        assert main([*argv, "--out", spec_path]) == 0
+        capsys.readouterr()
+        assert main(["decide", "--sigma", spec_path, "--ring", "F2", "--k", "2"]) == 0
+        assert capsys.readouterr().out == "FP_2(F2): NO (entry L, degree 1)\n"
 
     def test_declared_entry_without_homology_is_reported(self, registry):
         bare = dataclasses.replace(registry["T5"], homology={})
