@@ -5,15 +5,18 @@ integer vertex ids.  Everything here is purely combinatorial: no geometric
 realization is ever built.  Values are immutable after construction and safe
 to share between threads.
 
-Because a complex never changes, derived tables are built lazily, once, into
-its ``_cache``: simplices by dimension (every dimension in one pass, which
-also gives the dimension), the 1-skeleton adjacency, the facet list, the
-coface index (vertex -> stored simplices containing it) and the canonical
-spanning tree.  They are handed out as tuples, frozensets, read-only
-mappings or copies, so no caller can change a later answer.  The index is
-built in one pass over the simplices, so facets, closed stars, links and the
-flag and local-cut-point tests cost O(N·d) for N simplices of dimension d
-instead of a scan of every simplex per vertex.  A passing
+Because a complex never changes, derived tables are kept once in its
+``_cache`` and handed out as tuples, frozensets, read-only mappings or
+copies, so no caller can change a later answer: simplices by dimension
+(sorted tuples), the 1-skeleton adjacency, the facet list, the coface index
+(vertex -> stored simplices containing it, built in one pass, so facets,
+links and the flag and local-cut-point tests cost O(N·d) for N simplices of
+dimension d) and the canonical spanning tree.  ``from_facets``,
+``covers.build_cover`` and ``spherical_double`` build a complex one
+dimension at a time and hand over its sorted layers as the table by
+dimension (``SimplicialComplex._layered``); a raw-constructed complex (the
+constructor, :func:`link`, :func:`barycentric_subdivision`) buckets its
+simplices by size on first use and sorts each bucket.  A passing
 :func:`validate` is cached the same way, so the checks that guard the
 constructions below validate each complex once.  ``from_facets`` closes its
 facets downward layer by layer, taking the (n-1)-faces from the distinct
@@ -181,15 +184,27 @@ class SimplicialComplex:
         top = max(layers, default=0) if len(layers) <= 1 else None  # distinct facets of one size
         for n in range(max(layers, default=1), 1, -1):
             layers.setdefault(n - 1, set()).update(chain.from_iterable(map(combinations, layers[n], repeat(n - 1))))
-        verts = set(map(int, vertices)).union(chain.from_iterable(layers.get(1, ())))
-        complex = cls(verts, chain(zip(verts), *layers.values()))
-        complex._cache["valid"] = True  # sorted, deduplicated, closed downward, every vertex a 0-simplex
-        if top is not None and len(verts) == len(layers.get(1, ())):  # no extra vertex outside a facet
+        singletons = layers.pop(1, set())
+        verts = sorted(set(map(int, vertices)).union(chain.from_iterable(singletons)))
+        # Every vertex is a 0-simplex; each set is released once sorted.
+        complex = cls._layered(verts, {1: zip(verts)} | {n: sorted(layers.pop(n)) for n in list(layers)})
+        if top is not None and len(verts) == len(singletons):  # no extra vertex outside a facet
             complex._cache["pure"] = top
         return complex
 
+    @classmethod
+    def _layered(cls, vertices: Iterable[int], layers: Mapping[int, Iterable[tuple[int, ...]]]) -> "SimplicialComplex":
+        """A complex recorded valid, with ``layers`` (cardinality -> sorted simplices, each strictly sorted)
+        as its ``by_dim`` table, empty ones dropped; for constructors whose output is so by construction."""
+        table = {n: layer for n, layer in zip(layers, map(tuple, layers.values())) if layer}
+        complex = cls(vertices, ())
+        complex.simplices = frozenset(chain.from_iterable(table.values()))
+        complex._cache.update(by_dim=MappingProxyType(table), valid=True)
+        return complex
+
     def _by_dim(self) -> Mapping[int, tuple[tuple[int, ...], ...]]:
-        """Cardinality -> the sorted stored simplices of that cardinality, bucketed in one pass."""
+        """Cardinality -> the sorted stored simplices of that cardinality, bucketed in one pass unless handed
+        over by :meth:`_layered`.  The keys are not in cardinality order."""
         if "by_dim" not in self._cache:
             buckets: dict[int, list[tuple[int, ...]]] = {}
             for s in self.simplices:
@@ -206,8 +221,9 @@ class SimplicialComplex:
         return self._by_dim().get(k + 1, ())
 
     def f_vector(self) -> tuple[int, ...]:
-        counts = Counter(map(len, self.simplices))  # counted, not sorted into dimensions
-        return tuple(map(counts.__getitem__, range(1, max(counts, default=0) + 1)))
+        table = self._cache.get("by_dim")  # layer lengths when the table exists; else counted, not sorted
+        counts = Counter(map(len, self.simplices)) if table is None else dict(zip(table, map(len, table.values())))
+        return tuple(map(counts.get, range(1, max(counts, default=0) + 1), repeat(0)))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
@@ -268,20 +284,20 @@ class SimplicialComplex:
         """Maximal simplices, sorted.
 
         A complex recorded pure at construction (``_cache["pure"]``, its facet
-        cardinality) has its top-dimensional simplices as facets, so they are
-        read off the cached layer, or picked by size in one pass.  Otherwise a
+        cardinality) has its top-dimensional simplices as facets: the cached
+        top layer, already sorted, or picked by size in one pass.  Otherwise a
         stored simplex is maximal unless it is a codimension-1 face of a
         stored simplex.  Only strictly sorted stored tuples and faces left by
         removing a vertex of the vertex set count, so an unvalidated complex
         gets the same answer as asking, for every vertex v, whether adding v
         gives a stored simplex.  A known-valid complex skips those checks.
         """
+        top = self._cache.get("pure")
+        if "facets" not in self._cache and top is not None and "by_dim" in self._cache:
+            self._cache["facets"] = self._cache["by_dim"].get(top, ())  # a sorted layer: nothing to sort
         if "facets" not in self._cache:
-            top = self._cache.get("pure")
             simplices = list(self.simplices)
-            if top is not None and "by_dim" in self._cache:
-                facets = self._cache["by_dim"].get(top, ())
-            elif top is not None:
+            if top is not None:
                 facets = compress(simplices, map(top.__eq__, map(len, simplices)))
             elif "valid" in self._cache:  # strictly sorted tuples on the vertex set: every face counts
                 sizes = map(int.__sub__, map(len, simplices), repeat(1))
@@ -385,23 +401,6 @@ def link(complex: SimplicialComplex, simplex: Iterable[int]) -> SimplicialComple
     ]
     verts = {v for f in faces for v in f}
     return SimplicialComplex(verts, faces)
-
-
-def closed_star(complex: SimplicialComplex, vertex: int) -> frozenset[tuple[int, ...]]:
-    """Simplices of the closed star of ``vertex`` (faces of its cofaces).
-
-    On a valid complex every such face is a coface c of the vertex or c minus
-    the vertex, so one pass over the cofaces finds them all.
-    """
-    _require_valid(complex)
-    if (vertex,) not in complex.simplices:
-        raise ComplexError(f"vertex {vertex} not in complex")
-    out = set()
-    for c in complex.cofaces()[vertex]:
-        out.add(c)
-        if len(c) > 1:
-            out.add(tuple(v for v in c if v != vertex))
-    return frozenset(out)
 
 
 def barycentric_subdivision(complex: SimplicialComplex) -> SimplicialComplex:

@@ -260,22 +260,26 @@ def build_cover(v: VoltageAssignment) -> CoverComplex:
     Lifts are built one dimension at a time, a vertex column per simplex
     position.  Total vertex order[b]·d + s grows with the base vertex b and
     the sheet s < d, and base simplices are strictly sorted, so every lift is
-    already sorted.
+    already sorted.  So are the lifts from one anchor sheet, taken in base
+    order, and one sort per dimension merges the d runs into the layer that
+    the total is handed.
     """
     base = v.base
     d = v.degree
     ordered = sorted(base.vertices)
     order = {b: i for i, b in enumerate(ordered)}
-    simplices = set()
+    layers = {}
     for k in range(base.dimension + 1):
         anchors, *others = cols = list(zip(*base.simplices_of_dim(k)))
         offsets = [[order[b] * d for b in col] for col in cols]
         perms = [list(map(v.voltage.__getitem__, zip(anchors, col))) for col in others]
+        layer = layers[k + 1] = []
         for s in range(d):
             sheets = [repeat(s), *(map(itemgetter(s), p) for p in perms)]
-            simplices.update(zip(*[map(add, o, t) for o, t in zip(offsets, sheets)]))
-    total = SimplicialComplex(range(len(ordered) * d), simplices)
-    total._cache["valid"] = True  # each face of a lift is the lift of a face (triangle condition)
+            layer.extend(zip(*[map(add, o, t) for o, t in zip(offsets, sheets)]))
+        layer.sort()
+    # Valid: each face of a lift is the lift of a face (triangle condition).
+    total = SimplicialComplex._layered(range(len(ordered) * d), layers)
     if "pure" in base._cache:  # lifts of facets are maximal and cover every lift
         total._cache["pure"] = base._cache["pure"]
     projection = dict(enumerate(b for b in ordered for _ in range(d)))

@@ -263,12 +263,6 @@ def snf_diagonal(D: Sequence[Sequence[int]]) -> list[int]:
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
-def invariant_factors(A: Sequence[Sequence[int]]) -> list[int]:
-    """Nonzero diagonal entries of the Smith normal form of a dense matrix."""
-    D, _, _ = smith_normal_form(A)
-    return [d for d in snf_diagonal(D) if d]
-
-
 # ---------------------------------------------------------------------------
 # Sparse elimination (internal engine for chain complexes)
 

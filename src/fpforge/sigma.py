@@ -168,8 +168,11 @@ def _json_optional(data: Mapping, key: str, load):
 
 def _fundamental_group_order(K: SimplicialComplex) -> int | None:
     """Order of the edge-path group of a connected complex, by coset enumeration
-    of the trivial subgroup; None when the budget runs out or it is infinite."""
-    return coset_enumerate(SpanningTreeWords(K).presentation(), (), SIMPLE_CONNECTIVITY_BUDGET)
+    of the trivial subgroup; None when the budget runs out or it is infinite.
+    Kept in ``K._cache``, like its integral homology, since K never changes."""
+    if "pi1_order" not in K._cache:
+        K._cache["pi1_order"] = coset_enumerate(SpanningTreeWords(K).presentation(), (), SIMPLE_CONNECTIVITY_BUDGET)
+    return K._cache["pi1_order"]
 
 
 def constructed_entry(id: str, voltage: VoltageAssignment) -> CoverRegistryEntry:

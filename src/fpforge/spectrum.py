@@ -115,17 +115,6 @@ def cycles_by_length(
         yield length, walks
 
 
-def enumerate_cycles(graph: SimplicialComplex, max_len: int) -> dict[int, list[tuple[int, ...]]]:
-    """Cyclically reduced closed walks up to rotation and reversal, by length.
-
-    Walks may revisit vertices and edges (an essential loop traversed twice is
-    a genuine length-2l loop); only immediate backtracking is excluded,
-    including across the wrap-around.  Each class is listed by the greatest
-    of its rotations that start at its least vertex, in either direction.
-    """
-    return {l: walks for l, walks in cycles_by_length(graph, range(1, max_len + 1)) if walks}
-
-
 def closed_walk_lengths(graph: SimplicialComplex, max_len: int) -> set[int]:
     """The lengths l <= max_len that have a cyclically non-backtracking
     closed walk, found without listing one: those with tr(B^l) > 0 for the

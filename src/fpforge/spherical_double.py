@@ -57,11 +57,15 @@ def spherical_double(L: SimplicialComplex) -> DoubledComplex:
     _require_valid(L)
     signs = {v: (plus_vertex(v), minus_vertex(v)) for v in L.vertices}
     # L is valid, so each simplex is strictly sorted, and v < w gives
-    # 2v + 1 < 2w: every sign choice comes out of product already sorted.
-    simplices = chain.from_iterable(starmap(product, map(map, repeat(signs.__getitem__), L.simplices)))
-    vertices = chain.from_iterable(signs.values())
-    double = SimplicialComplex(vertices, simplices)
-    double._cache["valid"] = True  # sorted as above, and every face of a sign choice is one
+    # 2v + 1 < 2w: every sign choice comes out of product already sorted, and
+    # every face of a sign choice is one.  The choices of neighbouring
+    # simplices interleave (those of (0, 1) and (0, 2) do), so each layer is
+    # sorted once, from runs of the 2^n choices of each n-vertex simplex.
+    layers = {}
+    for n in range(1, L.dimension + 2):
+        choices = starmap(product, map(map, repeat(signs.__getitem__), L.simplices_of_dim(n - 1)))
+        layers[n] = sorted(chain.from_iterable(choices))
+    double = SimplicialComplex._layered(chain.from_iterable(signs.values()), layers)
     if "pure" in L._cache:  # each sign choice of a facet of L is maximal, and every simplex lies in one
         double._cache["pure"] = L._cache["pure"]
     return DoubledComplex(double, L)

@@ -12,13 +12,15 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
+from fpforge import homology
 from fpforge.complex_core import (
-    ComplexError, GroupPresentationInput, SimplicialComplex, barycentric_subdivision, spanning_tree,
+    ComplexError, GroupPresentationInput, SimplicialComplex, _require_valid, barycentric_subdivision, spanning_tree,
 )
 from fpforge.covers import (
     CoverComplex, CoverError, VoltageAssignment, build_cover, perm_compose, perm_inverse,
 )
 from fpforge.sigma import _growth_failures
+from fpforge.spectrum import cycles_by_length
 
 RP2_FACETS = [
     (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
@@ -115,6 +117,20 @@ def reference_facets(K: SimplicialComplex) -> list[tuple[int, ...]]:
         if tuple(sorted(set(t))) == t:
             covered.update(t[:i] + t[i + 1:] for i, v in enumerate(t) if v in K.vertices)
     return sorted(s for s in K.simplices if tuple(sorted(set(s))) not in covered)
+
+
+def reference_closed_star(K: SimplicialComplex, vertex: int) -> frozenset[tuple[int, ...]]:
+    """Simplices of the closed star of ``vertex`` on a valid complex: each coface c of the vertex and c minus
+    the vertex, read off the coface index."""
+    _require_valid(K)
+    if (vertex,) not in K.simplices:
+        raise ComplexError(f"vertex {vertex} not in complex")
+    out = set()
+    for c in K.cofaces()[vertex]:
+        out.add(c)
+        if len(c) > 1:
+            out.add(tuple(v for v in c if v != vertex))
+    return frozenset(out)
 
 
 def reference_flagify_presentation_complex(input: GroupPresentationInput) -> SimplicialComplex:
@@ -423,6 +439,13 @@ def boundary_dense(cx, k: int) -> list[list[int]]:
     return out
 
 
+def invariant_factors(A: list[list[int]]) -> list[int]:
+    """Nonzero diagonal entries of the dense Smith normal form, read through the module so that a spy on
+    ``homology.smith_normal_form`` sees the call."""
+    D, _, _ = homology.smith_normal_form(A)
+    return [d for d in homology.snf_diagonal(D) if d]
+
+
 def minor_gcd_invariants(A: list[list[int]]) -> list[int]:
     """Invariant factors via gcds of k-by-k minors (the determinantal divisors).
 
@@ -520,3 +543,9 @@ def all_complexes_on(n: int):
 
     walk(0, set())
     return out
+
+
+def enumerate_cycles(graph: SimplicialComplex, max_len: int) -> dict[int, list[tuple[int, ...]]]:
+    """Cyclically reduced closed walks up to rotation and reversal, by length 1..max_len, nonempty lengths
+    only: every length of ``cycles_by_length`` at once."""
+    return {l: walks for l, walks in cycles_by_length(graph, range(1, max_len + 1)) if walks}

@@ -16,7 +16,6 @@ from fpforge.complex_core import (
     SimplicialComplex,
     _json_text,
     barycentric_subdivision,
-    closed_star,
     dump_complex,
     flagify_presentation_complex,
     has_no_local_cut_points,
@@ -60,8 +59,8 @@ def random_complex(rng, max_vertices=6):
     return SimplicialComplex.from_facets(facets)
 
 
-# Reference scans: the whole-complex bodies of facets, closed_star, link and
-# is_flag from before the coface index, kept to check the indexed versions.
+# Reference scans: the whole-complex bodies of facets, link and is_flag from
+# before the coface index, kept to check the indexed versions.
 
 
 def scan_facets(K):
@@ -73,10 +72,6 @@ def scan_facets(K):
             continue
         out.append(s)
     return sorted(out)
-
-
-def scan_closed_star(K, vertex):
-    return frozenset(t for t in K.simplices if tuple(sorted(set(t) | {vertex})) in K.simplices)
 
 
 def scan_link(K, s):
@@ -128,8 +123,6 @@ class TestCofaceIndex:
     def test_predicates_match_reference_scans(self, K):
         assert K.facets() == scan_facets(K)
         assert is_flag(K) == scan_is_flag(K)
-        for v in K.vertices:
-            assert closed_star(K, v) == scan_closed_star(K, v)
         for s in K.simplices:
             assert link(K, s) == scan_link(K, s)
 
@@ -141,7 +134,7 @@ class TestCofaceIndex:
                 assert link(K, s) == scan_link(K, s)
         if validate(K):
             with pytest.raises(ComplexError):
-                closed_star(K, 0)
+                is_flag(K)
 
     def test_cached_facets_are_not_shared_with_callers(self):
         K = full_simplex(3)
@@ -157,7 +150,7 @@ class TestCofaceIndex:
 
     def test_coface_index_and_adjacency_are_read_only(self):
         K = full_simplex(3)
-        star = closed_star(K, 0)
+        cofaces = dict(K.cofaces())
         for attempt in (
             lambda: K.cofaces()[0].clear(),
             lambda: K.cofaces().pop(0),
@@ -166,7 +159,7 @@ class TestCofaceIndex:
         ):
             with pytest.raises((AttributeError, TypeError)):
                 attempt()
-        assert closed_star(K, 0) == star != frozenset()
+        assert K.cofaces() == cofaces and sorted(cofaces[0]) == [(0,), (0, 1), (0, 1, 2), (0, 2)]
         assert K.adjacency() == {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
 
     def test_validity_is_checked_once_per_instance(self, monkeypatch):
@@ -175,12 +168,12 @@ class TestCofaceIndex:
         monkeypatch.setattr(complex_core, "validate", lambda K: calls.append(K) or real(K))
         K = full_simplex(3)
         is_flag(K)
-        closed_star(K, 0)
+        barycentric_subdivision(K)
         assert calls == []  # from_facets records that its output is valid
         K = SimplicialComplex(K.vertices, K.simplices)
         is_flag(K)
         is_flag(K)
-        closed_star(K, 0)
+        barycentric_subdivision(K)
         assert len(calls) == 1
         broken = SimplicialComplex([1, 2, 3], [(1,), (2,), (3,), (1, 2, 3)])
         for _ in range(2):

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from types import MappingProxyType
 
@@ -13,7 +14,6 @@ from fpforge.complex_core import (
     SimplicialComplex,
     _tree_parents,
     barycentric_subdivision,
-    closed_star,
     flagify_presentation_complex,
     spanning_tree,
 )
@@ -38,7 +38,7 @@ from fpforge.sigma import SigmaError, normal_generating_length_bound
 from fpforge.spherical_double import spherical_double
 
 from helpers import (
-    RP2_FACETS, S3, facet_inputs, left_multiplication, reference_build_cover, reference_facets,
+    RP2_FACETS, S3, facet_inputs, left_multiplication, reference_build_cover, reference_closed_star, reference_facets,
     reference_failing_triangle, reference_lift_loop, reference_maps_into, s3_left_regular_cover, voltage_assignments,
     wedge_of_two_triangles,
 )
@@ -702,9 +702,9 @@ def scan_verify_covering(c):
         return False
     if {c.projection[t] for t in c.total.vertices} != set(c.base.vertices):
         return False
-    base_stars = {v: closed_star(c.base, v) for v in c.base.vertices}
+    base_stars = {v: reference_closed_star(c.base, v) for v in c.base.vertices}
     for t in c.total.vertices:
-        st_t = closed_star(c.total, t)
+        st_t = reference_closed_star(c.total, t)
         st_v = base_stars[c.projection[t]]
         if len(st_t) != len(st_v):
             return False
@@ -936,16 +936,6 @@ class TestVerifyCoveringMatchesStarScan:
                 else:
                     with pytest.raises(ComplexError, match=expected):
                         check(c)
-
-    def test_no_closed_star_is_built(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("verify_covering built a closed star")
-
-        monkeypatch.setattr(complex_core, "closed_star", refuse)
-        monkeypatch.setattr(covers, "closed_star", refuse, raising=False)
-        base = subdivided_rp2()
-        (voltage,) = double_cover_voltages(barycentric_subdivision(base))
-        assert verify_covering(build_cover(voltage))
 
 
 class TestConnectivityFromTheTree:
@@ -1230,3 +1220,43 @@ def test_walk_first_lift_matches_the_reference_on_odd_arguments(make):
             expected = lift_outcome(reference_lift_loop, cover, loop, s)
             for form in (tuple, list, iter):
                 assert lift_outcome(lift_loop, cover, form(loop), s) == expected, (loop, s, form)
+
+
+# ---------------------------------------------------------------------------
+# Layers handed over at construction against a raw copy, which buckets its own
+
+
+def assert_layers_match_a_raw_copy(K):
+    """``from_facets``, ``build_cover`` and ``spherical_double`` hand their sorted layers to the complex:
+    every dimension's simplices, the dimension, the f-vector and the facets are the raw copy's."""
+    assert "by_dim" in K._cache  # handed over, not bucketed on first use
+    raw = SimplicialComplex(K.vertices, K.simplices)
+    assert K.f_vector() == raw.f_vector()  # layer lengths against the raw copy's counted sizes
+    assert K.facets() == raw.facets()  # the raw copy is neither recorded valid nor pure: the checked scan
+    assert K.dimension == raw.dimension
+    for k in range(-1, K.dimension + 2):
+        layer = K.simplices_of_dim(k)
+        assert layer == raw.simplices_of_dim(k)
+        assert all(map(operator.lt, layer, layer[1:]))  # strictly increasing, so no simplex twice
+        assert all(len(s) == k + 1 and all(map(operator.lt, s, s[1:])) for s in layer)
+
+
+class TestHandedOverLayers:
+    @given(facet_inputs())
+    def test_from_facets(self, args):
+        assert_layers_match_a_raw_copy(SimplicialComplex.from_facets(*args))
+
+    @settings(max_examples=150)
+    @given(voltage_assignments())
+    def test_covers_their_doubles_and_the_doubled_cover(self, voltage):
+        cover = build_cover(voltage)
+        doubled = double_of_cover(voltage.base, cover)
+        for K in (voltage.base, cover.total, spherical_double(cover.total).complex, doubled.total, doubled.base):
+            assert_layers_match_a_raw_copy(K)
+
+    @pytest.mark.parametrize("make", [s3_left_regular_cover, orientation_cover, c4_double_cover])
+    def test_fixed_covers_and_their_doubles(self, make):
+        cover = make()
+        doubled = double_of_cover(cover.base, cover)
+        for K in (cover.total, doubled.total, doubled.base):  # the orientation cover's base is raw-built
+            assert_layers_match_a_raw_copy(K)

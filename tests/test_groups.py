@@ -28,10 +28,10 @@ from fpforge.groups import (
     tagged_family_presentation,
     trace_word,
 )
-from fpforge.homology import invariant_factors, smith_normal_form, snf_diagonal
+from fpforge.homology import smith_normal_form, snf_diagonal
 from fpforge.sigma import example_registry, subpresentation_select
 
-from helpers import RP2_FACETS, matmul
+from helpers import RP2_FACETS, invariant_factors, matmul
 
 
 def full_simplex(n):

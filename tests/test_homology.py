@@ -21,7 +21,6 @@ from fpforge.homology import (
     chain_complex,
     dump_summary,
     field_summary_from_integral,
-    invariant_factors,
     load_summary,
     reduced_homology,
     smith_normal_form,
@@ -29,8 +28,8 @@ from fpforge.homology import (
 )
 
 from helpers import (
-    RP2_FACETS, boundary_dense, determinant, field_betti_numbers, field_rank, kernel_rows, matmul, minor_gcd_invariants,
-    reference_boundaries, reference_composition_zero, reference_faces,
+    RP2_FACETS, boundary_dense, determinant, field_betti_numbers, field_rank, invariant_factors, kernel_rows, matmul,
+    minor_gcd_invariants, reference_boundaries, reference_composition_zero, reference_faces,
 )
 
 

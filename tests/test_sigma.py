@@ -371,6 +371,22 @@ class TestSimpleConnectivityFromTheBase:
         assert constructed_entry("sphere", voltage).simply_connected is True
         assert total_simply_connected(voltage) is True
 
+    def test_the_base_group_is_enumerated_once_per_base(self, monkeypatch):
+        """Covers over one base object, built and then recomputed by ``validate_registry``, run one coset
+        enumeration: the base's group order is kept on the base."""
+        calls = []
+        real = sigma_mod.coset_enumerate
+        monkeypatch.setattr(sigma_mod, "coset_enumerate", lambda *args: calls.append(args) or real(*args))
+        voltage = orientation_voltage()
+        registry = {
+            f"S{i}": constructed_entry(f"S{i}", VoltageAssignment(voltage.base, 2, voltage.nontree_voltages()))
+            for i in range(3)
+        }
+        registry["L"] = constructed_entry("L", VoltageAssignment(voltage.base, 1))  # H~1 = Z/2 decides: no enumeration
+        assert validate_registry(registry) == []
+        assert [e.simply_connected for _, e in sorted(registry.items())] == [False, True, True, True]
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("voltage", [c4_double_voltage(), s3_left_regular_cover().assignment], ids=["c4", "s3"])
     def test_covers_of_graphs(self, voltage):
         # A graph's group is free, so the total's is too: H~1 decides, and its infinite index ends the oracle.

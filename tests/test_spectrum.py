@@ -25,12 +25,13 @@ from fpforge.spectrum import (
     _splice,
     closed_walk_lengths,
     dump_graph,
-    enumerate_cycles,
     k_related,
     load_graph,
     taut_spectrum,
 )
 from fpforge.sigma import choose_constants, separation_ratio_check
+
+from helpers import enumerate_cycles
 
 
 def cycle_graph(n):
