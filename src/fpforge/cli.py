@@ -18,7 +18,7 @@ import sys
 import tempfile
 
 from . import complex_core, covers, groups, homology, sigma as sigma_mod, spectrum as spectrum_mod
-from .complex_core import _json_field, _json_int_arrays, _json_list, _json_object, _json_text, _read_json
+from .complex_core import _json_field, _json_int_arrays, _json_keyed, _json_list, _json_object, _json_text, _read_json
 from .homology import RingSpec
 from .sigma import BASE_ID, FAMILY_ID, SL_ID, example_registry
 from .spherical_double import spherical_double
@@ -112,13 +112,13 @@ def _load_spreads(path: str | None) -> dict[int, list[list[int]]]:
     if not path:
         return {}
     data = _json_object(_read_json(path), "$")
-    out: dict[int, list[list[int]]] = {}
+    spreads = []
     for i, item in enumerate(_json_list(data.get("spreads", []), "$.spreads")):
         at = f"$.spreads[{i}]"
         item = _json_object(item, at)
-        height = _json_field(item, "height", at, int)
-        out[height] = [list(lp) for lp in _json_int_arrays(_json_field(item, "loops", at), f"{at}.loops")]
-    return out
+        loops = [list(lp) for lp in _json_int_arrays(_json_field(item, "loops", at), f"{at}.loops")]
+        spreads.append((_json_field(item, "height", at, int), f"{at}.height", loops))
+    return _json_keyed(spreads)
 
 
 def _cmd_present(args) -> int:

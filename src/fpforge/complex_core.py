@@ -119,6 +119,16 @@ def _json_items(value, path: str, kind: type = int) -> Sequence:
     return values
 
 
+def _json_keyed(items: Iterable[tuple[object, str, object]]) -> dict:
+    """{key: value} from (key, path, value) triples, in order; a repeated key names both of its paths."""
+    out, first = {}, {}
+    for key, path, value in items:
+        if key in first:
+            raise FormatError(f"{path}: repeats {first[key]}")
+        first[key], out[key] = path, value
+    return out
+
+
 def _json_int_arrays(value, path: str) -> Sequence[Sequence[int]]:
     arrays = _json_list(value, path)
     if not ({type(a) for a in arrays} <= {list, tuple} and {type(x) for a in arrays for x in a} <= {int}):

@@ -7,24 +7,23 @@ each 2-simplex is the identity) makes simplex lifting consistent, so the
 total space is again a simplicial complex and the projection is a covering
 map of degree d.
 
-Covers built this way are exactly the ones induced by homomorphisms from the
-fundamental group of the base to a symmetric group; connectivity of the
-total space is equivalent to transitivity of the voltage image and is not
-assumed.  Pullback covers (of the spherical double) carry no voltage data of
-their own.  Walk lifting and the covering check read the total space, its
-projection and its sheet labels, and compare them with the base; they never
-read voltages, so they treat every cover alike, and share one step table per
-cover, indexed by position among the sorted total vertices.  Where every total
-edge lies over a base edge (checked once per cover), a walk lifts with one
-lookup per step; the covering check maps simplices one dimension, and one
-vertex column, at a time.  The deck group reads the voltages alone.
+A cover is its voltage assignment; every cover here is one, doubles included.
+Total vertex t lies over the (t // d)-th base vertex in sorted order, on
+sheet t % d, so projection, sheets and fibers are arithmetic.  Walks lift on
+a step table read off the voltages, one lookup per step.  The total space is
+built only when read; the deck group and walk lifting never read it.  Covers
+built this way are exactly those induced by homomorphisms from the
+fundamental group of the base to a symmetric group; the total space is
+connected exactly when the voltage image is transitive, which is not
+assumed.  The covering check :func:`is_covering_map` takes a total space,
+base, projection and sheets as plain data, so it judges any vertex map.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, compress, count, repeat
-from operator import add, getitem, itemgetter, le, lt, ne
+from operator import add, getitem, itemgetter, lt, ne
 from typing import Mapping, Sequence
 
 from .complex_core import (
@@ -34,6 +33,7 @@ from .complex_core import (
     _check_closure_cap,
     _json_field,
     _json_items,
+    _json_keyed,
     _json_list,
     _json_object,
     _json_text,
@@ -109,12 +109,9 @@ class VoltageAssignment:
         self.degree = int(degree)
         self.spanning_tree = spanning_tree(base)
 
-        full: dict[tuple[int, int], tuple[int, ...]] = {}
         ident = perm_identity(self.degree)
         edge_set = set(base.edges())
-        for u, v in edge_set:
-            full[(u, v)] = ident
-            full[(v, u)] = ident
+        full = dict.fromkeys([*edge_set, *((v, u) for u, v in edge_set)], ident)
         explicit: set[tuple[int, int]] = set()
         for (u, v), perm in (voltages or {}).items():
             key = (min(u, v), max(u, v))
@@ -142,25 +139,24 @@ class VoltageAssignment:
         if first < len(triangles):
             raise CoverError(f"triangle condition fails on {triangles[first]}")
 
+    @classmethod
+    def _trusted(cls, base: SimplicialComplex, degree: int, voltage: dict) -> "VoltageAssignment":
+        """An assignment with the full table ``voltage``, valid by construction, so no check is run."""
+        v = cls.__new__(cls)
+        v.base, v.degree, v.spanning_tree, v.voltage = base, degree, spanning_tree(base), voltage
+        return v
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, VoltageAssignment):
             return NotImplemented
-        return (
-            self.base == other.base
-            and self.degree == other.degree
-            and self.voltage == other.voltage
-        )
+        return (self.base, self.degree, self.voltage) == (other.base, other.degree, other.voltage)
 
     def __hash__(self) -> int:
         return hash((self.base, self.degree, tuple(sorted(self.voltage.items()))))
 
     def nontree_voltages(self) -> dict[tuple[int, int], tuple[int, ...]]:
         ident = perm_identity(self.degree)
-        out = {}
-        for u, v in self.base.edges():
-            if (u, v) not in self.spanning_tree and self.voltage[(u, v)] != ident:
-                out[(u, v)] = self.voltage[(u, v)]
-        return out
+        return {e: p for e in self.base.edges() if e not in self.spanning_tree and (p := self.voltage[e]) != ident}
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,7 +173,7 @@ class VoltageAssignment:
         data = _json_object(data, path)
         base = SimplicialComplex.from_json_dict(_json_field(data, "base", path), f"{path}.base")
         degree = _json_field(data, "degree", path, int)
-        voltages = {}
+        listed = []
         items = _json_list(data.get("voltages", []), f"{path}.voltages")
         for i, item in enumerate(items):
             at = f"{path}.voltages[{i}]"
@@ -186,140 +182,129 @@ class VoltageAssignment:
             if len(edge) != 2:
                 raise FormatError(f"{at}.edge: expected 2 vertices, got {len(edge)}")
             perm = _json_items(_json_field(item, "perm", at), f"{at}.perm")
-            voltages[tuple(edge)] = tuple(s - 1 for s in perm)
-        return cls(base, degree, voltages)
+            listed.append(((min(edge), max(edge)), f"{at}.edge", (tuple(edge), tuple(s - 1 for s in perm))))
+        return cls(base, degree, dict(_json_keyed(listed).values()))
 
 
 class CoverComplex:
-    """A realized cover: total space, projection, sheet labels, and provenance.
+    """The cover of a voltage assignment, read off the voltages.
 
-    Total-space vertices are integers; ``projection`` and ``sheet`` map them
-    to the base vertex and sheet index they lie over.  ``assignment`` is the
-    originating voltage data when the cover was built from voltages, and None
-    for pullbacks or hand-made covers.
+    Total vertex t lies over ``ordered[t // d]``, the base vertices in sorted
+    order, on sheet ``t % d``; so projection, sheets and fibers are arithmetic.
+    The total space is built on first read and kept.
     """
 
-    __slots__ = ("total", "base", "projection", "sheet", "assignment", "_cache")
+    __slots__ = ("assignment", "base", "degree", "ordered", "_cache")
 
-    def __init__(
-        self,
-        total: SimplicialComplex,
-        base: SimplicialComplex,
-        projection: Mapping[int, int],
-        sheet: Mapping[int, int],
-        assignment: VoltageAssignment | None = None,
-    ):
-        self.total = total
-        self.base = base
-        self.projection = dict(projection)
-        self.sheet = dict(sheet)
+    def __init__(self, assignment: VoltageAssignment):
         self.assignment = assignment
+        self.base = assignment.base
+        self.degree = assignment.degree
+        self.ordered = sorted(self.base.vertices)
         self._cache: dict = {}
-        missing = [t for t in total.vertices if t not in self.projection]
-        if missing:
-            raise CoverError(f"projection undefined on vertices {sorted(missing)[:3]}")
 
     @property
-    def degree(self) -> int:
-        """The common fiber size, read off :meth:`fibers` once."""
-        try:
-            return self._cache["degree"]
-        except KeyError:
-            sizes = set(map(len, self.fibers().values()))
-        if len(sizes) != 1:
-            raise CoverError("fibers have unequal sizes; no well-defined degree")
-        self._cache["degree"] = degree = sizes.pop()
-        return degree
+    def projection(self) -> dict[int, int]:
+        """Total vertex -> the base vertex it lies over; built once, and not to be modified."""
+        if "projection" not in self._cache:
+            self._cache["projection"] = dict(enumerate(b for b in self.ordered for _ in range(self.degree)))
+        return self._cache["projection"]
+
+    @property
+    def sheet(self) -> dict[int, int]:
+        """Total vertex -> its sheet; built once, and not to be modified."""
+        if "sheet" not in self._cache:
+            self._cache["sheet"] = dict(enumerate(s for _ in self.ordered for s in range(self.degree)))
+        return self._cache["sheet"]
 
     def fibers(self) -> dict[int, dict[int, int]]:
-        """Base vertex -> {sheet: total vertex}; CoverError names a total vertex off the fibers or their sheets."""
-        if "fibers" not in self._cache:
-            fibers: dict[int, dict[int, int]] = {v: {} for v in self.base.vertices}
-            for t in sorted(self.total.vertices):
-                b, s = self.projection[t], self.sheet.get(t)
-                if b not in fibers:
-                    raise CoverError(f"total vertex {t} lies over {b}, which is not a base vertex")
-                if s is None:
-                    raise CoverError(f"total vertex {t} has no sheet")
-                if s in fibers[b]:
-                    raise CoverError(f"total vertices {fibers[b][s]} and {t} share sheet {s} over {b}")
-                fibers[b][s] = t
-            self._cache["fibers"] = fibers
-        return self._cache["fibers"]
+        """Base vertex -> {sheet: total vertex}."""
+        return {b: dict(enumerate(range(t, t + self.degree))) for b, t in zip(self.ordered, count(0, self.degree))}
+
+    @property
+    def total(self) -> SimplicialComplex:
+        """The total space, built on first read and kept.
+
+        A simplex lifts once per sheet: anchored at its least vertex, the other
+        vertices ride the anchor's voltages, so the triangle condition makes the
+        lift independent of the anchor and the total valid by construction.
+        Lifts are built a dimension and a vertex column at a time.  Total vertex
+        order[b]·d + s grows with the base vertex b and the sheet s < d, so each
+        lift is sorted, and so are the lifts from one anchor sheet in base order:
+        one sort per dimension merges the d runs into the layer handed over.
+        """
+        if "total" in self._cache:
+            return self._cache["total"]
+        base, d, voltage = self.base, self.degree, self.assignment.voltage
+        order = {b: i for i, b in enumerate(self.ordered)}
+        layers = {}
+        for k in range(base.dimension + 1):
+            anchors, *others = cols = list(zip(*base.simplices_of_dim(k)))
+            offsets = [[order[b] * d for b in col] for col in cols]
+            perms = [list(map(voltage.__getitem__, zip(anchors, col))) for col in others]
+            layer = layers[k + 1] = []
+            for s in range(d):
+                sheets = [repeat(s), *(map(itemgetter(s), p) for p in perms)]
+                layer.extend(zip(*[map(add, o, t) for o, t in zip(offsets, sheets)]))
+            layer.sort()
+        # Valid: each face of a lift is the lift of a face (triangle condition).
+        total = self._cache["total"] = SimplicialComplex._layered(range(len(order) * d), layers)
+        if "pure" in base._cache:  # lifts of facets are maximal and cover every lift
+            total._cache["pure"] = base._cache["pure"]
+        return total
 
     def __repr__(self) -> str:
-        return f"CoverComplex(f={self.total.f_vector()} over f={self.base.f_vector()})"
+        return f"CoverComplex(degree {self.degree} over f={self.base.f_vector()})"
 
 
 def build_cover(v: VoltageAssignment) -> CoverComplex:
-    """Realize the total space of a voltage assignment.
-
-    A simplex lifts once per sheet: anchored at its least vertex, the other
-    vertices ride the anchor's voltages.  The triangle condition makes the
-    lift independent of the anchor and the total valid by construction.
-    Lifts are built one dimension at a time, a vertex column per simplex
-    position.  Total vertex order[b]·d + s grows with the base vertex b and
-    the sheet s < d, and base simplices are strictly sorted, so every lift is
-    already sorted.  So are the lifts from one anchor sheet, taken in base
-    order, and one sort per dimension merges the d runs into the layer that
-    the total is handed.
-    """
-    base = v.base
-    d = v.degree
-    ordered = sorted(base.vertices)
-    order = {b: i for i, b in enumerate(ordered)}
-    layers = {}
-    for k in range(base.dimension + 1):
-        anchors, *others = cols = list(zip(*base.simplices_of_dim(k)))
-        offsets = [[order[b] * d for b in col] for col in cols]
-        perms = [list(map(v.voltage.__getitem__, zip(anchors, col))) for col in others]
-        layer = layers[k + 1] = []
-        for s in range(d):
-            sheets = [repeat(s), *(map(itemgetter(s), p) for p in perms)]
-            layer.extend(zip(*[map(add, o, t) for o, t in zip(offsets, sheets)]))
-        layer.sort()
-    # Valid: each face of a lift is the lift of a face (triangle condition).
-    total = SimplicialComplex._layered(range(len(ordered) * d), layers)
-    if "pure" in base._cache:  # lifts of facets are maximal and cover every lift
-        total._cache["pure"] = base._cache["pure"]
-    projection = dict(enumerate(b for b in ordered for _ in range(d)))
-    sheet = dict(enumerate(s for _ in ordered for s in range(d)))
-    return CoverComplex(total, base, projection, sheet, v)
+    """The cover of a voltage assignment; its total space is built when first read."""
+    return CoverComplex(v)
 
 
 def verify_covering(c: CoverComplex) -> bool:
+    """Whether the built total space of ``c`` covers its base (see :func:`is_covering_map`)."""
+    return is_covering_map(c.total, c.base, c.projection, c.sheet)
+
+
+def is_covering_map(
+    total: SimplicialComplex, base: SimplicialComplex, projection: Mapping[int, int], sheet: Mapping[int, int]
+) -> bool:
     """Check the star condition: the projection p maps the closed star of
     each total vertex t isomorphically onto the closed star of p(t).
 
     Sheets must label each fiber one-to-one.  No star is built.  On valid
     complexes this holds at t exactly when
-    (a) the step table sends the neighbours of t one-to-one onto those of p(t),
+    (a) p sends the neighbours of t one-to-one onto those of p(t),
     (b) t lies in as many simplices as p(t), and
     (c) every total simplex of dimension >= 2 projects to a stored base simplex.
-    No vertex has more step-table entries than neighbours or, given (a) and
+    No vertex has more projected neighbours than neighbours or, given (a) and
     (c), more simplices than p(t), so the one-to-one part of (a) and all of
     (b) are checked as two totals, and (c) one dimension at a time.
     """
-    if not c.total.vertices:
+    if not total.vertices:
         return False
-    if {c.projection[t] for t in c.total.vertices} != set(c.base.vertices):
+    verts = sorted(total.vertices)
+    over = list(map(projection.__getitem__, verts))
+    if set(over) != set(base.vertices):
         return False
-    _require_valid(c.base)
-    _require_valid(c.total)
-    try:
-        c.fibers()
-    except CoverError:
+    _require_valid(base)
+    _require_valid(total)
+    sheets = list(map(sheet.get, verts))
+    if None in sheets or len(set(zip(over, sheets))) != len(verts):
         return False
-    verts, _, rows = _total_adjacency(c)
-    over = list(map(c.projection.__getitem__, verts))
-    if any(map(ne, map(dict.keys, rows), map(c.base.adjacency().__getitem__, over))):
+    rows: dict[int, set[int]] = {t: set() for t in verts}  # total vertex -> where its neighbours lie
+    for u, w in total.edges():
+        rows[u].add(projection[w])
+        rows[w].add(projection[u])
+    if any(map(ne, rows.values(), map(base.adjacency().__getitem__, over))):
         return False
-    if sum(map(len, rows)) != 2 * len(c.total.edges()):
+    if sum(map(len, rows.values())) != 2 * len(total.edges()):
         return False
-    base_cofaces = Counter(chain.from_iterable(c.base.simplices))
-    if sum(map(len, c.total.simplices)) != sum(map(base_cofaces.__getitem__, over)):
+    base_cofaces = Counter(chain.from_iterable(base.simplices))
+    if sum(map(len, total.simplices)) != sum(map(base_cofaces.__getitem__, over)):
         return False
-    return _maps_into(c.projection, map(c.total.simplices_of_dim, range(2, c.total.dimension + 1)), c.base.simplices)
+    return _maps_into(projection, map(total.simplices_of_dim, range(2, total.dimension + 1)), base.simplices)
 
 
 def _maps_into(vmap: Mapping[int, int] | Sequence[int], layers, target: frozenset) -> bool:
@@ -336,96 +321,68 @@ def _maps_into(vmap: Mapping[int, int] | Sequence[int], layers, target: frozense
 
 
 def double_of_cover(L: SimplicialComplex, c: CoverComplex) -> CoverComplex:
-    """Pull a cover of L back along the retraction of the spherical double.
+    """Pull a cover of L back along the retraction x -> x // 2 of the spherical double.
 
-    The pullback of the double of L along the cover is the double of the
-    cover's total space, projecting sign-compatibly; the degree is preserved.
+    The pulled-back voltage on (x, y) is V(x // 2, y // 2).  It is already the
+    identity on the double's canonical tree, which lies over the tree of L:
+    the breadth-first walk of the double finds both copies of each vertex
+    from the plus copy of its parent in L, and the root's minus copy from the
+    plus copy of the root's least neighbour.  Pulling back keeps the triangle
+    condition, so no check is rerun.  The total is the double of the cover's
+    total, renumbered as a voltage cover, with the same sheets.  A point
+    doubles to two points, which carry no voltages, so a one-vertex base is
+    refused.
     """
     if c.base != L:
         raise CoverError("cover does not lie over the given complex")
-    c.fibers()  # every total vertex has a sheet, or CoverError names one that does not
-    doubled_base = spherical_double(L)
-    doubled_total = spherical_double(c.total)
-    projection = {}
-    sheet = {}
-    for t in doubled_total.complex.vertices:
-        sign = t % 2
-        upstairs = (t - sign) // 2
-        projection[t] = 2 * c.projection[upstairs] + sign
-        sheet[t] = c.sheet[upstairs]
-    return CoverComplex(doubled_total.complex, doubled_base.complex, projection, sheet, None)
+    double = spherical_double(L).complex
+    _connected_tree(double, "a one-vertex base doubles to two points, which carry no voltages")
+    voltage, full = c.assignment.voltage, {}
+    for x, y in double.edges():
+        full[x, y], full[y, x] = voltage[x // 2, y // 2], voltage[y // 2, x // 2]
+    return CoverComplex(VoltageAssignment._trusted(double, c.degree, full))
 
 
-def _total_adjacency(c: CoverComplex) -> tuple[list[int], dict[int, int], list[dict[int, int]]]:
-    """The step table, built once per cover: the sorted total vertices, their positions,
-    and per position i, base neighbour -> position of the neighbour over it of the vertex at i.
-
-    It is read on unverified covers too: two neighbours of a vertex over the
-    same base vertex leave one entry, a collision that :func:`verify_covering`
-    catches by counting entries against the edges of the total space.
-    """
-    if "step" not in c._cache:
-        verts = sorted(c.total.vertices)
-        position = dict(zip(verts, count()))
-        rows: list[dict[int, int]] = [{} for _ in verts]
-        for u, w in c.total.edges():
-            i, j = position[u], position[w]
-            rows[i][c.projection[w]] = j
-            rows[j][c.projection[u]] = i
-        c._cache["step"] = verts, position, rows
-    return c._cache["step"]
+def _step_table(c: CoverComplex) -> list[dict[int, int]]:
+    """Per total vertex t = order[b]·d + s: base neighbour w of b -> order[w]·d + V(b, w)(s)."""
+    adj, voltage = c.base.adjacency(), c.assignment.voltage
+    start = dict(zip(c.ordered, count(0, c.degree)))
+    return [{w: start[w] + voltage[b, w][s] for w in adj[b]} for b in c.ordered for s in range(c.degree)]
 
 
 def lift_loop(c: CoverComplex, loop: Sequence[int], start_sheet: int) -> tuple[bool, int]:
     """Trace a based loop of the base through the cover from a start sheet.
 
     Returns (closed, end_sheet).  The end sheet equals the image of the start
-    sheet under the product of edge voltages along the loop.  When every
-    step-table key at each total vertex t is a base neighbour of p(t), as on
-    every cover that :func:`build_cover`, :func:`double_of_cover` or
-    :func:`verify_covering` accepts, a lookup t = rows[t][w] lies over w and
-    so proves (p(t), w) a base edge: the walk, one lookup per step, comes
-    before any argument check.  A failed walk, and every walk on other covers,
-    goes through one pass that checks and lifts each step, so a non-edge is
-    reported before a bad start sheet, and both before a broken lift.
+    sheet under the product of edge voltages along the loop.  The keys of the
+    step table, read off the voltages once per cover, are base edges, so the
+    walk, one lookup per step, comes before any argument check.  A failed walk
+    rereads the arguments: an open loop, an unknown vertex, a non-edge and a
+    bad start sheet are reported in that order.
     """
     if "lift" not in c._cache:
-        fibers = c.fibers()
-        verts, position, rows = _total_adjacency(c)
-        starts = {b: {s: position[t] for s, t in fiber.items()} for b, fiber in fibers.items()}
-        over = map(c.base.adjacency().get, map(c.projection.__getitem__, verts), repeat(frozenset()))
-        ends = list(map(c.sheet.__getitem__, verts))
-        c._cache["lift"] = (starts, rows, ends, all(map(le, map(dict.keys, rows), over)))
-    starts, rows, ends, over_edges = c._cache["lift"]
-    if over_edges:
-        try:
-            t = starts[loop[0]][start_sheet]
-            for w in loop[1:]:
-                t = rows[t][w]
-            if loop[0] == loop[-1]:
-                return ends[t] == start_sheet, ends[t]
-        except (LookupError, TypeError):
-            pass
-    if not isinstance(loop, tuple):
-        loop = tuple(loop)
+        c._cache["lift"] = c.fibers(), _step_table(c), [t % c.degree for t in range(c.degree * len(c.ordered))]
+    fibers, rows, ends = c._cache["lift"]
+    try:
+        t = fibers[loop[0]][start_sheet]
+        for w in loop[1:]:
+            t = rows[t][w]
+        if loop[0] == loop[-1]:
+            return ends[t] == start_sheet, ends[t]
+    except (LookupError, TypeError):
+        pass
+    if not isinstance(loop, (list, tuple)):  # an iterator, say: walked again as a tuple
+        return lift_loop(c, tuple(loop), start_sheet)
     if not loop or loop[0] != loop[-1]:
         raise CoverError("loop must be a closed vertex path (first = last)")
     adj = c.base.adjacency()
-    u = loop[0]
-    if u not in adj:
-        raise CoverError(f"{u} is not a vertex of the base")
-    t = start = starts[u].get(start_sheet)
-    for w in loop[1:]:
+    if loop[0] not in adj:
+        raise CoverError(f"{loop[0]} is not a vertex of the base")
+    fibers[loop[0]].get(start_sheet)  # an unhashable sheet raises TypeError here, before any non-edge
+    for u, w in zip(loop, loop[1:]):
         if w not in adj[u]:
             raise CoverError(f"({u}, {w}) is not an edge of the base")
-        if t is not None:
-            t = rows[t].get(w)
-        u = w
-    if start is None:
-        raise CoverError(f"sheet {start_sheet} out of range over vertex {loop[0]}")
-    if t is None:
-        raise CoverError("lift broke: not a covering complex")
-    return ends[t] == start_sheet, ends[t]
+    raise CoverError(f"sheet {start_sheet} out of range over vertex {loop[0]}")
 
 
 def deck_group(c: CoverComplex) -> tuple[bool, list[tuple[int, ...]] | None]:
@@ -439,10 +396,6 @@ def deck_group(c: CoverComplex) -> tuple[bool, list[tuple[int, ...]] | None]:
     voltage, so they agree with the voltage image only when it is abelian.
     """
     d = c.degree
-    if c.assignment is None:
-        raise CoverError("deck group requires a cover built from voltages")
-    if c.assignment.degree != d:
-        raise CoverError(f"fibers hold {d} sheets, but the voltages have degree {c.assignment.degree}")
     voltages = set(c.assignment.nontree_voltages().values())
     reached, steps = [0], []  # steps (s, r, p): sheet s = p(r) is first reached from sheet r
     for r in reached:
@@ -470,7 +423,8 @@ def normal_generators(c: CoverComplex) -> list[list[int]]:
     tree, across the edge, back down, then projected to the base.  The result
     normally generates the image subgroup of the projection.
     """
-    parent = _connected_tree(c.total, "normal generators require a connected cover")
+    total, projection = c.total, c.projection
+    parent = _connected_tree(total, "normal generators require a connected cover")
 
     def path_to_root(x: int) -> list[int]:
         path = [x]
@@ -479,13 +433,10 @@ def normal_generators(c: CoverComplex) -> list[list[int]]:
         return path
 
     loops = []
-    for u, w in c.total.edges():
+    for u, w in total.edges():
         if parent[w] == u or parent[u] == w:
             continue  # a tree edge
-        up = path_to_root(u)[::-1]  # root .. u
-        down = path_to_root(w)  # w .. root
-        total_loop = up + down
-        loops.append([c.projection[x] for x in total_loop])
+        loops.append([projection[x] for x in path_to_root(u)[::-1] + path_to_root(w)])  # root .. u, w .. root
     loops.sort(key=lambda p: (len(p), p))
     return loops
 
@@ -502,15 +453,8 @@ def double_cover_voltages(base: SimplicialComplex) -> list[VoltageAssignment]:
     _require_valid(base)
     tree = spanning_tree(base)
     nontree = [e for e in base.edges() if e not in tree]
-    index = {e: i for i, e in enumerate(nontree)}
-    rows = []
-    for tri in base.simplices_of_dim(2):
-        u, v, w = tri
-        mask = 0
-        for e in ((u, v), (v, w), (u, w)):
-            if e in index:
-                mask ^= 1 << index[e]
-        rows.append(mask)
+    bit = {e: 1 << i for i, e in enumerate(nontree)}
+    rows = [bit.get((u, v), 0) ^ bit.get((v, w), 0) ^ bit.get((u, w), 0) for u, v, w in base.simplices_of_dim(2)]
     # GF(2) row reduction to a basis of the solution space.
     pivots: dict[int, int] = {}
     for row in rows:
@@ -531,7 +475,7 @@ def double_cover_voltages(base: SimplicialComplex) -> list[VoltageAssignment]:
             if bin(pivots[lead] & x).count("1") % 2:
                 x |= 1 << lead
         solutions.append(x)
-    return [VoltageAssignment(base, 2, {e: (1, 0) for e, i in index.items() if x >> i & 1}) for x in sorted(solutions)]
+    return [VoltageAssignment(base, 2, {e: (1, 0) for e, b in bit.items() if x & b}) for x in sorted(solutions)]
 
 
 def dump_voltage(v: VoltageAssignment) -> str:

@@ -28,8 +28,8 @@ from types import NoneType
 from typing import Callable, Mapping, Sequence
 
 from .complex_core import (
-    ComplexError, FormatError, _json_field, _json_items, _json_list, _json_object, _json_text, _json_value, _read_json,
-    _record_json, SimplicialComplex, _tree_parents,
+    ComplexError, FormatError, _json_field, _json_items, _json_keyed, _json_list, _json_object, _json_text, _json_value,
+    _read_json, _record_json, SimplicialComplex, _tree_parents,
 )
 from .covers import CoverComplex, VoltageAssignment, build_cover, normal_generators
 from .groups import Presentation, SpanningTreeWords, Word, coset_enumerate
@@ -132,7 +132,7 @@ class CoverRegistryEntry:
             id=_json_field(data, "id", path, str),
             kind=_json_field(data, "kind", path, str),
             degree=_json_field(data, "degree", path, int, str),
-            homology={s.ring.key: s for s in summaries},
+            homology=_json_keyed((s.ring.key, f"{path}.homology[{i}].ring", s) for i, s in enumerate(summaries)),
             certified_up_to=_json_field(data, "certified_up_to", path, int, str),
             simply_connected=_json_field(data, "simply_connected", path, bool, NoneType, default=None),
             quotient_is_finite=_json_field(data, "quotient_is_finite", path, bool),
@@ -146,18 +146,18 @@ class CoverRegistryEntry:
 def _registry_from_json(data: Mapping, path: str) -> dict[str, CoverRegistryEntry]:
     items = _json_list(_json_field(_json_object(data, path), "entries", path), f"{path}.entries")
     entries = [CoverRegistryEntry.from_json_dict(e, f"{path}.entries[{i}]") for i, e in enumerate(items)]
-    return {e.id: e for e in entries}
+    return _json_keyed((e.id, f"{path}.entries[{i}].id", e) for i, e in enumerate(entries))
 
 
 def _json_id_pairs(value, path: str) -> dict[int, str]:
     """[[integer, entry id], ...] as a mapping, as written for heights, indices and primes."""
-    out = {}
+    pairs = []
     for i, pair in enumerate(_json_list(value, path)):
         at = f"{path}[{i}]"
         if len(_json_list(pair, at)) != 2:
             raise FormatError(f"{at}: expected an [integer, string] pair, got {len(pair)} items")
-        out[_json_value(pair[0], f"{at}[0]", int)] = _json_value(pair[1], f"{at}[1]", str)
-    return out
+        pairs.append((_json_value(pair[0], f"{at}[0]", int), f"{at}[0]", _json_value(pair[1], f"{at}[1]", str)))
+    return _json_keyed(pairs)
 
 
 def _json_optional(data: Mapping, key: str, load):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -16,9 +17,7 @@ from fpforge import homology
 from fpforge.complex_core import (
     ComplexError, GroupPresentationInput, SimplicialComplex, _require_valid, barycentric_subdivision, spanning_tree,
 )
-from fpforge.covers import (
-    CoverComplex, CoverError, VoltageAssignment, build_cover, perm_compose, perm_inverse,
-)
+from fpforge.covers import CoverError, VoltageAssignment, build_cover, perm_compose, perm_inverse
 from fpforge.sigma import _growth_failures
 from fpforge.spectrum import cycles_by_length
 
@@ -285,7 +284,17 @@ def reference_composition_zero(lower, upper) -> None:
             raise AssertionError("boundary composition is nonzero")
 
 
-def reference_build_cover(v: VoltageAssignment) -> CoverComplex:
+class PlainCover(NamedTuple):
+    """A total space, base, projection and sheet labels as plain data, in the order the covering check takes them;
+    hand-made and damaged ones need not be covers."""
+
+    total: SimplicialComplex
+    base: SimplicialComplex
+    projection: dict[int, int]
+    sheet: dict[int, int]
+
+
+def reference_build_cover(v: VoltageAssignment) -> PlainCover:
     """Total space lifted one simplex and one sheet at a time, each lift sorted."""
     base = v.base
     d = v.degree
@@ -302,7 +311,7 @@ def reference_build_cover(v: VoltageAssignment) -> CoverComplex:
     vertices = {tid(b, s) for b in base.vertices for s in range(d)}
     projection = {tid(b, s): b for b in base.vertices for s in range(d)}
     sheet = {tid(b, s): s for b in base.vertices for s in range(d)}
-    return CoverComplex(SimplicialComplex(vertices, simplices), base, projection, sheet, v)
+    return PlainCover(SimplicialComplex(vertices, simplices), base, projection, sheet)
 
 
 def reference_failing_triangle(base: SimplicialComplex, degree: int, voltages) -> tuple[int, int, int] | None:
@@ -321,16 +330,14 @@ def reference_failing_triangle(base: SimplicialComplex, degree: int, voltages) -
     return None
 
 
-def reference_lift_loop(c: CoverComplex, loop, start_sheet: int) -> tuple[bool, int]:
-    """Lift a based loop checking every step against the base adjacency, on a
-    step table of its own keyed by total vertices: a cover with ill-defined
-    fibers is refused first, then a non-edge is reported before a bad start
-    sheet, and both before a broken lift."""
-    fibers = c.fibers()
+def reference_lift_loop(c, loop, start_sheet: int) -> tuple[bool, int]:
+    """Lift a based loop of a cover's built total, checking every step against the base adjacency, on a step
+    table of its own keyed by total vertices: a non-edge is reported before a bad start sheet."""
+    projection, sheet = c.projection, c.sheet
     step = {t: {} for t in c.total.vertices}
-    for u, w in c.total.edges():  # in sorted order, so a later edge wins a collision
-        step[u][c.projection[w]] = w
-        step[w][c.projection[u]] = u
+    for u, w in c.total.edges():
+        step[u][projection[w]] = w
+        step[w][projection[u]] = u
     loop = list(loop)
     if len(loop) < 1 or loop[0] != loop[-1]:
         raise CoverError("loop must be a closed vertex path (first = last)")
@@ -338,19 +345,16 @@ def reference_lift_loop(c: CoverComplex, loop, start_sheet: int) -> tuple[bool, 
     u = loop[0]
     if u not in adj:
         raise CoverError(f"{u} is not a vertex of the base")
-    t = start = fibers[u].get(start_sheet)
+    t = {sheet[t]: t for t in c.total.vertices if projection[t] == u}.get(start_sheet)
     for w in loop[1:]:
         if w not in adj[u]:
             raise CoverError(f"({u}, {w}) is not an edge of the base")
         if t is not None:
-            t = step[t].get(w)
+            t = step[t][w]
         u = w
-    if start is None:
-        raise CoverError(f"sheet {start_sheet} out of range over vertex {loop[0]}")
     if t is None:
-        raise CoverError("lift broke: not a covering complex")
-    end = c.sheet[t]
-    return end == start_sheet, end
+        raise CoverError(f"sheet {start_sheet} out of range over vertex {loop[0]}")
+    return sheet[t] == start_sheet, sheet[t]
 
 
 def reference_maps_into(vmap, simplices, target) -> bool:

@@ -417,6 +417,43 @@ class TestSubpres:
         assert spec.value(2) == "L" and spec.value(1) == "Lsl"
 
 
+def _repeated_key_inputs():
+    """Per loader: (argv without the file, a JSON document that repeats one key, the first path, the repeating one)."""
+    specs = [json.loads(dump_sigma_spec(sigma_field_example(example_registry()))) for _ in range(3)]
+    entries = specs[0]["registry"]["entries"]
+    entries.append(dict(entries[1], id="L"))  # the field example's first entry is "L"
+    summaries = specs[1]["registry"]["entries"][0]["homology"]
+    summaries.append(summaries[0])
+    specs[2]["exceptions"] = [[5, "Lp3"], [5, "L"]]
+    decide = ["decide", "--ring", "Z", "--k", "2", "--sigma"]
+    spread = {"height": 2, "loops": [[0, 1, 2, 0]]}
+    voltage = {"base": {"facets": [[0, 1], [1, 2], [0, 2]]}, "degree": 2}
+    return {
+        "registry entries": (
+            decide, specs[0], "$.registry.entries[0].id", f"$.registry.entries[{len(entries) - 1}].id",
+        ),
+        "homology summaries": (
+            decide, specs[1], "$.registry.entries[0].homology[0].ring", "$.registry.entries[0].homology[1].ring",
+        ),
+        "id pairs": (decide, specs[2], "$.exceptions[0][0]", "$.exceptions[1][0]"),
+        "spreads": (
+            ["present", "--complex", "{delta2}", "--spreads"], {"spreads": [spread, spread]},
+            "$.spreads[0].height", "$.spreads[1].height",
+        ),
+        **{
+            f"voltages {name}": (
+                ["cover", "--voltage"],
+                dict(voltage, voltages=[{"edge": [1, 2], "perm": [2, 1]}, {"edge": edge, "perm": [1, 2]}]),
+                "$.voltages[0].edge", "$.voltages[1].edge",
+            )
+            for name, edge in (("same direction", [1, 2]), ("reversed", [2, 1]))
+        },
+    }
+
+
+REPEATED_KEY_INPUTS = _repeated_key_inputs()
+
+
 class TestExitCodes:
     def test_missing_file_is_config_error(self, capsys):
         assert main(["homology", "--complex", "/nonexistent.json", "--ring", "Z"]) == 2
@@ -505,6 +542,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("fpforge: format error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("loader", sorted(REPEATED_KEY_INPUTS))
+    def test_a_repeated_key_is_one_format_error_line_naming_both_paths(self, tmp_path, capsys, delta2, loader):
+        argv, doc, first, again = REPEATED_KEY_INPUTS[loader]
+        bad = write(tmp_path / "bad.json", json.dumps(doc))
+        assert main([a.format(delta2=delta2) for a in argv] + [bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"fpforge: format error: {again}: repeats {first}\n"
 
 
 def _outcome(call, argv):

@@ -18,7 +18,6 @@ from fpforge.complex_core import (
     spanning_tree,
 )
 from fpforge.covers import (
-    CoverComplex,
     CoverError,
     VoltageAssignment,
     build_cover,
@@ -26,6 +25,7 @@ from fpforge.covers import (
     double_cover_voltages,
     double_of_cover,
     dump_voltage,
+    is_covering_map,
     lift_loop,
     normal_generators,
     perm_compose,
@@ -38,7 +38,8 @@ from fpforge.sigma import SigmaError, normal_generating_length_bound
 from fpforge.spherical_double import spherical_double
 
 from helpers import (
-    RP2_FACETS, S3, facet_inputs, left_multiplication, reference_build_cover, reference_closed_star, reference_facets,
+    RP2_FACETS, S3, PlainCover, facet_inputs, left_multiplication, reference_build_cover, reference_closed_star,
+    reference_facets,
     reference_failing_triangle, reference_lift_loop, reference_maps_into, s3_left_regular_cover, voltage_assignments,
     wedge_of_two_triangles,
 )
@@ -46,6 +47,11 @@ from helpers import (
 
 def cycle_complex(n):
     return SimplicialComplex.from_facets([[i, (i + 1) % n] for i in range(n)])
+
+
+def edged_voltage_assignments():
+    """Voltage assignments over bases with an edge, whose doubles are connected; a point doubles to two points."""
+    return voltage_assignments().filter(lambda v: len(v.base.vertices) > 1)
 
 
 def c4_double_cover():
@@ -58,7 +64,57 @@ def c4_double_cover():
 def broken_square_cover():
     """A hand-made cover of the square whose total space lacks the edge over (3, 0)."""
     total = SimplicialComplex.from_facets([[0, 1], [1, 2], [2, 3]])
-    return CoverComplex(total, cycle_complex(4), {t: t for t in range(4)}, {t: 0 for t in range(4)})
+    return PlainCover(total, cycle_complex(4), {t: t for t in range(4)}, {t: 0 for t in range(4)})
+
+
+def edge_over_non_edge_cover():
+    """The total edge (0, 2) lies over the base non-edge (0, 2) of the path 0 - 1 - 2."""
+    total = SimplicialComplex.from_facets([[0, 1], [1, 2], [0, 2]])
+    base = SimplicialComplex.from_facets([[0, 1], [1, 2]])
+    return PlainCover(total, base, {t: t for t in range(3)}, dict.fromkeys(range(3), 0))
+
+
+def edge_over_a_vertex_cover():
+    """The total edge (1, 2) lies over the single base vertex 1."""
+    total = SimplicialComplex.from_facets([[0, 1], [1, 2]])
+    return PlainCover(total, SimplicialComplex.from_facets([[0, 1]]), {0: 0, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 1})
+
+
+def colliding_neighbours_cover():
+    """Total vertex 0 has two neighbours, 1 and 2, over the same base vertex 1."""
+    total = SimplicialComplex.from_facets([[0, 1], [0, 2]])
+    return PlainCover(total, SimplicialComplex.from_facets([[0, 1]]), {0: 0, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 1})
+
+
+def hand_made_hexagon(sheet=lambda t: t // 3, projection=lambda t: t % 3):
+    """The 6-cycle over the hollow triangle, t -> t mod 3, as plain data: a connected double cover when sheet t is
+    t // 3."""
+    return PlainCover(
+        cycle_complex(6), cycle_complex(3), {t: projection(t) for t in range(6)},
+        {t: sheet(t) for t in range(6) if sheet(t) is not None},
+    )
+
+
+def hexagon_over_triangle():
+    """The 6-cycle over the hollow triangle as a voltage cover: a swap on the non-tree edge (1, 2)."""
+    return build_cover(VoltageAssignment(cycle_complex(3), 2, {(1, 2): (1, 0)}))
+
+
+def fiber_fault(c):
+    """Oracle: the first fault of a labelling, in total vertex order, by name; None when every fiber is labelled
+    one-to-one."""
+    projection, sheet = c.projection, c.sheet
+    fibers = {v: {} for v in c.base.vertices}
+    for t in sorted(c.total.vertices):
+        b, s = projection[t], sheet.get(t)
+        if b not in fibers:
+            return f"total vertex {t} lies over {b}, which is not a base vertex"
+        if s is None:
+            return f"total vertex {t} has no sheet"
+        if s in fibers[b]:
+            return f"total vertices {fibers[b][s]} and {t} share sheet {s} over {b}"
+        fibers[b][s] = t
+    return None
 
 
 def subdivided_rp2():
@@ -80,24 +136,23 @@ def voltage_product(cover, loop):
     return perm
 
 
-def brute_deck_transformations(cover):
-    """Oracle: extend every fiber choice over a basepoint by unique lifting,
-    then keep the maps that are simplicial bijections commuting with the
-    projection.  Written independently of the library's search."""
-    adj = cover.total.adjacency()
-    verts = sorted(cover.total.vertices)
+def brute_cover_isomorphisms(a, b):
+    """Oracle: extend every choice of image of a's least total vertex over the fiber of b by unique lifting,
+    then keep the maps that are simplicial bijections of the totals commuting with the projections.
+    Written independently of the library's search."""
+    adj, target_adj = a.total.adjacency(), b.total.adjacency()
+    over, target_over = a.projection, b.projection
+    verts = sorted(a.total.vertices)
     t0 = verts[0]
     results = []
-    for start in [t for t in verts if cover.projection[t] == cover.projection[t0]]:
+    for start in [t for t in sorted(b.total.vertices) if target_over[t] == over[t0]]:
         mapping = {t0: start}
         queue = [t0]
         consistent = True
         while queue and consistent:
             x = queue.pop()
             for y in sorted(adj[x]):
-                candidates = [
-                    z for z in adj[mapping[x]] if cover.projection[z] == cover.projection[y]
-                ]
+                candidates = [z for z in target_adj[mapping[x]] if target_over[z] == over[y]]
                 if len(candidates) != 1:
                     consistent = False
                     break
@@ -111,23 +166,23 @@ def brute_deck_transformations(cover):
                     queue.append(y)
         if not consistent or len(mapping) != len(verts):
             continue
-        if sorted(mapping.values()) != verts:
+        if sorted(mapping.values()) != sorted(b.total.vertices):
             continue
-        if all(
-            tuple(sorted(mapping[v] for v in s)) in cover.total.simplices
-            for s in cover.total.simplices
-        ):
+        if {tuple(sorted(mapping[v] for v in s)) for s in a.total.simplices} == b.total.simplices:
             results.append(mapping)
     return results
 
 
-NO_VOLTAGES = r"^deck group requires a cover built from voltages$"
+def brute_deck_transformations(cover):
+    """Oracle: the fiber-preserving simplicial automorphisms of the total space."""
+    return brute_cover_isomorphisms(cover, cover)
 
 
 def deck_permutations(cover, transformations):
     """The sheet permutations that maps of the total space induce over the least base vertex."""
-    fiber = cover.fibers()[min(cover.base.vertices)]
-    return sorted(tuple(cover.sheet[f[fiber[s]]] for s in range(len(fiber))) for f in transformations)
+    projection, sheet = cover.projection, cover.sheet
+    fiber = {sheet[t]: t for t in cover.total.vertices if projection[t] == min(cover.base.vertices)}
+    return sorted(tuple(sheet[f[fiber[s]]] for s in range(len(fiber))) for f in transformations)
 
 
 class TestBuildCover:
@@ -171,6 +226,23 @@ class TestBuildCover:
         assert cover.total == oracle.total
         assert cover.projection == oracle.projection and cover.sheet == oracle.sheet
         assert complex_core.validate(cover.total) == []
+
+    @settings(max_examples=150)
+    @given(voltage_assignments())
+    def test_projection_sheets_and_fibers_agree_with_the_built_total(self, voltage):
+        """The labels are arithmetic on the voltages; every total edge joins the sheets its voltage joins."""
+        cover = build_cover(voltage)
+        projection, sheet, fibers = cover.projection, cover.sheet, cover.fibers()
+        assert "total" not in cover._cache  # labels and fibers are read without building the total
+        assert set(projection) == set(sheet) == cover.total.vertices
+        assert cover.degree == voltage.degree
+        assert fibers == {
+            b: {sheet[t]: t for t in sorted(cover.total.vertices) if projection[t] == b} for b in voltage.base.vertices
+        }
+        assert all(sorted(fiber) == list(range(voltage.degree)) for fiber in fibers.values())
+        for u, w in cover.total.edges():
+            assert voltage.voltage[projection[u], projection[w]][sheet[u]] == sheet[w]
+        assert verify_covering(cover)
 
     @given(voltage_assignments(), st.data())
     def test_triangle_failure_names_the_least_failing_triangle(self, voltage, data):
@@ -263,8 +335,7 @@ class TestVerifyCovering:
         total = SimplicialComplex.from_facets([[0, 1], [1, 2], [2, 3]])
         projection = {0: 0, 1: 1, 2: 2, 3: 2}  # collapses vertices 2, 3 onto one fiber? no: 3 -> 2
         sheets = {0: 0, 1: 0, 2: 0, 3: 1}
-        cover = CoverComplex(total, base, projection, sheets)
-        assert verify_covering(cover) is False
+        assert is_covering_map(total, base, projection, sheets) is False
 
     def test_degree_one_identity(self):
         base = cycle_complex(5)
@@ -289,7 +360,7 @@ class TestDoubleOfCover:
         doubled = double_of_cover(base, cover)
         s_base = spherical_double(base).complex
         # Brute-force pullback: pairs (s, t) with matching images downstairs,
-        # simplices componentwise.
+        # simplices componentwise, (s, t) numbered as in the double of the total.
         pairs = {}
         for s in s_base.vertices:
             for t in cover.total.vertices:
@@ -307,9 +378,41 @@ class TestDoubleOfCover:
                 if all(len(m) == 1 for _, m in combos):
                     lifted = tuple(sorted(pairs[(s, m[0])] for s, m in combos))
                     simplices.add(lifted)
-        assert simplices == set(doubled.total.simplices)
+        sheet = cover.sheet
+        pullback = PlainCover(
+            SimplicialComplex(pairs.values(), simplices), s_base,
+            {v: s for (s, t), v in pairs.items()}, {v: sheet[t] for (s, t), v in pairs.items()},
+        )
+        assert is_covering_map(*pullback)
+        # The built double is the pullback renumbered: one isomorphism per deck transformation.
+        assert len(brute_cover_isomorphisms(pullback, doubled)) == 2
+        assert doubled.total.f_vector() == pullback.total.f_vector() == (16, 32)
         assert verify_covering(doubled)
         assert doubled.degree == cover.degree
+
+    def test_a_one_vertex_base_is_refused(self):
+        point = SimplicialComplex.from_facets([[0]])
+        with pytest.raises(CoverError, match=r"^a one-vertex base doubles to two points, which carry no voltages$"):
+            double_of_cover(point, build_cover(VoltageAssignment(point, 2)))
+
+    @settings(max_examples=150)
+    @given(edged_voltage_assignments())
+    def test_is_the_double_of_the_total_renumbered(self, voltage):
+        """The pulled-back voltages are the identity on the double's tree, so they pass the public constructor's checks
+        as they are; their cover is the double of the cover's total, vertex 2t + e renumbered as the voltage cover of
+        the double numbers it, over the same vertex of the double and on the same sheet."""
+        cover = build_cover(voltage)
+        doubled = double_of_cover(voltage.base, cover)
+        assignment, d = doubled.assignment, voltage.degree
+        assert assignment.base == spherical_double(voltage.base).complex and doubled.degree == d
+        assert VoltageAssignment(assignment.base, d, assignment.nontree_voltages()) == assignment
+        total = spherical_double(cover.total).complex
+        renumber = {x: (2 * (x // 2 // d) + x % 2) * d + x // 2 % d for x in total.vertices}
+        assert {tuple(sorted(map(renumber.__getitem__, s))) for s in total.simplices} == doubled.total.simplices
+        projection, sheet = cover.projection, cover.sheet
+        assert {renumber[x]: 2 * projection[x // 2] + x % 2 for x in total.vertices} == doubled.projection
+        assert {renumber[x]: sheet[x // 2] for x in total.vertices} == doubled.sheet
+        assert verify_covering(doubled)
 
     def test_orientation_cover_pullback(self):
         base = subdivided_rp2()
@@ -405,23 +508,10 @@ class TestLiftLoop:
             lift_loop(c4_double_cover(), loop, 0)
         assert str(info.value) == expected[tuple(loop)]
 
-    def test_lift_breaks_on_a_total_without_the_edge(self):
-        cover = broken_square_cover()
-        assert lift_loop(cover, [0, 1, 2, 1, 0], 0) == (True, 0)
-        with pytest.raises(CoverError, match=r"^lift broke: not a covering complex$"):
-            lift_loop(cover, [0, 1, 2, 3, 0], 0)
-
     def test_non_edge_is_reported_before_a_bad_sheet(self):
         with pytest.raises(CoverError, match=r"^\(0, 2\) is not an edge of the base$"):
             lift_loop(c4_double_cover(), [0, 1, 0, 2, 3, 0], 7)
 
-    def test_non_edge_is_reported_before_a_broken_lift(self):
-        with pytest.raises(CoverError, match=r"^\(0, 2\) is not an edge of the base$"):
-            lift_loop(broken_square_cover(), [0, 1, 2, 3, 0, 2, 3, 0], 0)
-
-    def test_bad_sheet_is_reported_before_a_broken_lift(self):
-        with pytest.raises(CoverError, match=r"^sheet 1 out of range over vertex 0$"):
-            lift_loop(broken_square_cover(), [0, 1, 2, 3, 0], 1)
 
 
 class TestDeckGroup:
@@ -458,32 +548,31 @@ class TestDeckGroup:
 
     def test_cover_missing_a_triangle_on_one_sheet_is_irregular(self):
         cover = orientation_cover()
+        sheet = cover.sheet
         (swap,) = [f for f in brute_deck_transformations(cover) if any(f[t] != t for t in f)]
-        gone = next(s for s in sorted(cover.total.simplices) if len(s) == 3 and cover.sheet[s[0]] == 1)
+        gone = next(s for s in sorted(cover.total.simplices) if len(s) == 3 and sheet[s[0]] == 1)
         kept = tuple(sorted(swap[t] for t in gone))
         total = SimplicialComplex.from_facets(
             [s for s in cover.total.facets() if s != gone], vertices=cover.total.vertices
         )
-        damaged = CoverComplex(total, cover.base, cover.projection, cover.sheet)
+        damaged = PlainCover(total, cover.base, cover.projection, sheet)
         # The swap still maps every vertex and edge onto a vertex and an edge...
         assert total.simplices == cover.total.simplices - {gone}
         assert all(tuple(sorted(swap[t] for t in s)) in total.simplices for s in total.simplices if len(s) < 3)
         # ...but takes the kept triangle over the same base triangle onto the missing one.
         assert kept in total.simplices and tuple(sorted(swap[t] for t in kept)) == gone
         assert len(brute_deck_transformations(damaged)) == 1
-        # The damaged total carries no voltages, so the deck group is refused; the built cover keeps its swap.
-        with pytest.raises(CoverError, match=NO_VOLTAGES):
-            deck_group(damaged)
-        assert deck_group(cover) == (True, [(0, 1), (1, 0)])
+        # The damaged total is no cover, and a cover cannot hold it: its total is its voltages' lifts.
+        assert is_covering_map(*damaged) is False
+        assert deck_group(cover) == (True, [(0, 1), (1, 0)]) and gone in cover.total.simplices
 
     def test_pullback_uses_search_path(self):
-        """A pullback carries no voltages: its deck group is refused, though the search still finds two."""
+        """A pullback's deck group is read off its pulled-back voltages, and the search over its total agrees."""
         base = cycle_complex(4)
         doubled = double_of_cover(base, c4_double_cover())
-        assert doubled.assignment is None and verify_covering(doubled)
-        with pytest.raises(CoverError, match=NO_VOLTAGES):
-            deck_group(doubled)
-        assert deck_permutations(doubled, brute_deck_transformations(doubled)) == [(0, 1), (1, 0)]
+        assert verify_covering(doubled)
+        assert deck_group(doubled) == (True, deck_permutations(doubled, brute_deck_transformations(doubled)))
+        assert deck_group(doubled) == (True, [(0, 1), (1, 0)])
 
     def test_disconnected_rejected(self):
         cover = build_cover(VoltageAssignment(cycle_complex(4), 2))
@@ -691,34 +780,40 @@ class TestSharedSpanningTree:
 
 
 # ---------------------------------------------------------------------------
-# Covering checks through the step table
+# The covering check on plain data
 #
-# Reference scan: the closed-star body of verify_covering from before the step
-# table, kept to check the star-free version.
+# Reference scan: a closed-star covering check, kept to check the star-free
+# is_covering_map on built, hand-made and damaged covers.
 
 
 def scan_verify_covering(c):
+    projection, sheet = c.projection, c.sheet
     if not c.total.vertices:
         return False
-    if {c.projection[t] for t in c.total.vertices} != set(c.base.vertices):
+    if {projection[t] for t in c.total.vertices} != set(c.base.vertices):
         return False
     base_stars = {v: reference_closed_star(c.base, v) for v in c.base.vertices}
     for t in c.total.vertices:
         st_t = reference_closed_star(c.total, t)
-        st_v = base_stars[c.projection[t]]
+        st_v = base_stars[projection[t]]
         if len(st_t) != len(st_v):
             return False
         image = set()
         for s in st_t:
-            proj = tuple(sorted({c.projection[x] for x in s}))
+            proj = tuple(sorted({projection[x] for x in s}))
             if len(proj) != len(s):
                 return False
             image.add(proj)
         if image != st_v:
             return False
     # The sheets label every fiber one-to-one.
-    labels = {(c.projection[t], c.sheet.get(t)) for t in c.total.vertices}
-    return all(t in c.sheet for t in c.total.vertices) and len(labels) == len(c.total.vertices)
+    labels = {(projection[t], sheet.get(t)) for t in c.total.vertices}
+    return all(t in sheet for t in c.total.vertices) and len(labels) == len(c.total.vertices)
+
+
+def covering_check(c):
+    """The library's covering check on a cover's total, base, projection and sheet labels, as plain data."""
+    return is_covering_map(c.total, c.base, c.projection, c.sheet)
 
 
 def verdict(check, c):
@@ -771,7 +866,7 @@ def perturb(choice, c):
         else:
             simplices.discard((a,))  # a vertex without its 0-simplex
         total = SimplicialComplex(total.vertices, simplices)
-    return CoverComplex(total, c.base, projection, c.sheet)
+    return PlainCover(total, c.base, projection, c.sheet)
 
 
 PERTURBATIONS = ("none", "swap", "merge", "drop", "add", "invalid")
@@ -782,6 +877,22 @@ def perturbed_covers(draw):
     c = random_voltage_cover(draw, draw(connected_2_complexes()))
     choice = (draw(st.sampled_from(PERTURBATIONS)),) + tuple(draw(st.integers(0, 99)) for _ in range(3))
     return perturb(choice, c)
+
+
+@st.composite
+def damaged_voltage_covers(draw):
+    """A voltage cover with one non-tree voltage replaced by a drawn permutation: the cover of the new voltages, or
+    None when the triangle condition refuses them."""
+    voltage = draw(voltage_assignments())
+    voltages = voltage.nontree_voltages()
+    nontree = sorted(set(voltage.base.edges()) - voltage.spanning_tree)
+    if nontree:
+        voltages[draw(st.sampled_from(nontree))] = draw(st.permutations(range(voltage.degree)).map(tuple))
+    try:
+        return build_cover(VoltageAssignment(voltage.base, voltage.degree, voltages))
+    except CoverError as exc:
+        assert str(exc).startswith("triangle condition fails on ")
+        return None
 
 
 @st.composite
@@ -832,41 +943,54 @@ class TestDeckGroupMatchesOracle:
         self.check(build_cover(VoltageAssignment(wedge_of_two_triangles(), 6, voltages)))
 
     @settings(max_examples=300)
-    @given(perturbed_covers())
+    @given(damaged_voltage_covers())
     def test_damaged_covers(self, cover):
-        """Damaged covers carry no voltages: refused, and by the fibers' own message when they are ill-labelled."""
-        try:
-            sizes = {len(f) for f in cover.fibers().values()}
-        except CoverError as exc:  # an ill-labelled fiber
-            message = str(exc)
-        else:
-            if len(sizes) == 1:
-                message = "deck group requires a cover built from voltages"
-            else:
-                message = "fibers have unequal sizes; no well-defined degree"
-        with pytest.raises(CoverError) as info:
-            deck_group(cover)
-        assert str(info.value) == message
+        """A cover is damaged only through its voltages: refused by the triangle condition, or a cover of its own."""
+        if cover is not None:
+            self.check(cover)
+
+    @settings(max_examples=100)
+    @given(edged_voltage_assignments())
+    def test_doubles_of_voltage_covers(self, voltage):
+        """The double of a cover carries its re-gauged voltages, and its deck group is the search's."""
+        self.check(double_of_cover(voltage.base, build_cover(voltage)))
 
     def test_reads_neither_the_step_table_nor_the_image_check(self, monkeypatch):
-        monkeypatch.setattr(covers, "_total_adjacency", lambda c: pytest.fail("step table built"))
+        """The voltages alone: no total space, no step table and no image check."""
+        monkeypatch.setattr(covers.CoverComplex, "total", property(lambda self: pytest.fail("total space built")))
+        monkeypatch.setattr(covers, "_step_table", lambda c: pytest.fail("step table built"))
         monkeypatch.setattr(covers, "_maps_into", lambda *args: pytest.fail("image check run"))
         assert deck_group(orientation_cover()) == (True, [(0, 1), (1, 0)])
         assert deck_group(s3_left_regular_cover())[0] is True
 
     def test_degrees_of_fibers_and_voltages_must_agree(self):
-        built = c4_double_cover()
-        half = VoltageAssignment(built.base, 1)
-        cover = CoverComplex(built.total, built.base, built.projection, built.sheet, half)
-        with pytest.raises(CoverError, match=r"^fibers hold 2 sheets, but the voltages have degree 1$"):
-            deck_group(cover)
+        """They agree by construction: the degree is the voltage degree, and every fiber holds that many sheets."""
+        doubled = double_of_cover(subdivided_rp2(), orientation_cover())
+        for cover in (c4_double_cover(), s3_left_regular_cover(), doubled):
+            assert cover.degree == cover.assignment.degree
+            assert {len(fiber) for fiber in cover.fibers().values()} == {cover.degree}
+            assert cover.total.f_vector()[0] == cover.degree * len(cover.base.vertices)
 
 
 class TestVerifyCoveringMatchesStarScan:
     @settings(max_examples=300)
     @given(perturbed_covers())
     def test_random_and_damaged_covers(self, c):
-        assert verdict(verify_covering, c) == verdict(scan_verify_covering, c)
+        assert verdict(covering_check, c) == verdict(scan_verify_covering, c)
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (broken_square_cover, False),
+            (edge_over_non_edge_cover, False),
+            (edge_over_a_vertex_cover, False),
+            (colliding_neighbours_cover, False),
+            (hand_made_hexagon, True),
+        ],
+    )
+    def test_hand_made_covers(self, make, expected):
+        c = make()
+        assert covering_check(c) is scan_verify_covering(c) is expected
 
     def test_damaged_orientation_covers(self):
         # 600 damaged copies of the sd^1 RP^2 orientation cover, many of each
@@ -877,7 +1001,7 @@ class TestVerifyCoveringMatchesStarScan:
         for _ in range(600):
             choice = (rng.choice(PERTURBATIONS),) + tuple(rng.randrange(1000) for _ in range(3))
             c = perturb(choice, cover)
-            got = verdict(verify_covering, c)
+            got = verdict(covering_check, c)
             assert got == verdict(scan_verify_covering, c), choice
             seen[got] = seen.get(got, 0) + 1
         assert min(seen[True], seen[False], seen[ComplexError]) >= 50, seen
@@ -904,17 +1028,16 @@ class TestVerifyCoveringMatchesStarScan:
     )
     def test_totals_that_balance_across_vertices(self, total_facets, base_facets, projection):
         total, base = SimplicialComplex.from_facets(total_facets), SimplicialComplex.from_facets(base_facets)
-        c = CoverComplex(total, base, projection, dict.fromkeys(projection, 0))
+        c = PlainCover(total, base, projection, dict.fromkeys(projection, 0))
         assert scan_verify_covering(c) is False
-        assert verify_covering(c) is False
+        assert covering_check(c) is False
 
     def test_projection_entries_off_the_total_do_not_reach_the_base(self):
         # The projection also maps ids 7 and 8, which are not total vertices: nothing lies over 2 and 3.
         base = SimplicialComplex.from_facets([[0, 1], [2, 3]])
         total = SimplicialComplex.from_facets([[0, 1]])
-        c = CoverComplex(total, base, {0: 0, 1: 1, 7: 2, 8: 3}, {0: 0, 1: 0})
-        assert c.fibers()[2] == c.fibers()[3] == {}
-        assert verify_covering(c) is False
+        c = PlainCover(total, base, {0: 0, 1: 1, 7: 2, 8: 3}, {0: 0, 1: 0})
+        assert covering_check(c) is False
         assert scan_verify_covering(c) is False
 
     def test_checks_run_in_order(self):
@@ -924,13 +1047,13 @@ class TestVerifyCoveringMatchesStarScan:
         total = SimplicialComplex(cover.total.vertices | {99}, cover.total.simplices)
         projection = cover.projection | {99: 0}
         cases = [
-            (CoverComplex(SimplicialComplex((), ()), base, {}, {}), False),
-            (CoverComplex(total, base, projection | {0: 1, 1: 1, 99: 1}, cover.sheet), False),
-            (CoverComplex(total, base, projection, cover.sheet), r"missing face \[0\] of simplex \[0, 1\]"),
-            (CoverComplex(total, cover.base, projection, cover.sheet), r"vertex 99 has no 0-simplex"),
+            (PlainCover(SimplicialComplex((), ()), base, {}, {}), False),
+            (PlainCover(total, base, projection | {0: 1, 1: 1, 99: 1}, cover.sheet), False),
+            (PlainCover(total, base, projection, cover.sheet), r"missing face \[0\] of simplex \[0, 1\]"),
+            (PlainCover(total, cover.base, projection, cover.sheet), r"vertex 99 has no 0-simplex"),
         ]
         for c, expected in cases:
-            for check in (verify_covering, scan_verify_covering):
+            for check in (covering_check, scan_verify_covering):
                 if expected is False:
                     assert check(c) is False
                 else:
@@ -985,25 +1108,6 @@ def base_walks(draw, base):
     return walk + [walk[0]] if ending == "close" else walk
 
 
-def edge_over_non_edge_cover():
-    """The total edge (0, 2) lies over the base non-edge (0, 2) of the path 0 - 1 - 2."""
-    total = SimplicialComplex.from_facets([[0, 1], [1, 2], [0, 2]])
-    base = SimplicialComplex.from_facets([[0, 1], [1, 2]])
-    return CoverComplex(total, base, {t: t for t in range(3)}, dict.fromkeys(range(3), 0))
-
-
-def edge_over_a_vertex_cover():
-    """The total edge (1, 2) lies over the single base vertex 1."""
-    total = SimplicialComplex.from_facets([[0, 1], [1, 2]])
-    return CoverComplex(total, SimplicialComplex.from_facets([[0, 1]]), {0: 0, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 1})
-
-
-def colliding_neighbours_cover():
-    """Total vertex 0 has two neighbours, 1 and 2, over the same base vertex 1."""
-    total = SimplicialComplex.from_facets([[0, 1], [0, 2]])
-    return CoverComplex(total, SimplicialComplex.from_facets([[0, 1]]), {0: 0, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 1})
-
-
 class TestLiftLoopMatchesOracle:
     """``lift_loop`` against the step-by-step checked lift of ``reference_lift_loop``."""
 
@@ -1032,98 +1136,81 @@ class TestLiftLoopMatchesOracle:
         for _ in range(5):
             self.check(cover, tuple(data.draw(base_walks(wedge))))
 
-    @settings(max_examples=200)
-    @given(perturbed_covers(), st.data())
-    def test_damaged_covers(self, cover, data):
+    @settings(max_examples=100)
+    @given(edged_voltage_assignments(), st.data())
+    def test_doubles_of_voltage_covers(self, voltage, data):
+        doubled = double_of_cover(voltage.base, build_cover(voltage))
         for _ in range(5):
-            self.check(cover, tuple(data.draw(base_walks(cover.base))))
+            self.check(doubled, tuple(data.draw(base_walks(doubled.base))))
 
-    @pytest.mark.parametrize(
-        "make", [broken_square_cover, edge_over_non_edge_cover, edge_over_a_vertex_cover, colliding_neighbours_cover]
-    )
-    def test_hand_made_non_coverings_on_every_short_walk(self, make):
-        cover = make()
-        vertices = sorted(cover.base.vertices) + [9]
-        for n in range(1, 5):
-            for loop in itertools.product(vertices, repeat=n):
-                self.check(cover, loop)
+    @settings(max_examples=200)
+    @given(damaged_voltage_covers(), st.data())
+    def test_damaged_covers(self, cover, data):
+        """A cover is damaged only through its voltages: refused by the triangle condition, or a cover of its own."""
+        if cover is not None:
+            for _ in range(5):
+                self.check(cover, tuple(data.draw(base_walks(cover.base))))
 
-    def test_one_lookup_per_step_only_where_every_step_lies_over_a_base_edge(self):
-        """The precondition is read once per cover; covers that break it take the checked loop only."""
+    def test_one_lookup_per_step_only_where_every_step_lies_over_a_base_edge(self, monkeypatch):
+        """Every cover, doubles included, lifts on a step table read off its voltages, whose keys are base edges:
+        once it is built, a walk along base edges reads no adjacency, and only a failed walk checks its steps."""
         rp2 = subdivided_rp2()
         built = [orientation_cover(), c4_double_cover(), s3_left_regular_cover()]
         built.append(double_of_cover(rp2, built[0]))
-        for cover, expected in [
-            *((c, True) for c in built),
-            (broken_square_cover(), True),
-            (colliding_neighbours_cover(), True),
-            (edge_over_non_edge_cover(), False),
-            (edge_over_a_vertex_cover(), False),
-        ]:
-            lift_loop(cover, [min(cover.base.vertices)], 0)
-            assert cover._cache["lift"][-1] is expected, cover
+        reads = []
+        adjacency = SimplicialComplex.adjacency
+        monkeypatch.setattr(SimplicialComplex, "adjacency", lambda self: reads.append(self) or adjacency(self))
+        for cover in built:
+            b = min(cover.base.vertices)
+            walk = [b, *itertools.chain.from_iterable((w, b) for w in sorted(cover.base.adjacency()[b])[:3])]
+            lift_loop(cover, [b], 0)  # builds the step table
+            reads.clear()
+            for s in range(cover.degree):
+                assert lift_loop(cover, walk, s) == reference_lift_loop(cover, walk, s)
+                reads.remove(cover.base)  # the reference's own read
+            assert reads == []
+            with pytest.raises(CoverError, match=rf"^\({b}, {b}\) is not an edge of the base$"):
+                lift_loop(cover, [b, b], 0)
+            assert reads == [cover.base]
 
 
 # ---------------------------------------------------------------------------
 # Sheet labels: every fiber is labelled one-to-one
 
 
-def hexagon_over_triangle(sheet=lambda t: t // 3, projection=lambda t: t % 3):
-    """The 6-cycle over the hollow triangle, t -> t mod 3: a connected double cover when sheet t is t // 3."""
-    total = cycle_complex(6)
-    return CoverComplex(
-        total, cycle_complex(3), {t: projection(t) for t in range(6)},
-        {t: sheet(t) for t in range(6) if sheet(t) is not None},
-    )
-
-
 class TestSheetLabels:
     def test_the_double_cover_of_the_triangle(self):
-        cover = hexagon_over_triangle()
-        assert verify_covering(cover) and scan_verify_covering(cover)
+        plain, cover = hand_made_hexagon(), hexagon_over_triangle()
+        assert covering_check(plain) and scan_verify_covering(plain) and verify_covering(cover)
+        assert fiber_fault(plain) is fiber_fault(cover) is None
         assert cover.degree == 2
         assert lift_loop(cover, [0, 1, 2, 0], 0) == (False, 1)
-        # Hand-made, so without voltages: the deck group is refused; the built cover and the search agree on it.
-        with pytest.raises(CoverError, match=NO_VOLTAGES):
-            deck_group(cover)
-        built = build_cover(VoltageAssignment(cycle_complex(3), 2, {(1, 2): (1, 0)}))
-        searched = deck_permutations(cover, brute_deck_transformations(cover))
-        assert deck_group(built) == (True, searched) == (True, [(0, 1), (1, 0)])
+        # One cover, labelled twice: the deck group is the search's over either labelling.
+        assert len(brute_cover_isomorphisms(plain, cover)) == 2
+        searched = deck_permutations(plain, brute_deck_transformations(plain))
+        assert deck_group(cover) == (True, searched) == (True, [(0, 1), (1, 0)])
 
     @pytest.mark.parametrize(
         "cover, message",
         [
-            (hexagon_over_triangle(sheet=lambda t: 0), "total vertices 0 and 3 share sheet 0 over 0"),
-            (hexagon_over_triangle(sheet=lambda t: None if t == 5 else t // 3), "total vertex 5 has no sheet"),
-            (hexagon_over_triangle(projection=lambda t: 9 if t == 5 else t % 3),
+            (hand_made_hexagon(sheet=lambda t: 0), "total vertices 0 and 3 share sheet 0 over 0"),
+            (hand_made_hexagon(sheet=lambda t: None if t == 5 else t // 3), "total vertex 5 has no sheet"),
+            (hand_made_hexagon(projection=lambda t: 9 if t == 5 else t % 3),
              "total vertex 5 lies over 9, which is not a base vertex"),
         ],
     )
     def test_ill_labelled_fibers_are_refused(self, cover, message):
-        """Such covers can be made, fail the covering check, and are refused by name wherever fibers are read."""
-        assert verify_covering(cover) is False and scan_verify_covering(cover) is False
-        reads = (
-            CoverComplex.fibers, lambda c: c.degree, lambda c: lift_loop(c, [0, 1, 2, 0], 0), deck_group,
-            lambda c: double_of_cover(c.base, c),
-        )
-        for read in reads:
-            with pytest.raises(CoverError) as info:
-                read(cover)
-            assert str(info.value) == message
-        assert lift_outcome(reference_lift_loop, cover, [0, 1, 2, 0], 0) == (CoverError, message)
+        """Such labellings can be made only as plain data, since a cover's fibers are arithmetic on its voltages;
+        both covering checks refuse them."""
+        assert fiber_fault(cover) == message
+        assert covering_check(cover) is False and scan_verify_covering(cover) is False
 
     def test_a_voltage_cover_reads_its_degree_off_the_fibers(self):
-        """A built cover with a sheet dropped has no degree, though its voltage data still names one."""
-        built = build_cover(VoltageAssignment(cycle_complex(3), 2, {(1, 2): (1, 0)}))
-        assert built.degree == 2 == built._cache["degree"]
-        sheet = {t: s for t, s in built.sheet.items() if t != 5}
-        cover = CoverComplex(built.total, built.base, built.projection, sheet, built.assignment)
-        messages = []
-        for read in (CoverComplex.fibers, lambda c: c.degree):
-            with pytest.raises(CoverError) as info:
-                read(cover)
-            messages.append(str(info.value))
-        assert messages == ["total vertex 5 has no sheet"] * 2
+        """The degree is the voltage degree, and every fiber holds that many sheets, one-to-one."""
+        built = hexagon_over_triangle()
+        assert built.degree == 2 == built.assignment.degree
+        assert built.fibers() == {0: {0: 0, 1: 1}, 1: {0: 2, 1: 3}, 2: {0: 4, 1: 5}}
+        assert fiber_fault(built) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1143,6 +1230,17 @@ def vertex_maps(draw, vertices):
     return dict(zip(vertices, images))
 
 
+def relabelled(cover, relabel):
+    """The cover's total, projection and sheets as plain data, total vertex t renamed relabel[t]."""
+    projection, sheet = cover.projection, cover.sheet
+    total = SimplicialComplex.from_facets(
+        [[relabel[t] for t in s] for s in cover.total.facets()], vertices=relabel.values()
+    )
+    return PlainCover(
+        total, cover.base, {w: projection[t] for t, w in relabel.items()}, {w: sheet[t] for t, w in relabel.items()}
+    )
+
+
 class TestImageCheck:
     @settings(max_examples=300)
     @given(facet_inputs(), st.data())
@@ -1160,41 +1258,23 @@ class TestImageCheck:
         """Relabelled totals make projected and mapped images stop rising, so their layers are sorted."""
         cover = build_cover(voltage)
         n = len(cover.total.vertices)
-        relabel = dict(zip(range(n), rng.sample(range(3 * n), n)))
-        total = SimplicialComplex.from_facets(
-            [[relabel[t] for t in s] for s in cover.total.facets()], vertices=relabel.values()
-        )
-        inverse = {w: t for t, w in relabel.items()}
-        moved = CoverComplex(
-            total, cover.base, {w: cover.projection[t] for w, t in inverse.items()},
-            {w: cover.sheet[t] for w, t in inverse.items()},
-        )
-        assert verify_covering(moved) is scan_verify_covering(moved) is True
+        moved = relabelled(cover, dict(zip(range(n), rng.sample(range(3 * n), n))))
+        assert covering_check(moved) is scan_verify_covering(moved) is True
         if not moved.total.is_connected():
             return
-        with pytest.raises(CoverError, match=NO_VOLTAGES):
-            deck_group(moved)
         oracle = brute_deck_transformations(moved)
         regular, group = deck_group(cover)
-        assert regular == (len(oracle) == moved.degree)
+        assert regular == (len(oracle) == cover.degree)
         assert group == (deck_permutations(moved, oracle) if regular else None)
 
     def test_relabelled_orientation_cover_sorts_its_images(self):
         cover = orientation_cover()
         rng = random.Random(28)
         labels = rng.sample(range(1000), len(cover.total.vertices))
-        relabel = dict(zip(sorted(cover.total.vertices), labels))
-        total = SimplicialComplex.from_facets([[relabel[t] for t in s] for s in cover.total.facets()])
-        back = {w: t for t, w in relabel.items()}
-        moved = CoverComplex(
-            total, cover.base, {w: cover.projection[t] for w, t in back.items()},
-            {w: cover.sheet[t] for w, t in back.items()},
-        )
-        projected = [[moved.projection[x] for x in s] for s in total.simplices_of_dim(2)]
+        moved = relabelled(cover, dict(zip(sorted(cover.total.vertices), labels)))
+        projected = [[moved.projection[x] for x in s] for s in moved.total.simplices_of_dim(2)]
         assert any(p != sorted(p) for p in projected)
-        assert verify_covering(moved)
-        with pytest.raises(CoverError, match=NO_VOLTAGES):
-            deck_group(moved)
+        assert covering_check(moved)
         assert deck_permutations(moved, brute_deck_transformations(moved)) == deck_group(cover)[1] == [(0, 1), (1, 0)]
 
 
@@ -1206,11 +1286,7 @@ ODD_LOOPS = [[], [0], [0, 1], [0, 1, 0], [0, 1, 2, 3, 0], [0, 2, 0], [9], [9, 0,
 ODD_SHEETS = [-1, 0, 1, 2, 7, 0.0, 1.0, True, 1.5, "0", None, [0]]
 
 
-@pytest.mark.parametrize(
-    "make",
-    [c4_double_cover, hexagon_over_triangle, broken_square_cover, edge_over_non_edge_cover,
-     edge_over_a_vertex_cover, colliding_neighbours_cover],
-)
+@pytest.mark.parametrize("make", [c4_double_cover, hexagon_over_triangle, s3_left_regular_cover])
 def test_walk_first_lift_matches_the_reference_on_odd_arguments(make):
     """Tuples, lists and one-shot iterators; empty, unclosed and off-base loops; non-int
     and out-of-range sheets: the answer, or the error's type and message, is the reference's."""
@@ -1247,7 +1323,7 @@ class TestHandedOverLayers:
         assert_layers_match_a_raw_copy(SimplicialComplex.from_facets(*args))
 
     @settings(max_examples=150)
-    @given(voltage_assignments())
+    @given(edged_voltage_assignments())
     def test_covers_their_doubles_and_the_doubled_cover(self, voltage):
         cover = build_cover(voltage)
         doubled = double_of_cover(voltage.base, cover)
