@@ -268,23 +268,11 @@ class SimplicialComplex:
         return self._cache["adj"]
 
     def components(self) -> list[frozenset[int]]:
-        adj = self.adjacency()
-        seen: set[int] = set()
-        out = []
+        adj, out, seen = self.adjacency(), [], set()
         for v in sorted(self.vertices):
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            out.append(frozenset(comp))
+            if v not in seen:
+                out.append(frozenset(_walk(adj, v)))
+                seen |= out[-1]
         return out
 
     def is_connected(self) -> bool:
@@ -441,23 +429,26 @@ def barycentric_subdivision(complex: SimplicialComplex) -> SimplicialComplex:
     return sd
 
 
+def _walk(adj: Mapping[int, Iterable[int]] | Sequence[Iterable[int]], root: int) -> dict[int, int | None]:
+    """Vertex -> parent (None at the root) in the breadth-first tree of ``root``'s component, neighbours
+    taken in sorted order; ``adj[v]`` holds the neighbours of v."""
+    parent: dict[int, int | None] = {root: None}
+    queue = [root]
+    for v in queue:
+        for w in sorted(adj[v]):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return parent
+
+
 def _tree_parents(complex: SimplicialComplex) -> Mapping[int, int | None]:
     """Vertex -> parent (None at the root) in the canonical spanning tree, built once, read-only.
 
     Breadth-first from the smallest vertex, neighbours in sorted order.  Raises on disconnected complexes.
     """
     if "tree" not in complex._cache:
-        adj = complex.adjacency()
-        frontier = sorted(complex.vertices)[:1]
-        parent: dict[int, int | None] = dict.fromkeys(frontier)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in sorted(adj[v]):
-                    if w not in parent:
-                        parent[w] = v
-                        nxt.append(w)
-            frontier = nxt
+        parent = _walk(complex.adjacency(), min(complex.vertices)) if complex.vertices else {}
         if len(parent) != len(complex.vertices):
             raise ComplexError("complex is disconnected")
         complex._cache["tree"] = MappingProxyType(parent)

@@ -9,10 +9,11 @@ map of degree d.
 
 A cover is its voltage assignment; every cover here is one, doubles included.
 Total vertex t lies over the (t // d)-th base vertex in sorted order, on
-sheet t % d, so projection, sheets and fibers are arithmetic.  Walks lift on
-a step table read off the voltages, one lookup per step.  The total space is
-built only when read; the deck group and walk lifting never read it.  Covers
-built this way are exactly those induced by homomorphisms from the
+sheet t % d, so projection, sheets and fibers are arithmetic.  A step table
+read off the voltages is the total's 1-skeleton: walks lift on it, one
+lookup per step, and the normal generators walk it.  The total space is
+built only when read, never by the deck group, lifts or normal generators.
+Covers built this way are exactly those induced by homomorphisms from the
 fundamental group of the base to a symmetric group; the total space is
 connected exactly when the voltage image is transitive, which is not
 assumed.  The covering check :func:`is_covering_map` takes a total space,
@@ -40,6 +41,7 @@ from .complex_core import (
     _read_json,
     _require_valid,
     _tree_parents,
+    _walk,
     spanning_tree,
 )
 from .spherical_double import spherical_double
@@ -344,7 +346,8 @@ def double_of_cover(L: SimplicialComplex, c: CoverComplex) -> CoverComplex:
 
 
 def _step_table(c: CoverComplex) -> list[dict[int, int]]:
-    """Per total vertex t = order[b]·d + s: base neighbour w of b -> order[w]·d + V(b, w)(s)."""
+    """Per total vertex t = order[b]·d + s: base neighbour w of b -> order[w]·d + V(b, w)(s).  The values of
+    row t are the neighbours of t in the total space, so the table is its 1-skeleton."""
     adj, voltage = c.base.adjacency(), c.assignment.voltage
     start = dict(zip(c.ordered, count(0, c.degree)))
     return [{w: start[w] + voltage[b, w][s] for w in adj[b]} for b in c.ordered for s in range(c.degree)]
@@ -419,12 +422,15 @@ def deck_group(c: CoverComplex) -> tuple[bool, list[tuple[int, ...]] | None]:
 def normal_generators(c: CoverComplex) -> list[list[int]]:
     """Base loops whose lifts generate the fundamental group of the total space.
 
-    One loop per non-tree edge of a spanning tree of the total space: up the
+    One loop per non-tree edge of the total's canonical spanning tree: up the
     tree, across the edge, back down, then projected to the base.  The result
-    normally generates the image subgroup of the projection.
+    normally generates the image subgroup of the projection.  The tree is
+    walked on the step table, so the total space is not built.
     """
-    total, projection = c.total, c.projection
-    parent = _connected_tree(total, "normal generators require a connected cover")
+    d, rows = c.degree, [row.values() for row in _step_table(c)]
+    parent = _walk(rows, 0)
+    if len(parent) != len(rows):
+        raise CoverError("normal generators require a connected cover")
 
     def path_to_root(x: int) -> list[int]:
         path = [x]
@@ -433,10 +439,10 @@ def normal_generators(c: CoverComplex) -> list[list[int]]:
         return path
 
     loops = []
-    for u, w in total.edges():
-        if parent[w] == u or parent[u] == w:
-            continue  # a tree edge
-        loops.append([projection[x] for x in path_to_root(u)[::-1] + path_to_root(w)])  # root .. u, w .. root
+    for u, row in enumerate(rows):
+        for w in row:
+            if u < w and parent[w] != u and parent[u] != w:  # a non-tree edge: root .. u, w .. root
+                loops.append([c.ordered[x // d] for x in path_to_root(u)[::-1] + path_to_root(w)])
     loops.sort(key=lambda p: (len(p), p))
     return loops
 

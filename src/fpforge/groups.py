@@ -146,7 +146,7 @@ OTHER = RelatorTag("other")
 class Presentation:
     """Named generators with tagged, freely reduced relator words."""
 
-    __slots__ = ("generators", "relators", "tags", "height_window", "extends_all_heights", "_names")
+    __slots__ = ("generators", "relators", "tags", "height_window", "extends_all_heights", "_names", "_reduction")
 
     def __init__(
         self,
@@ -169,6 +169,7 @@ class Presentation:
                 raise ValueError(f"letter {next(x for x in w.letters if x not in letters)} out of range")
         self.generators = gens
         self._names: dict[int, str] | None = None  # letter -> printed name, built by the first word_str
+        self._reduction: tuple[Presentation, Record] | None = None  # kept by the first simplify
         self.relators = rels
         self.tags = tuple(tags) if tags is not None else tuple(OTHER for _ in rels)
         if len(self.tags) != len(rels):
@@ -619,8 +620,11 @@ def simplify(p: Presentation) -> tuple[Presentation, Record]:
     original order, with the relators that remain, and the elimination
     record: pairs (g, letters) in elimination order, saying that generator g
     (a 1-based index into ``p.generators``) equals that word in p's letters,
-    which uses only generators still alive at that step.
+    which uses only generators still alive at that step.  The result is kept
+    on ``p``, which never changes.
     """
+    if p._reduction is not None:
+        return p._reduction
     rels: list[tuple[int, ...]] = [w.letters for w in cyclic_relators(p.relators)]
     occurs: list[set[int]] = [set() for _ in range(len(p.generators) + 1)]
     for i, r in enumerate(rels):
@@ -674,7 +678,8 @@ def simplify(p: Presentation) -> tuple[Presentation, Record]:
     renumber = {g: i + 1 for i, g in enumerate(survivors)}
     relators = cyclic_relators(Word(renumber[x] if x > 0 else -renumber[-x] for x in r) for r in rels if r)
     reduced = Presentation([p.generators[g - 1] for g in survivors], relators, [OTHER] * len(relators))
-    return reduced, tuple(record)
+    p._reduction = reduced, tuple(record)
+    return p._reduction
 
 
 def _survivors(ngens: int, record: Record) -> list[int]:
@@ -774,13 +779,7 @@ def enumerate_table(
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    return _enumerate_reduction(p, *simplify(p), subgroup_generators, budget)
-
-
-def _enumerate_reduction(
-    p: Presentation, reduced: Presentation, record: Record, subgroup_generators: Sequence[Word], budget: int
-) -> tuple[CosetTable | None, int]:
-    """:func:`enumerate_table` on ``p``, given its reduction ``simplify(p)``."""
+    reduced, record = simplify(p)
     survivors = _survivors(len(p.generators), record)
     subs = [_rewrite(record, w, survivors) for w in subgroup_generators]
     if abelianization(Presentation(reduced.generators, [*reduced.relators, *subs])).free_rank:

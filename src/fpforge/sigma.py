@@ -28,10 +28,10 @@ from types import NoneType
 from typing import Callable, Mapping, Sequence
 
 from .complex_core import (
-    ComplexError, FormatError, _json_field, _json_items, _json_keyed, _json_list, _json_object, _json_text, _json_value,
-    _read_json, _record_json, SimplicialComplex, _tree_parents,
+    FormatError, _json_field, _json_items, _json_keyed, _json_list, _json_object, _json_text, _json_value, _read_json,
+    _record_json, SimplicialComplex,
 )
-from .covers import CoverComplex, VoltageAssignment, build_cover, normal_generators
+from .covers import CoverComplex, CoverError, VoltageAssignment, build_cover, normal_generators
 from .groups import Presentation, SpanningTreeWords, Word, coset_enumerate
 from .homology import (
     HomologySummary,
@@ -905,17 +905,17 @@ def subpresentation_select(
 def normal_generating_length_bound(c: CoverComplex) -> int:
     """Upper bound for the shortest max-length normal generating set of the cover.
 
-    Zero when the total space is certifiably simply connected (enumeration
-    completes at index one); otherwise the longest loop produced by the
+    Zero when the connected cover is certifiably simply connected: the base's
+    fundamental group enumerates to order ``c.degree``, the rule of
+    :func:`constructed_entry`.  Otherwise the longest loop produced by the
     spanning-tree generators.  Always an upper bound for the true minimum.
     """
     try:
-        _tree_parents(c.total)  # cached for SpanningTreeWords; its walk proves connectivity
-    except ComplexError:
+        loops = normal_generators(c)  # its walk proves the cover connected
+    except CoverError:
         raise SigmaError("the bound needs a connected cover") from None
-    if _fundamental_group_order(c.total) == 1:
+    if _fundamental_group_order(c.base) == c.degree:
         return 0
-    loops = normal_generators(c)
     return max((len(p) - 1 for p in loops), default=0)
 
 

@@ -55,10 +55,10 @@ from .groups import (
     Presentation,
     SpanningTreeWords,
     Word,
-    _enumerate_reduction,
     _rewrite,
     _survivors,
     cyclic_relators,
+    enumerate_table,
     free_reduce,
     simplify,
     trace_word,
@@ -270,9 +270,9 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
     larger budget; only unknowns, which only derivation search leaves, can
     resolve.
 
-    Each level is reduced once.  A free level is not enumerated, and at
-    another level of positive free rank ``enumerate_table`` returns None
-    without a row, since no table could complete.  Once a table
+    Each level is reduced once, kept on its presentation by ``simplify``.
+    At levels of positive free rank, free ones included, ``enumerate_table``
+    returns None without a row, since no table could complete.  Once a table
     completes with order 1, no later level is enumerated or listed: each
     later length is filled (``finite-quotient``, order 1) when
     :func:`closed_walk_lengths` has it and ``no-loops`` otherwise.
@@ -305,12 +305,10 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
             continue
 
         presentation = Presentation([f"g{i}" for i in range(ngens)], list(relators))
-        reduced, record = simplify(presentation)
-        # with no relator left the quotient is free on the survivors, where
-        # enumerate_table's free-rank gate would return (None, 0)
-        free = bool(reduced.generators) and not reduced.relators
-        table, rows = (None, 0) if free else _enumerate_reduction(presentation, reduced, record, (), budget)
+        table, rows = enumerate_table(presentation, (), budget)
         budget_used += rows
+        reduced, record = simplify(presentation)  # the reduction enumerate_table made
+        free = bool(reduced.generators) and not reduced.relators  # a free quotient on the survivors
         if table is not None and len(table) == 1:
             # later level quotients are trivial too: a length is filled, by
             # this table, exactly when it has loops
@@ -326,7 +324,7 @@ def taut_spectrum(graph: SimplicialComplex, l_max: int, budget: int = 100_000) -
             # every candidate reaches the fallback, so the level's Smith form is needed once
             smith = _lattice_smith(presentation.exponent_matrix(), ngens)
             survivors = _survivors(ngens, record)
-            free_cert = {"method": "free-quotient", "rank": len(survivors)}
+            free_cert = {"method": "free-quotient", "rank": len(reduced.generators)}
 
         walks = next(cycles)[1]
         shorter = [words.word_for_path(w + (w[0],)) for w in walks]

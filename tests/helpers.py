@@ -17,8 +17,9 @@ from fpforge import homology
 from fpforge.complex_core import (
     ComplexError, GroupPresentationInput, SimplicialComplex, _require_valid, barycentric_subdivision, spanning_tree,
 )
-from fpforge.covers import CoverError, VoltageAssignment, build_cover, perm_compose, perm_inverse
-from fpforge.sigma import _growth_failures
+from fpforge.covers import CoverError, VoltageAssignment, build_cover, normal_generators, perm_compose, perm_inverse
+from fpforge.groups import SpanningTreeWords, coset_enumerate
+from fpforge.sigma import SIMPLE_CONNECTIVITY_BUDGET, _growth_failures
 from fpforge.spectrum import cycles_by_length
 
 RP2_FACETS = [
@@ -355,6 +356,23 @@ def reference_lift_loop(c, loop, start_sheet: int) -> tuple[bool, int]:
     if t is None:
         raise CoverError(f"sheet {start_sheet} out of range over vertex {loop[0]}")
     return sheet[t] == start_sheet, sheet[t]
+
+
+def total_simply_connected(voltage: VoltageAssignment) -> bool | None:
+    """The total-space oracle: the built cover's edge-path group enumerates to
+    order one (True), to a larger order (False), or not at all (None)."""
+    order = coset_enumerate(
+        SpanningTreeWords(build_cover(voltage).total).presentation(), (), SIMPLE_CONNECTIVITY_BUDGET
+    )
+    return None if order is None else order == 1
+
+
+def total_length_bound(c) -> int:
+    """The normal generating length bound read off the built total: zero when the total's own edge-path group
+    enumerates to order one, else the longest spanning-tree loop."""
+    if total_simply_connected(c.assignment):
+        return 0
+    return max((len(p) - 1 for p in normal_generators(c)), default=0)
 
 
 def reference_maps_into(vmap, simplices, target) -> bool:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -334,6 +335,24 @@ class TestSigmaBuilders:
         assert main(["decide", "--sigma", spec, "--ring", "Q", "--k", "2"]) == 0
         assert main(["decide", "--sigma", spec, "--finitely-presented"]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == ["FP_2(Q): YES", "finitely presented: NO (entry Lp3)"]
+
+    @pytest.mark.parametrize(
+        "argv, field, members",
+        [
+            (["prime-set", "--primes", "3,11"], "positive_tail", {"recurrent": ["Lp3", "Lp11"]}),
+            (["field-example"], "prime_rule", {"members": [[3, "Lp3"], [5, "Lp5"], [7, "Lp7"], [11, "Lp11"]]}),
+        ],
+    )
+    def test_builders_read_every_registered_family_member(self, tmp_path, argv, field, members):
+        """Every id Lp<p> at a prime p above two is a member; other ids, a huge suffix included, are not."""
+        registry = example_registry()
+        for eid in ("Lp11", "Lp9", "Lp2", "Lp013", "Lp" + "7" * 5000):
+            registry[eid] = dataclasses.replace(registry["Lp7"], id=eid)
+        reg_path = write(tmp_path / "reg.json", dump_registry(registry))
+        out = tmp_path / "spec.json"
+        assert main(["sigma", "--builder", *argv, "--registry", reg_path, "--out", str(out)]) == 0
+        written = json.loads(out.read_text())[field]
+        assert {key: written[key] for key in members} == members
 
     def test_external_registry(self, tmp_path):
         reg_path = write(tmp_path / "reg.json", dump_registry(example_registry()))

@@ -748,6 +748,29 @@ class TestSharedSpanningTree:
         assert len(double_cover_voltages(K)) == 3  # Hom(Z^2, Z/2) minus the trivial map
         check_against_references(K)
 
+    @settings(max_examples=200)
+    @given(voltage_assignments(), st.booleans())
+    def test_step_table_walk_matches_the_total_tree(self, voltage, doubled):
+        """The walk of the step table finds the built total's canonical tree, on covers and on their doubles."""
+        cover = build_cover(voltage)
+        if doubled and len(voltage.base.vertices) > 1:
+            cover = double_of_cover(voltage.base, cover)
+        if cover.total.is_connected():
+            assert normal_generators(cover) == reference_normal_generators(cover)
+        else:
+            with pytest.raises(CoverError, match=r"^normal generators require a connected cover$"):
+                normal_generators(cover)
+
+    def test_generators_and_bound_do_not_build_the_total(self, monkeypatch):
+        def made():
+            return [orientation_cover(), c4_double_cover(), double_of_cover(subdivided_rp2(), orientation_cover())]
+
+        expected = [reference_normal_generators(c) for c in made()]
+        fresh = made()
+        monkeypatch.setattr(covers.CoverComplex, "total", property(lambda self: pytest.fail("total space built")))
+        assert [normal_generators(c) for c in fresh] == expected
+        assert [normal_generating_length_bound(c) for c in fresh] == [0, 8, 0]
+
     def test_spanning_tree_is_an_immutable_set(self):
         K = cycle_complex(5)
         tree = spanning_tree(K)
@@ -774,9 +797,13 @@ class TestSharedSpanningTree:
 
         cover = build_cover(VoltageAssignment(cycle_complex(4), 1))
         assert normal_generators(cover) == [[0, 1, 2, 3, 0]]
-        cover = build_cover(VoltageAssignment(cycle_complex(4), 1))
-        cover.total._cache["tree"] = MappingProxyType({0: None, 1: 0, 2: 1, 3: 2})
-        assert normal_generators(cover) == [[0, 3, 2, 1, 0]]
+        # A tree planted on the base is read by the assignment, while the normal generators walk the step table,
+        # the total's 1-skeleton, for the total's own tree: the planted tree would give [[0, 3, 2, 1, 0]].
+        base = cycle_complex(4)
+        base._cache["tree"] = MappingProxyType({0: None, 1: 0, 2: 1, 3: 2})
+        cover = build_cover(VoltageAssignment(base, 1))
+        assert cover.assignment.spanning_tree == {(0, 1), (1, 2), (2, 3)}
+        assert normal_generators(cover) == [[0, 1, 2, 3, 0]]
 
 
 # ---------------------------------------------------------------------------

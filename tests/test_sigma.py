@@ -14,10 +14,8 @@ from fpforge import sigma as sigma_mod
 from fpforge.cli import main
 from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree, validate
 from fpforge.covers import VoltageAssignment, build_cover, double_cover_voltages, verify_covering
-from fpforge.groups import SpanningTreeWords, coset_enumerate
 from fpforge.homology import HomologySummary, RingSpec, reduced_homology
 from fpforge.sigma import (
-    SIMPLE_CONNECTIVITY_BUDGET,
     MissingCertificateError,
     PowerTowerRule,
     PrimeCongruenceRule,
@@ -44,7 +42,8 @@ from fpforge.sigma import (
 )
 
 from helpers import (
-    RP2_FACETS, reference_choose_constants, reference_facets, s3_left_regular_cover, voltage_assignments,
+    RP2_FACETS, reference_choose_constants, reference_facets, s3_left_regular_cover, total_length_bound,
+    total_simply_connected, voltage_assignments,
 )
 
 MEMBERS = {p: f"Lp{p}" for p in (3, 5, 7)}
@@ -71,15 +70,6 @@ def subdivided_rp2(times=1):
 def orientation_voltage(times=1):
     (voltage,) = double_cover_voltages(subdivided_rp2(times))
     return voltage
-
-
-def total_simply_connected(voltage):
-    """The total-space oracle: the built cover's edge-path group enumerates to
-    order one (True), to a larger order (False), or not at all (None)."""
-    order = coset_enumerate(
-        SpanningTreeWords(build_cover(voltage).total).presentation(), (), SIMPLE_CONNECTIVITY_BUDGET
-    )
-    return None if order is None else order == 1
 
 
 def generic_value(spec, sign, residue, prime_above_2):
@@ -860,6 +850,20 @@ class TestBounds:
         assert normal_generating_length_bound(build_cover(registry["sphere"].voltage)) == 0
         degree1 = build_cover(VoltageAssignment(cycle_complex(4), 1))
         assert normal_generating_length_bound(degree1) == 4
+
+    def test_bound_matches_the_total_enumeration_on_registry_covers(self, registry):
+        # Each base and total group here enumerates to its order or is proven infinite.
+        for entry in registry.values():
+            if entry.voltage is not None:
+                cover = build_cover(entry.voltage)
+                assert normal_generating_length_bound(cover) == total_length_bound(cover), entry.id
+
+    @pytest.mark.parametrize("times", [0, 1, 2])
+    def test_bound_matches_the_total_enumeration_on_orientation_covers(self, times):
+        cover = build_cover(orientation_voltage(times))
+        assert sigma_mod._fundamental_group_order(cover.base) == 2  # both enumerations finish
+        assert total_simply_connected(cover.assignment) is True
+        assert normal_generating_length_bound(cover) == total_length_bound(cover) == 0
 
     def test_degree_one_cover_of_a_path(self):
         # A tree's edge-path group has no generators: its coset table is complete at index one.
