@@ -19,8 +19,8 @@ import tempfile
 
 from . import complex_core, covers, groups, homology, sigma as sigma_mod, spectrum as spectrum_mod
 from .complex_core import _json_field, _json_int_arrays, _json_keyed, _json_list, _json_object, _json_text, _read_json
-from .homology import RingSpec, _is_prime
-from .sigma import BASE_ID, FAMILY_ID, SL_ID, example_registry
+from .homology import RingSpec
+from .sigma import BASE_ID, SL_ID, example_registry
 from .spherical_double import spherical_double
 
 _CLOSURE_NOTE = (
@@ -164,12 +164,7 @@ def _cmd_sigma(args) -> int:
         return 0
 
     registry = sigma_mod.load_registry(args.registry) if args.registry else example_registry()
-    # every id Lp<p> at a prime p above two; the primality test decides below 25 digits
-    suffixes = {id: id.removeprefix(FAMILY_ID) for id in registry if id.startswith(FAMILY_ID)}
-    member_ids = {
-        int(n): id for id, n in suffixes.items()
-        if n.isascii() and n.isdigit() and n[0] != "0" and len(n) < 25 and int(n) > 2 and _is_prime(int(n))
-    }
+    member_ids = sigma_mod.family_members(registry)
     if args.builder == "field-example":
         spec = sigma_mod.sigma_field_example(registry, member_ids=member_ids)
     elif args.builder == "prime-set":

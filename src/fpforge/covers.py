@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, compress, count, repeat
 from operator import add, getitem, itemgetter, lt, ne
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .complex_core import (
@@ -206,17 +207,19 @@ class CoverComplex:
         self._cache: dict = {}
 
     @property
-    def projection(self) -> dict[int, int]:
-        """Total vertex -> the base vertex it lies over; built once, and not to be modified."""
+    def projection(self) -> Mapping[int, int]:
+        """Total vertex -> the base vertex it lies over; built once, a read-only view."""
         if "projection" not in self._cache:
-            self._cache["projection"] = dict(enumerate(b for b in self.ordered for _ in range(self.degree)))
+            table = dict(enumerate(b for b in self.ordered for _ in range(self.degree)))
+            self._cache["projection"] = MappingProxyType(table)
         return self._cache["projection"]
 
     @property
-    def sheet(self) -> dict[int, int]:
-        """Total vertex -> its sheet; built once, and not to be modified."""
+    def sheet(self) -> Mapping[int, int]:
+        """Total vertex -> its sheet; built once, a read-only view."""
         if "sheet" not in self._cache:
-            self._cache["sheet"] = dict(enumerate(s for _ in self.ordered for s in range(self.degree)))
+            table = dict(enumerate(s for _ in self.ordered for s in range(self.degree)))
+            self._cache["sheet"] = MappingProxyType(table)
         return self._cache["sheet"]
 
     def fibers(self) -> dict[int, dict[int, int]]:

@@ -13,9 +13,9 @@ The coset enumerator is a deterministic relator-first filling procedure with
 an explicit row budget.  ``enumerate_table`` alone decides whether a run can
 finish: it Tietze-reduces the presentation (``simplify``), returns None
 without a row when the reduced exponent vectors prove the index infinite,
-and otherwise enumerates the reduced presentation, falling back to the
-original one if that run exhausts its budget.  None therefore means "index
-proven infinite, or budget exhausted"; it is a result, never an error.
+and otherwise enumerates the reduced presentation once, within the budget.
+None therefore means "index proven infinite, or ``budget`` rows spent"; it
+is a result, never an error.
 
 A completed table (``CosetTable``) is the permutation action of the original
 generators on the cosets: row c holds the images of coset c under g1, g1^-1,
@@ -771,11 +771,9 @@ def enumerate_table(
     less than the surviving generators' lattice, G maps onto an infinite
     abelian group in which H has infinite index, so no table could complete
     and ``(None, 0)`` is returned at once.  Otherwise the reduced
-    presentation is enumerated, and a completed table is extended to every
-    original generator.  If the reduced run exhausts its budget after some
-    elimination, ``p`` itself is enumerated with the same budget, since an
-    elimination can lengthen relators enough to cost an index; the rows of
-    both runs are reported.
+    presentation is enumerated once within ``budget`` rows, and a completed
+    table is extended to every original generator.  The rows reported are
+    that run's, never more than ``budget``.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -785,10 +783,6 @@ def enumerate_table(
     if abelianization(Presentation(reduced.generators, [*reduced.relators, *subs])).free_rank:
         return None, 0
     T, rows = _enumerate(reduced, subs, budget)
-    if T is None and record:
-        record, survivors = (), range(1, len(p.generators) + 1)
-        T, more = _enumerate(p, subgroup_generators, budget)
-        rows += more
     return (None if T is None else _extend(T, record, survivors, len(p.generators))), rows
 
 

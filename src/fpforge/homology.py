@@ -258,11 +258,6 @@ def smith_normal_form(A: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
     return M, U, V
 
 
-def snf_diagonal(D: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal entries of a (rectangular) diagonal matrix."""
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-
-
 # ---------------------------------------------------------------------------
 # Sparse elimination (internal engine for chain complexes)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import count
 from math import isqrt
 from types import NoneType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .complex_core import (
     FormatError, _json_field, _json_items, _json_keyed, _json_list, _json_object, _json_text, _json_value, _read_json,
@@ -677,6 +677,16 @@ def sigma_field_example(
     """
     rule = PrimeCongruenceRule(members=dict(member_ids or {}), default=PERFECT_ID)
     return SigmaSpec(registry, PERFECT_ID, prime_rule=rule)
+
+
+def family_members(registry: Iterable[str]) -> dict[int, str]:
+    """{p: id} for each registry id FAMILY_ID + str(p) at a prime p above two, p in ASCII digits with no leading
+    zero; the primality test decides below 25 digits."""
+    suffixes = {id: id.removeprefix(FAMILY_ID) for id in registry if id.startswith(FAMILY_ID)}
+    return {
+        int(n): id for id, n in suffixes.items()
+        if n.isascii() and n.isdigit() and n[0] != "0" and len(n) < 25 and int(n) > 2 and _is_prime(int(n))
+    }
 
 
 def _prime_member(p: int, member_ids: Mapping[int, str]) -> str:

@@ -461,11 +461,16 @@ def boundary_dense(cx, k: int) -> list[list[int]]:
     return out
 
 
+def snf_diagonal(D: list[list[int]]) -> list[int]:
+    """Diagonal entries of a (rectangular) diagonal matrix."""
+    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
+
+
 def invariant_factors(A: list[list[int]]) -> list[int]:
     """Nonzero diagonal entries of the dense Smith normal form, read through the module so that a spy on
     ``homology.smith_normal_form`` sees the call."""
     D, _, _ = homology.smith_normal_form(A)
-    return [d for d in homology.snf_diagonal(D) if d]
+    return [d for d in snf_diagonal(D) if d]
 
 
 def minor_gcd_invariants(A: list[list[int]]) -> list[int]:

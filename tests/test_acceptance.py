@@ -21,7 +21,7 @@ from fpforge.covers import (
     verify_covering,
 )
 from fpforge.groups import LoopWord, abelianization, deck_group_presentation, power_spread
-from fpforge.homology import RingSpec, reduced_homology, smith_normal_form, snf_diagonal
+from fpforge.homology import RingSpec, reduced_homology, smith_normal_form
 from fpforge.sigma import (
     SigmaSpec,
     Tail,
@@ -36,7 +36,7 @@ from fpforge.sigma import (
 )
 from fpforge.spectrum import k_related, taut_spectrum
 
-from helpers import RP2_FACETS, all_complexes_on, matmul
+from helpers import RP2_FACETS, all_complexes_on, matmul, snf_diagonal
 
 MEMBERS = {p: f"Lp{p}" for p in (3, 5, 7)}
 

@@ -330,6 +330,16 @@ class TestVerifyCovering:
         assert verify_covering(c4_double_cover())
         assert verify_covering(orientation_cover())
 
+    def test_projection_and_sheets_refuse_writes(self):
+        cover = orientation_cover()
+        with pytest.raises(TypeError):
+            cover.projection[0] = cover.projection[2]
+        with pytest.raises(TypeError):
+            cover.sheet[0] = 1
+        with pytest.raises(TypeError):
+            del cover.sheet[0]
+        assert verify_covering(cover)
+
     def test_edge_collapse_fails(self):
         base = SimplicialComplex.from_facets([[0, 1], [1, 2]])
         total = SimplicialComplex.from_facets([[0, 1], [1, 2], [2, 3]])

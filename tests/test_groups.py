@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpforge import groups
-from fpforge.complex_core import SimplicialComplex, barycentric_subdivision, spanning_tree
+from fpforge.complex_core import GroupPresentationInput, SimplicialComplex, barycentric_subdivision, spanning_tree
 from fpforge.covers import VoltageAssignment, build_cover, double_cover_voltages, lift_loop, normal_generators
 from fpforge.groups import (
     LoopWord,
@@ -28,10 +28,10 @@ from fpforge.groups import (
     tagged_family_presentation,
     trace_word,
 )
-from fpforge.homology import smith_normal_form, snf_diagonal
+from fpforge.homology import smith_normal_form
 from fpforge.sigma import example_registry, subpresentation_select
 
-from helpers import RP2_FACETS, invariant_factors, matmul
+from helpers import RP2_FACETS, invariant_factors, matmul, small_presentations, snf_diagonal
 
 
 def full_simplex(n):
@@ -407,6 +407,10 @@ def _check_table(table, p, subgroup):
     assert all(trace_word(table, w) == 0 for w in subgroup)
 
 
+# A trivial group whose Tietze reduction costs the enumeration six rows.
+PINNED_RELATORS = [[-1, 3, -2, -2, -1, 3, -2], [3, 2, 3, 3], [-3, 2, -1], [1, 3, 2]]
+
+
 def _live(T):
     """Live rows of ``_enumerate``'s working table: its index once complete."""
     return sum(1 for a in range(len(T.table)) if T.rep(a) == a)
@@ -420,13 +424,19 @@ class TestTietzeReduction:
         budget=st.integers(1, 60),
     )
     def test_never_loses_an_index_and_extends_to_every_generator(self, p, subgroup, budget):
+        # The call completes exactly when the reduced run does, and its index
+        # is the unreduced run's whenever both complete.
         n = len(p.generators)
         subgroup = [Word(x for x in w if abs(x) <= n) for w in subgroup]
+        reduced, record = simplify(p)
+        survivors = groups._survivors(n, record)
+        run, _ = groups._enumerate(reduced, [groups._rewrite(record, w, survivors) for w in subgroup], budget)
         reference, _ = groups._enumerate(p, subgroup, budget)
         table, _ = enumerate_table(p, subgroup, budget)
-        if reference is not None:
-            assert table is not None and len(table) == _live(reference)
+        assert (table is None) == (run is None)
         if table is not None:
+            assert len(table) == _live(run)
+            assert reference is None or len(table) == _live(reference)
             _check_table(table, p, subgroup)
 
     @settings(max_examples=200)
@@ -453,18 +463,33 @@ class TestTietzeReduction:
         )
         assert coset_enumerate(p, (), 50) == 5
 
-    def test_unreduced_run_follows_an_exhausted_reduced_run(self):
-        p = Presentation(
-            ["g1", "g2", "g3"],
-            [Word([-1, 3, -2, -2, -1, 3, -2]), Word([3, 2, 3, 3]), Word([-3, 2, -1]), Word([1, 3, 2])],
-        )
+    def test_an_exhausted_reduced_run_is_the_answer(self):
+        # The reduced run of this trivial group needs 31 rows, the unreduced one 25.
+        p = Presentation(["g1", "g2", "g3"], [Word(r) for r in PINNED_RELATORS])
         reduced, record = simplify(p)
         assert record and groups._enumerate(reduced, (), 30) == (None, 30)
         unreduced, rows = groups._enumerate(p, (), 30)
-        table, both = enumerate_table(p, (), 30)
-        assert len(table) == _live(unreduced) == 1
+        assert _live(unreduced) == 1 and rows == 25
+        assert enumerate_table(p, (), 30) == (None, 30)
+        table, rows = enumerate_table(p, (), 31)
+        assert len(table) == 1 and rows == 31
         _check_table(table, p, ())
-        assert both == 30 + rows
+
+    @settings(max_examples=300)
+    @given(
+        p=small_presentations(),
+        subgroup=st.lists(st.lists(st.integers(-3, 3).filter(bool), max_size=5), max_size=2),
+        budget=st.integers(1, 200),
+    )
+    @example(p=GroupPresentationInput(3, PINNED_RELATORS), subgroup=[], budget=30)
+    def test_one_run_within_the_budget(self, p, subgroup, budget):
+        p = Presentation([f"x{i}" for i in range(p.generator_count)], [Word(r) for r in p.relators])
+        subgroup = [Word(x for x in w if abs(x) <= len(p.generators)) for w in subgroup]
+        with mock.patch.object(groups, "_enumerate", wraps=groups._enumerate) as spy:
+            table, rows = enumerate_table(p, subgroup, budget)
+        assert spy.call_count <= 1 and rows <= budget
+        if table is not None:
+            _check_table(table, p, subgroup)
 
     def test_spanning_tree_presentation_of_a_large_sphere_needs_one_row(self):
         K = SimplicialComplex.from_facets(RP2_FACETS)

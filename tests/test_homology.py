@@ -24,12 +24,11 @@ from fpforge.homology import (
     load_summary,
     reduced_homology,
     smith_normal_form,
-    snf_diagonal,
 )
 
 from helpers import (
     RP2_FACETS, boundary_dense, determinant, field_betti_numbers, field_rank, invariant_factors, kernel_rows, matmul,
-    minor_gcd_invariants, reference_boundaries, reference_composition_zero, reference_faces,
+    minor_gcd_invariants, reference_boundaries, reference_composition_zero, reference_faces, snf_diagonal,
 )
 
 

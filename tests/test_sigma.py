@@ -28,6 +28,7 @@ from fpforge.sigma import (
     dump_registry,
     dump_sigma_spec,
     example_registry,
+    family_members,
     finitely_presented_decide,
     fp_decide,
     load_registry,
@@ -567,6 +568,11 @@ class TestFinitelyPresentedDecide:
 
 
 class TestBuilders:
+    def test_family_members_read_lp_ids_at_primes_above_two(self):
+        ids = ["L", "Lp2", "Lp9", "Lp07", "Lp\u0663", "Lp" + "1" * 29 + "3", "Lq5", "Lp", "Lp11", "Lp3"]
+        assert family_members(ids) == {11: "Lp11", 3: "Lp3"}
+        assert family_members(example_registry()) == MEMBERS
+
     def test_field_example_values(self, registry):
         spec = sigma_field_example(registry, member_ids=MEMBERS)
         assert spec.value(4) == "Lperf"
